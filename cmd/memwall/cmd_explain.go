@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"memwall/internal/attr"
+	"memwall/internal/checkpoint"
 	"memwall/internal/core"
 	"memwall/internal/runner"
 	"memwall/internal/tablefmt"
@@ -103,12 +104,13 @@ func runExplain(args []string) error {
 			})
 		}
 		for _, r := range cells.Records() {
+			cached := r.Source == checkpoint.SourceCached.String()
 			wall.Cells = append(wall.Cells, attr.WallCell{
 				Key: r.Key, Seconds: r.WallSeconds,
-				QueueSeconds: r.QueueSeconds, FromCheckpoint: r.FromCheckpoint,
+				QueueSeconds: r.QueueSeconds, FromCheckpoint: cached,
 			})
 			wall.TotalSeconds += r.WallSeconds
-			if r.FromCheckpoint {
+			if cached {
 				wall.CheckpointCells++
 			} else {
 				wall.ComputedCells++

@@ -30,7 +30,7 @@ func runExport(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	// gridPool threads the run's checkpoint ledger and fault injector into
+	// gridPool threads the run's Flight and fault injector into
 	// the Figure 3 grid (Figure3Pool names the cells itself). With -twin,
 	// the surrogate serves the timing cells it covers.
 	pool := gridPool(*workers, nil)

@@ -95,7 +95,7 @@ func runSelfcheck(args []string) error {
 	}
 
 	ctx := context.Background()
-	// gridPool threads the run's checkpoint ledger and fault injector
+	// gridPool threads the run's Flight and fault injector
 	// through every check grid; the per-check labels below double as the
 	// ledger's cell keys.
 	pool := func(label func(i int) string) runner.Config {

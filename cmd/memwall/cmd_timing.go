@@ -4,7 +4,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"strings"
@@ -80,7 +79,7 @@ func runFig3(args []string) error {
 		if err != nil {
 			return err
 		}
-		// gridPool threads the checkpoint ledger and fault injector through;
+		// gridPool threads the run's Flight and fault injector through;
 		// Figure3Pool names the cells (suite-qualified keys in the ledger).
 		// With -twin, the surrogate serves each cell it covers and the
 		// runner re-simulates the sampled subset as ground truth.
@@ -158,90 +157,45 @@ func runTable6(args []string) error {
 	if err != nil {
 		return err
 	}
-	type task struct {
-		suite workload.Suite
-		p     *workload.Program
-	}
-	var tasks []task
+	// Table 6 is the A and F columns of Figure 3: the same cells, keyed
+	// and cached alike, resolved by the same function. With -twin the
+	// surrogate serves the cells it covers and the runner re-simulates
+	// its deterministic sample as ground truth.
+	var cells []core.Figure3Cell
 	for _, suite := range suites {
 		progs, err := generateSuite(suite, *scale)
 		if err != nil {
 			return err
 		}
 		for _, p := range progs {
-			tasks = append(tasks, task{suite, p})
+			for _, expName := range []string{"A", "F"} {
+				m, err := core.MachineByName(suite, expName, *cacheScale)
+				if err != nil {
+					return err
+				}
+				cells = append(cells, core.Figure3Cell{Suite: suite, Program: p, Machine: m})
+			}
 		}
 	}
-	rows, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
-		return "table6:" + tasks[i].p.Name
-	}), len(tasks), func(ctx context.Context, i int, tracer *telemetry.Tracer) ([]string, error) {
-		tk := tasks[i]
-		row := []string{tk.p.Name}
-		var fbWins bool
-		for ei, expName := range []string{"A", "F"} {
-			var res core.Decomposition
-			if surr != nil {
-				// Twin cell (shared with the Figure 3 grid). The sampled
-				// subset — deterministic in the flattened cell index, so the
-				// sample is identical at any worker count — is re-simulated
-				// and checked against the calibrated bound.
-				key := core.Figure3CellKey(tk.suite, tk.p.Name, expName)
-				cell, ok := surr.Cell(key)
-				if !ok {
-					return nil, fmt.Errorf("twin model does not cover %s", key)
-				}
-				if surr.Sampled(2*i + ei) {
-					truth, err := table6Decompose(tk.suite, expName, *cacheScale, tk.p, tracer)
-					if err != nil {
-						return nil, err
-					}
-					tb, err := json.Marshal(truth)
-					if err != nil {
-						return nil, fmt.Errorf("%s: encoding ground truth: %w", key, err)
-					}
-					if err := surr.Validate(key, nil, tb); err != nil {
-						return nil, err
-					}
-				}
-				res = cell.Decomposition
-			} else {
-				full, err := table6Decompose(tk.suite, expName, *cacheScale, tk.p, tracer)
-				if err != nil {
-					return nil, err
-				}
-				res = full.Decomposition
-			}
-			row = append(row,
-				fmt.Sprintf("%.1f", res.FL()*100),
-				fmt.Sprintf("%.1f", res.FB()*100))
-			if expName == "F" {
-				fbWins = res.FB() > res.FL()
-			}
-		}
-		return append(row, fmt.Sprintf("%v", fbWins)), nil
-	})
+	pool := gridPool(*workers, nil)
+	if surr != nil {
+		pool.Twin = surr
+	}
+	results, err := core.ResolveFigure3(context.Background(), cells, pool)
 	if err != nil {
-		return err
+		return fmt.Errorf("table6: %w", err)
 	}
 	t := tablefmt.New("Table 6: latency vs bandwidth stalls (% of execution time), experiments A and F",
 		"benchmark", "A: f_L%", "A: f_B%", "F: f_L%", "F: f_B%", "F: f_B>f_L")
-	for _, row := range rows {
-		t.AddRow(row...)
+	for i := 0; i < len(results); i += 2 {
+		a, f := results[i], results[i+1]
+		t.AddRow(cells[i].Program.Name,
+			fmt.Sprintf("%.1f", a.FL()*100), fmt.Sprintf("%.1f", a.FB()*100),
+			fmt.Sprintf("%.1f", f.FL()*100), fmt.Sprintf("%.1f", f.FB()*100),
+			fmt.Sprintf("%v", f.FB() > f.FL()))
 	}
 	fmt.Println(t)
 	return nil
-}
-
-// table6Decompose runs the full three-simulation decomposition for one
-// Table 6 cell.
-func table6Decompose(suite workload.Suite, expName string, cacheScale int, p *workload.Program, tracer *telemetry.Tracer) (core.DecomposeResult, error) {
-	m, err := core.MachineByName(suite, expName, cacheScale)
-	if err != nil {
-		return core.DecomposeResult{}, err
-	}
-	m.Obs = taskObservation(tracer)
-	// Per-task stream: see the core.Decompose ownership rule.
-	return core.Decompose(m, p.Stream())
 }
 
 // runTable1 measures the directional claims of the paper's Table 1 by

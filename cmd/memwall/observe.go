@@ -176,13 +176,14 @@ func corpusProgram(name string, scale int) (*workload.Program, error) {
 	return corpusEntry(name, scale).Program()
 }
 
-// currentCheckpoint is the run's cell ledger, opened by runObserved when
-// -checkpoint-dir is given. Nil otherwise: the nil ledger never hits and
-// never records, so grids thread it unconditionally.
-var currentCheckpoint *checkpoint.Ledger
+// currentFlight is the run's cell cache: the -checkpoint-dir ledger
+// wrapped in one checkpoint.Flight for the whole invocation, so grids
+// of one run (e.g. fig3 and table6 under `memwall all`) also share the
+// cells they have in common. Nil without -checkpoint-dir.
+var currentFlight *checkpoint.Flight
 
-// activeCheckpoint returns the invocation's cell ledger (possibly nil).
-func activeCheckpoint() *checkpoint.Ledger { return currentCheckpoint }
+// activeFlight returns the invocation's cell cache (possibly nil).
+func activeFlight() *checkpoint.Flight { return currentFlight }
 
 // currentFault is the run's fault injector, armed by -fault-schedule. Nil
 // (the common case) injects nothing.
@@ -208,17 +209,13 @@ func activeCheckpointDir() string { return currentCheckpointDir }
 
 // gridPool assembles the runner.Config for a -j grid sweep: the run-wide
 // telemetry hooks plus — when -checkpoint-dir / -fault-schedule are active
-// — the cell ledger and fault injector. taskName keeps each subcommand's
-// historical span naming and doubles as the checkpoint cell key, so every
-// grid that names its tasks is crash-safe for free.
+// — the cell cache and fault injector. taskName keeps each subcommand's
+// historical span naming and doubles as the cell key, so every grid that
+// names its tasks is crash-safe for free.
 func gridPool(workers int, taskName func(i int) string) runner.Config {
-	cfg := runner.Config{Workers: workers, Obs: observation(), TaskName: taskName}
-	// Assign only non-nil values: a typed-nil in the interface field would
-	// make the runner JSON-encode every result for a ledger that discards
-	// them.
-	if l := activeCheckpoint(); l != nil {
-		cfg.Checkpoint = l
-	}
+	cfg := runner.Config{Workers: workers, Obs: observation(), TaskName: taskName, Flight: activeFlight()}
+	// Assign only a non-nil injector: a typed nil in the interface field
+	// would run a no-op hook at every cell.
 	if in := activeFault(); in != nil {
 		cfg.Fault = in
 	}
@@ -377,7 +374,9 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 
 	currentObs = obs
 	currentCorpus = corp
-	currentCheckpoint = ledger
+	if ledger != nil {
+		currentFlight = checkpoint.NewFlight(ledger, nil)
+	}
 	currentFault = inject
 	currentFS = fsys
 	currentCheckpointDir = opts.checkpointDir
@@ -385,7 +384,7 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 	defer func() {
 		currentObs = telemetry.Observation{}
 		currentCorpus = nil
-		currentCheckpoint = nil
+		currentFlight = nil
 		currentFault = nil
 		currentFS = nil
 		currentCheckpointDir = ""

@@ -42,9 +42,13 @@ import (
 	"memwall/internal/telemetry"
 )
 
-// Format versions the ledger schema; bumping it retires every existing
-// ledger at once (format mismatch degrades to a fresh ledger).
-const Format = 1
+// Format versions the ledger schema, cell payloads included; bumping it
+// retires every existing ledger at once (format mismatch degrades to a
+// fresh ledger). Format 2: serve journals the same core.DecomposeResult
+// payload as batch grids, where format 1 serve ledgers held
+// {"decomposition","counts"} — which would decode as a DecomposeResult
+// of zeros without any error, under an unchanged fingerprint.
+const Format = 2
 
 // ledgerFile is the on-disk schema. Cells map cell keys (the runner's
 // task names, e.g. "table6:su2cor") to their JSON-encoded results; Sum is

@@ -1,14 +1,16 @@
 // Flight promotes the ledger from crash-recovery artifact to memoization
 // tier: concurrent requests for the same cell key coalesce onto one
 // computation (singleflight), backed by an in-memory memo and the
-// on-disk ledger. The serving layer (internal/serve) consults a Flight
-// instead of wiring the ledger into the runner directly, because the
-// Lookup/Record interface alone cannot coalesce — two concurrent misses
-// would both compute.
+// on-disk ledger. It is the runner's only cell cache (runner.Config
+// Flight): the CLI wraps its -checkpoint-dir ledger in one Flight per
+// invocation, and the serving layer (internal/serve) keeps one per
+// configuration fingerprint. A bare Lookup/Record pair could not
+// coalesce — two concurrent misses would both compute.
 package checkpoint
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"memwall/internal/telemetry"
@@ -79,9 +81,6 @@ func NewFlight(ledger *Ledger, coalesced *telemetry.Counter) *Flight {
 	}
 }
 
-// Ledger returns the backing ledger (nil for memory-only flights).
-func (f *Flight) Ledger() *Ledger { return f.ledger }
-
 // Inflight returns how many callers are currently waiting on key's
 // computation (0 when none is running). Tests use it to gate
 // deterministic coalescing assertions.
@@ -134,7 +133,7 @@ func (f *Flight) Do(ctx context.Context, key string, compute func(ctx context.Co
 	f.mu.Unlock()
 
 	go func() {
-		v, err := compute(cctx)
+		v, err := run(cctx, key, compute)
 		cancel()
 		f.mu.Lock()
 		if err == nil {
@@ -152,6 +151,20 @@ func (f *Flight) Do(ctx context.Context, key string, compute func(ctx context.Co
 	}()
 
 	return f.wait(ctx, c, SourceComputed)
+}
+
+// run calls compute, converting a panic into the call's error. The
+// computation runs on the Flight's own goroutine, outside any worker
+// pool's recover, so an unrecovered panic here would kill the process;
+// as an error it reaches every waiter and, like any error, is never
+// memoized.
+func run(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (v []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, fmt.Errorf("cell %q panicked: %v", key, r)
+		}
+	}()
+	return compute(ctx)
 }
 
 // wait blocks until the call completes or ctx expires. The departing

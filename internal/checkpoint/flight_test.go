@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,35 @@ func TestFlightErrorsNotMemoized(t *testing.T) {
 	v, src, err := f.Do(context.Background(), "k", compute)
 	if err != nil || src != SourceComputed || string(v) != "ok" {
 		t.Fatalf("retry Do: %q, %v, %v", v, src, err)
+	}
+}
+
+// TestFlightPanicIsRetryableError: a panicking compute runs on the
+// Flight's own goroutine, outside any pool's recover. It must come back
+// as that call's error, naming the key, and must not be memoized: the
+// retry computes again.
+func TestFlightPanicIsRetryableError(t *testing.T) {
+	f := NewFlight(nil, nil)
+	calls := 0
+	compute := func(ctx context.Context) ([]byte, error) {
+		calls++
+		if calls == 1 {
+			panic("simulated invariant failure")
+		}
+		return []byte("ok"), nil
+	}
+	_, _, err := f.Do(context.Background(), "fig3:SPEC92:compress/A", compute)
+	if err == nil {
+		t.Fatal("panicking compute returned no error")
+	}
+	for _, want := range []string{`"fig3:SPEC92:compress/A"`, "panicked", "simulated invariant failure"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
+		}
+	}
+	v, src, err := f.Do(context.Background(), "fig3:SPEC92:compress/A", compute)
+	if err != nil || src != SourceComputed || string(v) != "ok" || calls != 2 {
+		t.Fatalf("retry Do: %q, %v, %v after %d computes; want ok, computed, nil after 2", v, src, err, calls)
 	}
 }
 

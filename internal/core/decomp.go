@@ -120,8 +120,12 @@ type DecomposeResult struct {
 	Decomposition
 	// Full is the result of the complete-memory-system simulation.
 	Full cpu.Result
-	// Wall is the simulator wall time per phase.
-	Wall PhaseWall
+	// Wall is the simulator wall time per phase. It is host time, not
+	// simulated, so it stays out of the JSON encoding: journaled, cached
+	// and served cells carry deterministic outputs only (a cell the
+	// Flight served reports zero), and a ledger's bytes depend on the
+	// simulation alone.
+	Wall PhaseWall `json:"-"`
 	// Attr is the full run's attribution record when Machine.Attr was
 	// set (nil otherwise). It serialises with the result, so checkpoint
 	// ledgers replay it intact.
@@ -152,7 +156,9 @@ func Decompose(m Machine, s isa.Stream) (DecomposeResult, error) {
 // only on the core configuration — Perfect mode answers every access in
 // one cycle before touching the hierarchy — so machines that share a core
 // (A/B/C, and D/E, in Table 5) share a single T_P per program, and grid
-// sweeps compute it once (see Figure3Pool).
+// sweeps compute it once (see ResolveFigure3). It is observed exactly as
+// Decompose's perfect run is: one "sim:perfect" span and the progress
+// heartbeat, no metrics.
 func PerfectTime(m Machine, s isa.Stream) (units.Cycles, error) {
 	cfg := m.Mem
 	cfg.Mode = mem.Perfect
@@ -162,7 +168,9 @@ func PerfectTime(m Machine, s isa.Stream) (units.Cycles, error) {
 	if err != nil {
 		return 0, fmt.Errorf("machine %s: %w", m.Name, err)
 	}
+	sp := m.Obs.Tracer.StartSpan("sim:"+mem.Perfect.String(), map[string]any{"machine": m.Name})
 	res, err := cpu.Run(ccfg, h, s)
+	sp.End()
 	if err != nil {
 		return 0, err
 	}

@@ -151,7 +151,8 @@ func MachineByName(suite workload.Suite, name string, cacheScale int) (Machine, 
 
 // perfectKey identifies a (program, core) pair for perfect-run sharing:
 // every cpu.Config field that influences a simulation, and none of the
-// instrumentation hooks (which are nil whenever sharing is enabled).
+// instrumentation hooks (which travel in Machine.Obs, not the table
+// configs MachinesScaled builds).
 type perfectKey struct {
 	prog              string
 	issueWidth        int
@@ -186,6 +187,77 @@ func Figure3CellKey(suite workload.Suite, benchmark, experiment string) string {
 	return "fig3:" + suite.String() + ":" + benchmark + "/" + experiment
 }
 
+// Figure3Cell is one cell of a Figure 3 grid: a program run on one
+// experiment machine of a suite.
+type Figure3Cell struct {
+	Suite   workload.Suite
+	Program *workload.Program
+	Machine Machine
+}
+
+// ResolveFigure3 is the one place a list of Figure 3 cells is resolved;
+// Figure3Pool, `memwall table6` and the simulation service all call it.
+// The cells run on pool (see internal/runner), keyed by Figure3CellKey
+// and with spans named "bench:<program>/<experiment>", so the pool's
+// Flight and Twin address cells the same way whichever caller asks.
+// Results come back in cell order.
+//
+// T_P depends only on the core configuration (see PerfectTime), and
+// Table 5 reuses cores across machines — A/B/C share one, D/E another —
+// so each (program, core) pair in cells needs a single perfect run, not
+// one per machine: an A–F panel costs 15 simulations, not 18. The
+// perfect run is keyed up front and filled lazily under a sync.Once, so
+// concurrent cells agree on its value and cells the Flight or the twin
+// answer never pay for it. Sharing holds whether or not the pool is
+// observed: the shared run emits its own "sim:perfect" span and progress
+// beats once, and only full-system runs publish metrics, so observing a
+// run never changes what it computes.
+func ResolveFigure3(ctx context.Context, cells []Figure3Cell, pool runner.Config) ([]DecomposeResult, error) {
+	obs := pool.Obs
+	pool.TaskName = func(i int) string { return "bench:" + cells[i].Program.Name + "/" + cells[i].Machine.Name }
+	pool.CellKey = func(i int) string {
+		c := cells[i]
+		return Figure3CellKey(c.Suite, c.Program.Name, c.Machine.Name)
+	}
+	type tpEntry struct {
+		once sync.Once
+		tp   units.Cycles
+		err  error
+	}
+	tpCache := make(map[perfectKey]*tpEntry)
+	for _, c := range cells {
+		k := tpKey(c.Program.Name, c.Machine.CPU)
+		if tpCache[k] == nil {
+			tpCache[k] = &tpEntry{}
+		}
+	}
+	return runner.Map(ctx, pool, len(cells),
+		func(ctx context.Context, i int, tracer *telemetry.Tracer) (DecomposeResult, error) {
+			c := cells[i]
+			m := c.Machine
+			// Metrics and Progress are shared, concurrency-safe hooks; the
+			// tracer is re-based onto this worker's track.
+			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
+			// Each cell owns a fresh stream, and so does the shared perfect
+			// run: see the Decompose ownership rule.
+			e := tpCache[tpKey(c.Program.Name, m.CPU)]
+			e.once.Do(func() {
+				// Stands if PerfectTime panics, so the cells waiting on
+				// this Once fail instead of decomposing against T_P = 0.
+				e.err = fmt.Errorf("shared perfect run on machine %s did not complete", m.Name)
+				e.tp, e.err = PerfectTime(m, c.Program.Stream())
+			})
+			res, err := DecomposeResult{}, e.err
+			if err == nil {
+				res, err = DecomposeWithTP(m, c.Program.Stream(), e.tp)
+			}
+			if err != nil {
+				return DecomposeResult{}, fmt.Errorf("%s/%s: %w", c.Program.Name, m.Name, err)
+			}
+			return res, nil
+		})
+}
+
 // BenchmarkDecomposition is one cell of Figure 3: a benchmark run on one
 // experiment machine.
 type BenchmarkDecomposition struct {
@@ -203,110 +275,29 @@ type BenchmarkDecomposition struct {
 // size-reduced workloads (see MachinesScaled); pass 1 for the paper-exact
 // Table 4 sizes.
 func Figure3(suite workload.Suite, progs []*workload.Program, cacheScale int) ([]BenchmarkDecomposition, error) {
-	return Figure3Parallel(suite, progs, cacheScale, telemetry.Observation{}, 1)
+	return Figure3Pool(suite, progs, cacheScale, runner.Config{Workers: 1})
 }
 
-// Figure3Observed is Figure3 with telemetry attached: each (benchmark,
-// experiment) cell is traced as a span ("bench:<name>/<exp>") enclosing
-// its three simulation spans, and the full-system runs publish their
-// counters into obs.Metrics (see Decompose). Cells run serially; use
-// Figure3Parallel to shard the grid over workers.
-func Figure3Observed(suite workload.Suite, progs []*workload.Program, cacheScale int, obs telemetry.Observation) ([]BenchmarkDecomposition, error) {
-	return Figure3Parallel(suite, progs, cacheScale, obs, 1)
-}
-
-// Figure3Parallel is Figure3Observed with the (benchmark × experiment)
-// grid sharded over a worker pool (see internal/runner): workers <= 0
-// selects GOMAXPROCS, 1 reproduces the serial sweep bit-for-bit. Every
-// cell gets its own instruction stream (the Decompose ownership rule), so
-// concurrent cells never share mutable simulator state, and results are
-// collected in grid order — the returned slice is byte-identical however
-// the tasks were scheduled.
+// Figure3Pool is Figure3 over a caller-supplied pool: its worker count
+// (<= 0 selects GOMAXPROCS, 1 reproduces the serial sweep bit-for-bit),
+// telemetry hooks, and — for a crash-safe CLI run — its Flight, fault
+// injector and twin (see cmd/memwall's -checkpoint-dir, -fault-schedule
+// and -twin). The (benchmark × experiment) grid resolves through
+// ResolveFigure3, and results are collected in grid order, so the
+// returned slice is byte-identical however the cells were scheduled.
 //
-// Unlike the historical sweep, a benchmark whose experiment A processing
-// time is unavailable or zero is an explicit error rather than a silent
-// NormTime of 0 (which rendered as garbage bars in plots and tables).
-func Figure3Parallel(suite workload.Suite, progs []*workload.Program, cacheScale int, obs telemetry.Observation, workers int) ([]BenchmarkDecomposition, error) {
-	return Figure3Pool(suite, progs, cacheScale, runner.Config{Workers: workers, Obs: obs})
-}
-
-// Figure3Pool is Figure3Parallel with the caller supplying the full pool
-// configuration — in particular the checkpoint ledger and fault injector
-// of a crash-safe CLI run (see cmd/memwall's -checkpoint-dir and
-// -fault-schedule). The task naming is fixed here: spans keep the
-// historical "bench:<name>/<exp>" form, while checkpoint cell keys are
-// additionally qualified by the suite, so the SPEC92 and SPEC95 grids of
-// one invocation can never collide in the ledger.
+// A benchmark whose experiment A processing time is unavailable or zero
+// is an explicit error rather than a silent NormTime of 0 (which
+// rendered as garbage bars in plots and tables).
 func Figure3Pool(suite workload.Suite, progs []*workload.Program, cacheScale int, pool runner.Config) ([]BenchmarkDecomposition, error) {
 	machines := MachinesScaled(suite, cacheScale)
-	nm := len(machines)
-	type cell struct {
-		p *workload.Program
-		m Machine
-	}
-	tasks := make([]cell, 0, len(progs)*nm)
+	cells := make([]Figure3Cell, 0, len(progs)*len(machines))
 	for _, p := range progs {
 		for _, m := range machines {
-			tasks = append(tasks, cell{p, m})
+			cells = append(cells, Figure3Cell{Suite: suite, Program: p, Machine: m})
 		}
 	}
-	obs := pool.Obs
-	pool.TaskName = func(i int) string { return "bench:" + tasks[i].p.Name + "/" + tasks[i].m.Name }
-	pool.CellKey = func(i int) string {
-		return Figure3CellKey(suite, tasks[i].p.Name, tasks[i].m.Name)
-	}
-	// T_P depends only on the core configuration (see PerfectTime), and
-	// Table 5 reuses cores across machines — A/B/C share one, D/E another —
-	// so each (program, core) pair needs a single perfect run, not one per
-	// machine. The cache is keyed up front and filled lazily under a
-	// sync.Once, so concurrent cells agree on the value and checkpointed
-	// cells that never execute never pay for it. Telemetry observers see
-	// one "sim:perfect" span per run performed, so sharing is disabled when
-	// any hook is attached to keep traces and heartbeats per-cell exact.
-	share := !obs.Enabled()
-	type tpEntry struct {
-		once sync.Once
-		tp   units.Cycles
-		err  error
-	}
-	tpCache := make(map[perfectKey]*tpEntry)
-	if share {
-		for i := range tasks {
-			k := tpKey(tasks[i].p.Name, tasks[i].m.CPU)
-			if tpCache[k] == nil {
-				tpCache[k] = &tpEntry{}
-			}
-		}
-	}
-	results, err := runner.Map(context.Background(), pool, len(tasks),
-		func(ctx context.Context, i int, tracer *telemetry.Tracer) (DecomposeResult, error) {
-			t := tasks[i]
-			m := t.m
-			// Metrics and Progress are shared, concurrency-safe hooks; the
-			// tracer is re-based onto this worker's track.
-			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
-			// Each cell owns a fresh stream: see the Decompose ownership
-			// rule — sharing one stream across cells is a data race once
-			// cells run concurrently. The shared perfect run gets its own
-			// stream too, for the same reason.
-			var res DecomposeResult
-			var err error
-			if share {
-				e := tpCache[tpKey(t.p.Name, m.CPU)]
-				e.once.Do(func() { e.tp, e.err = PerfectTime(m, t.p.Stream()) })
-				if e.err != nil {
-					err = e.err
-				} else {
-					res, err = DecomposeWithTP(m, t.p.Stream(), e.tp)
-				}
-			} else {
-				res, err = Decompose(m, t.p.Stream())
-			}
-			if err != nil {
-				return DecomposeResult{}, fmt.Errorf("%s/%s: %w", t.p.Name, m.Name, err)
-			}
-			return res, nil
-		})
+	results, err := ResolveFigure3(context.Background(), cells, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +305,7 @@ func Figure3Pool(suite workload.Suite, progs []*workload.Program, cacheScale int
 }
 
 // normalizeFigure3 turns the raw grid results (benchmark-major, machine-
-// minor, matching the task order of Figure3Parallel) into Figure 3 cells
+// minor, matching the cell order of Figure3Pool) into Figure 3 cells
 // normalised to experiment A's processing time T_P. A benchmark with no
 // experiment A result, or one whose T_P is zero, is an explicit error:
 // the historical behaviour of silently emitting NormTime 0 rendered as

@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 	"memwall/internal/workload"
 )
@@ -73,8 +77,8 @@ func TestDecomposeObserved(t *testing.T) {
 	}
 }
 
-// Figure3Observed wraps each benchmark in a span and aggregates counters
-// across experiments.
+// An observed Figure3Pool wraps each benchmark in a span and aggregates
+// counters across experiments.
 func TestFigure3Observed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
@@ -87,7 +91,7 @@ func TestFigure3Observed(t *testing.T) {
 	sink := telemetry.NewEventSink(&buf)
 	reg := telemetry.NewRegistry()
 	obs := telemetry.Observation{Metrics: reg, Tracer: telemetry.NewTracer(sink)}
-	cells, err := Figure3Observed(workload.SPEC92, []*workload.Program{prog}, 16, obs)
+	cells, err := Figure3Pool(workload.SPEC92, []*workload.Program{prog}, 16, runner.Config{Workers: 1, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +108,53 @@ func TestFigure3Observed(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["cpu.insts_retired"]; got != wantInsts {
 		t.Errorf("aggregated insts = %d, want %d", got, wantInsts)
+	}
+}
+
+// simSpans counts the "sim:<mode>" spans in a JSONL Chrome trace.
+func simSpans(t *testing.T, trace string) map[string]int {
+	t.Helper()
+	n := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(trace), "\n") {
+		var e telemetry.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if strings.HasPrefix(e.Name, "sim:") {
+			n[e.Name]++
+		}
+	}
+	return n
+}
+
+// TestFigure3PoolObservedSpanCounts: observing a grid must not change
+// what it computes. A SPEC92 A–F panel has three cores (A/B/C, D/E, F),
+// so a traced and heartbeat-observed Figure3Pool runs exactly 3 perfect,
+// 6 infinite-bandwidth and 6 full simulations — 15, not 18 — at any
+// worker count.
+func TestFigure3PoolObservedSpanCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
+	}
+	prog, err := workload.Generate("compress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{1, 3} {
+		var buf bytes.Buffer
+		sink := telemetry.NewEventSink(&buf)
+		progress := telemetry.NewProgress(io.Discard, time.Hour)
+		obs := telemetry.Observation{Tracer: telemetry.NewTracer(sink), Progress: progress.Beat}
+		if _, err := Figure3Pool(workload.SPEC92, []*workload.Program{prog}, 16, runner.Config{Workers: j, Obs: obs}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int{"sim:perfect": 3, "sim:infinite-bw": 6, "sim:full": 6}
+		if got := simSpans(t, buf.String()); !reflect.DeepEqual(got, want) {
+			t.Errorf("j=%d: simulation spans %v, want %v", j, got, want)
+		}
 	}
 }
 

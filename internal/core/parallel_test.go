@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 	"memwall/internal/workload"
 )
@@ -25,7 +26,7 @@ func TestFigure3ParallelMatchesSerial(t *testing.T) {
 		progs = append(progs, p)
 	}
 	render := func(workers int) string {
-		cells, err := Figure3Parallel(workload.SPEC92, progs, 16, telemetry.Observation{}, workers)
+		cells, err := Figure3Pool(workload.SPEC92, progs, 16, runner.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +55,8 @@ func TestFigure3ParallelAggregatesMetrics(t *testing.T) {
 	}
 	totals := func(workers int) int64 {
 		reg := telemetry.NewRegistry()
-		_, err := Figure3Parallel(workload.SPEC92, []*workload.Program{p}, 16,
-			telemetry.Observation{Metrics: reg}, workers)
+		_, err := Figure3Pool(workload.SPEC92, []*workload.Program{p}, 16,
+			runner.Config{Workers: workers, Obs: telemetry.Observation{Metrics: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,8 +35,8 @@ type Options struct {
 	// serial sweep; results are identical for any worker count.
 	Workers int `json:"-"`
 	// Pool, when non-nil, supplies the full worker-pool configuration for
-	// the Figure 3 grid — telemetry hooks plus the checkpoint ledger and
-	// fault injector of a crash-safe CLI run (cmd/memwall's
+	// the Figure 3 grid — telemetry hooks plus the Flight and fault
+	// injector of a crash-safe CLI run (cmd/memwall's
 	// -checkpoint-dir / -fault-schedule). It overrides Workers.
 	Pool *runner.Config `json:"-"`
 	// Sizes are the cache sizes for the traffic tables (defaults to the

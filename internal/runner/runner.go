@@ -22,12 +22,13 @@
 // into a task error carrying the cell's identity (its key/name and
 // index), which then follows the ordinary fail-fast path.
 //
-// Checkpointing: when Config.Checkpoint is set, each task's result is
-// JSON-round-tripped through the ledger — completed cells are served
-// from Lookup (skipping the compute entirely) and fresh results are
-// journaled via Record. Because results are collected in index order
-// either way, a resumed run's output is byte-identical to an
-// uninterrupted one at any worker count.
+// Caching: when Config.Flight is set, each task resolves through the
+// checkpoint.Flight — in-memory memo, then ledger, then joining an
+// in-flight computation of the same key, then computing. Completed cells
+// are served without recomputing and fresh results are memoized and
+// journaled. Because results are collected in index order either way, a
+// resumed run's output is byte-identical to an uninterrupted one at any
+// worker count.
 //
 // Telemetry: each worker traces on its own Perfetto track
 // (Tracer.WithTID), each task is wrapped in a span named by
@@ -47,16 +48,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memwall/internal/checkpoint"
 	"memwall/internal/telemetry"
 )
-
-// Checkpoint is the cell ledger seam (satisfied by *checkpoint.Ledger,
-// including a nil one — both methods must be nil-receiver-safe).
-// Lookup returns a completed cell's JSON result; Record journals one.
-type Checkpoint interface {
-	Lookup(key string) ([]byte, bool)
-	Record(key string, value []byte)
-}
 
 // Twin is the analytical-surrogate seam (satisfied by *twin.Surrogate).
 // Predict returns the JSON-encoded predicted result for a cell key, or
@@ -76,8 +70,9 @@ type Twin interface {
 
 // Fault is the worker-level fault seam (satisfied by
 // *faultinject.Injector, including a nil one). CellStart runs at the top
-// of every computed cell and may panic (worker kill) or call cancel
-// (external shutdown).
+// of every computed cell — never for a cell the Flight or the twin
+// answered — and may panic (worker kill) or call cancel (external
+// shutdown).
 type Fault interface {
 	CellStart(index int, cancel func())
 }
@@ -102,40 +97,46 @@ type Config struct {
 	// Metrics and Progress are shared (both are concurrency-safe).
 	Obs telemetry.Observation
 	// TaskName, when non-nil, names task i's trace span. It doubles as
-	// the default checkpoint cell key when CellKey is unset, so grids
-	// that already name their tasks get checkpointing for free.
+	// the default cell key when CellKey is unset, so grids that already
+	// name their tasks get checkpointing for free.
 	TaskName func(i int) string
-	// CellKey, when non-nil, overrides TaskName as the checkpoint key for
-	// task i. Keys must be unique within the grid and stable across runs
-	// of the same configuration.
+	// CellKey, when non-nil, overrides TaskName as the cell key for task
+	// i. Keys must be unique within the grid and stable across runs of
+	// the same configuration.
 	CellKey func(i int) string
-	// Checkpoint, when non-nil, journals each completed cell's
-	// JSON-encoded result and serves previously-completed cells without
-	// recomputing them. Requires a key function (CellKey or TaskName);
-	// results must round-trip through encoding/json. A value whose
-	// Lookup never hits (e.g. a record-only ledger) degrades to plain
-	// journaling.
-	Checkpoint Checkpoint
+	// Flight, when non-nil, is the cell cache: each task resolves
+	// through it (memo, ledger, an in-flight computation of the same
+	// key, then compute), so completed cells are served without
+	// recomputing and fresh results are memoized and journaled.
+	// Requires a key function (CellKey or TaskName); results must
+	// round-trip through encoding/json. A record-only ledger underneath
+	// degrades to plain journaling.
+	Flight *checkpoint.Flight
 	// Twin, when non-nil, serves cells from an analytical surrogate
 	// instead of computing them: a cell whose key the twin can predict
 	// returns the decoded prediction, and the deterministic sample the
 	// twin selects (Sampled) is additionally computed as ground truth and
 	// checked against its calibrated bound (Validate) — a miss fails the
-	// run. Twin-served cells bypass the checkpoint ledger entirely
-	// (predictions are microseconds; journaling them would let a later
-	// non-twin resume mistake a prediction for a simulated result).
+	// run. Twin-served cells bypass the Flight entirely (predictions
+	// are microseconds; caching them would let a later non-twin request
+	// or resume mistake a prediction for a simulated result).
 	// Requires a key function (CellKey or TaskName).
 	Twin Twin
 	// Fault, when non-nil, is invoked at the start of every computed
-	// (non-checkpoint-served) cell; it is the injection point for
-	// deterministic worker kills and context cancellation.
+	// cell (see Fault); it is the injection point for deterministic
+	// worker kills and context cancellation.
 	Fault Fault
 	// Cells, when non-nil, collects per-cell wall-clock statistics (wall
-	// time, queue wait, checkpoint-hit attribution) for run reports. Wall
-	// data is observability output only — it never feeds simulated
-	// results, so collecting it does not affect determinism.
+	// time, queue wait, source attribution) for run reports. Wall data
+	// is observability output only — it never feeds simulated results,
+	// so collecting it does not affect determinism.
 	Cells *CellStats
 }
+
+// SourceTwin is the CellRecord.Source of a cell the analytical
+// surrogate answered. The other sources are the checkpoint.Source names:
+// "computed", "cached" and "coalesced".
+const SourceTwin = "twin"
 
 // CellRecord is one cell's wall-clock accounting.
 type CellRecord struct {
@@ -145,18 +146,17 @@ type CellRecord struct {
 	// grid is anonymous.
 	Key string `json:"key,omitempty"`
 	// WallSeconds is the time the cell spent executing (including a
-	// checkpoint lookup that served it).
+	// Flight lookup that served it).
 	WallSeconds float64 `json:"wallSeconds"`
 	// QueueSeconds is the time between Map starting and this cell being
 	// claimed by a worker — the queue wait induced by the worker budget.
 	QueueSeconds float64 `json:"queueSeconds"`
-	// FromCheckpoint reports whether the cell was served from the
-	// checkpoint ledger instead of being computed.
-	FromCheckpoint bool `json:"fromCheckpoint,omitempty"`
-	// FromTwin reports whether the cell was served by the analytical
-	// surrogate (true even for sampled cells, which also ran the full
-	// computation for validation).
-	FromTwin bool `json:"fromTwin,omitempty"`
+	// Source is where the result came from: "computed", "cached" (the
+	// Flight's memo or ledger), "coalesced" (another caller's in-flight
+	// computation) or "twin" (the analytical surrogate, sampled cells
+	// included — they also ran the full computation for validation).
+	// Empty for a failed cell.
+	Source string `json:"source,omitempty"`
 	// Failed reports whether the cell returned an error (or panicked).
 	Failed bool `json:"failed,omitempty"`
 }
@@ -213,10 +213,13 @@ type Summary struct {
 	Cells int `json:"cells"`
 	// Computed counts cells that ran the full computation.
 	Computed int `json:"computed"`
-	// FromCheckpoint counts cells served from the checkpoint ledger.
-	FromCheckpoint int `json:"fromCheckpoint"`
-	// FromTwin counts cells served by the analytical surrogate.
-	FromTwin int `json:"fromTwin"`
+	// Cached counts cells the Flight served from its memo or ledger.
+	Cached int `json:"cached"`
+	// Coalesced counts cells that joined another caller's in-flight
+	// computation.
+	Coalesced int `json:"coalesced"`
+	// Twin counts cells served by the analytical surrogate.
+	Twin int `json:"twin"`
 	// Failed counts cells that returned an error or panicked.
 	Failed int `json:"failed"`
 	// WallSeconds is the summed per-cell wall time (CPU-seconds of grid
@@ -237,13 +240,15 @@ func (s *CellStats) Summary() Summary {
 	defer s.mu.Unlock()
 	for _, r := range s.records {
 		out.Cells++
-		switch {
-		case r.FromCheckpoint:
-			out.FromCheckpoint++
-		case r.FromTwin:
-			out.FromTwin++
-		case !r.Failed:
+		switch r.Source {
+		case checkpoint.SourceComputed.String():
 			out.Computed++
+		case checkpoint.SourceCached.String():
+			out.Cached++
+		case checkpoint.SourceCoalesced.String():
+			out.Coalesced++
+		case SourceTwin:
+			out.Twin++
 		}
 		if r.Failed {
 			out.Failed++
@@ -308,8 +313,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 			sp = tracer.StartSpan(cfg.TaskName(i), nil)
 		}
 		defer sp.End()
-		fromCheckpoint := false
-		fromTwin := false
+		var source string
 		if cfg.Cells != nil {
 			//memlint:allow detlint cell wall stats measure the simulator itself, not simulated time
 			claimed := time.Now()
@@ -319,12 +323,13 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 				//memlint:allow detlint cell wall stats measure the simulator itself, not simulated time
 				wall := time.Since(claimed)
 				rec := CellRecord{
-					Index:          i,
-					WallSeconds:    wall.Seconds(),
-					QueueSeconds:   claimed.Sub(cfg.Cells.start).Seconds(),
-					FromCheckpoint: fromCheckpoint,
-					FromTwin:       fromTwin,
-					Failed:         err != nil,
+					Index:        i,
+					WallSeconds:  wall.Seconds(),
+					QueueSeconds: claimed.Sub(cfg.Cells.start).Seconds(),
+					Failed:       err != nil,
+				}
+				if err == nil {
+					rec.Source = source
 				}
 				if keyFn != nil {
 					rec.Key = keyFn(i)
@@ -335,13 +340,28 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 		// Worker boundary: a panicking cell must fail the run with its
 		// identity attached, never crash the process. Registered before
 		// Fault.CellStart so injected panics exercise the same path a
-		// real one would.
+		// real one would. (A cell the Flight computes runs on the
+		// Flight's goroutine, whose own recover reports the panic.)
 		defer func() {
 			if r := recover(); r != nil {
 				cfg.Obs.Metrics.Counter("runner.panics").Inc()
 				err = fmt.Errorf("%s panicked: %v", cellID(i), r)
 			}
 		}()
+		// compute runs the cell itself. A cancellation that landed at the
+		// cell boundary (client disconnect, injected cancel@N, server
+		// drain deadline) stops it before fn starts: no simulations are
+		// burned on a result nobody will read, and nothing is journaled.
+		compute := func(cctx context.Context) (T, error) {
+			if cfg.Fault != nil {
+				cfg.Fault.CellStart(i, cancel)
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				var zero T
+				return zero, cerr
+			}
+			return fn(cctx, i, tracer)
+		}
 		if cfg.Twin != nil && keyFn != nil {
 			key := keyFn(i)
 			if pb, ok := cfg.Twin.Predict(key); ok {
@@ -350,18 +370,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 					if cfg.Twin.Sampled(i) {
 						// Ground-truth sample: compute the cell in full and
 						// check the prediction against its calibrated bound.
-						// The fault seam still fires — a sampled cell is a
-						// computed cell.
-						if cfg.Fault != nil {
-							cfg.Fault.CellStart(i, cancel)
-						}
-						// A cancellation that landed at the cell boundary
-						// (injected or from a departed client) stops the cell
-						// before its three simulations start.
-						if cerr := ctx.Err(); cerr != nil {
-							return pred, cerr
-						}
-						truth, terr := fn(ctx, i, tracer)
+						truth, terr := compute(ctx)
 						if terr != nil {
 							return pred, terr
 						}
@@ -373,42 +382,18 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 							return pred, verr
 						}
 					}
-					fromTwin = true
+					source = SourceTwin
 					return pred, nil
 				}
 				// Undecodable prediction (schema drift): compute normally.
 				cfg.Obs.Metrics.Counter("runner.twin.decode_errors").Inc()
 			}
 		}
-		if cfg.Checkpoint != nil && keyFn != nil {
-			if b, ok := cfg.Checkpoint.Lookup(keyFn(i)); ok {
-				var cached T
-				if jerr := json.Unmarshal(b, &cached); jerr == nil {
-					fromCheckpoint = true
-					return cached, nil
-				}
-				// Undecodable cell (schema drift the fingerprint missed):
-				// fall through and recompute — degrade, never fail.
-				cfg.Obs.Metrics.Counter("runner.checkpoint.decode_errors").Inc()
-			}
+		if cfg.Flight == nil || keyFn == nil {
+			source = checkpoint.SourceComputed.String()
+			return compute(ctx)
 		}
-		if cfg.Fault != nil {
-			cfg.Fault.CellStart(i, cancel)
-		}
-		// Cell-boundary cancellation check: a context cancelled between
-		// this worker claiming the cell and the compute starting (client
-		// disconnect, injected cancel@N, server drain deadline) must not
-		// burn three simulations on a result nobody will read. The ledger
-		// stays resumable either way — Record only ever runs on success.
-		if cerr := ctx.Err(); cerr != nil {
-			return v, cerr
-		}
-		v, err = fn(ctx, i, tracer)
-		if err == nil && cfg.Checkpoint != nil && keyFn != nil {
-			if b, jerr := json.Marshal(v); jerr == nil {
-				cfg.Checkpoint.Record(keyFn(i), b)
-			}
-		}
+		v, source, err = resolve(ctx, cfg, keyFn(i), compute)
 		return v, err
 	}
 
@@ -482,4 +467,43 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 		return nil, err
 	}
 	return out, nil
+}
+
+// resolve answers one cell through cfg.Flight and reports its source.
+// compute runs only when the Flight has no memoized, journaled or
+// in-flight result for key. A computed value is returned as computed;
+// cached and coalesced ones are decoded from the shared JSON encoding.
+func resolve[T any](ctx context.Context, cfg Config, key string, compute func(context.Context) (T, error)) (T, string, error) {
+	var zero, computed T
+	for {
+		b, src, err := cfg.Flight.Do(ctx, key, func(cctx context.Context) ([]byte, error) {
+			v, err := compute(cctx)
+			if err != nil {
+				return nil, err
+			}
+			computed = v
+			return json.Marshal(v)
+		})
+		// A coalesced call shares the computing caller's cancellation
+		// (its client left, or its run failed fast). While this caller's
+		// own context is live, ask again.
+		if src == checkpoint.SourceCoalesced && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+			continue
+		}
+		if err != nil {
+			return zero, "", err
+		}
+		if src == checkpoint.SourceComputed {
+			return computed, src.String(), nil
+		}
+		var v T
+		if jerr := json.Unmarshal(b, &v); jerr != nil {
+			// Undecodable cell (schema drift the ledger format missed):
+			// compute it directly — degrade, never fail.
+			cfg.Obs.Metrics.Counter("runner.checkpoint.decode_errors").Inc()
+			v, err = compute(ctx)
+			return v, checkpoint.SourceComputed.String(), err
+		}
+		return v, src.String(), nil
+	}
 }

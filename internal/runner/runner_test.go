@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"memwall/internal/checkpoint"
 	"memwall/internal/telemetry"
 )
 
@@ -176,32 +177,19 @@ func TestMapTaskSpans(t *testing.T) {
 	}
 }
 
-// fakeLedger is an in-memory Checkpoint for hook tests.
-type fakeLedger struct {
-	mu      sync.Mutex
-	cells   map[string][]byte
-	serves  bool
-	records int
-}
-
-func (f *fakeLedger) Lookup(key string) ([]byte, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.serves {
-		return nil, false
+// primedFlight returns a memory-only Flight whose memo already holds
+// cells (key → encoded result), as a resumed run's cache would.
+func primedFlight(t *testing.T, cells map[string]string) *checkpoint.Flight {
+	t.Helper()
+	f := checkpoint.NewFlight(nil, nil)
+	for k, v := range cells {
+		if _, _, err := f.Do(context.Background(), k, func(context.Context) ([]byte, error) {
+			return []byte(v), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, ok := f.cells[key]
-	return b, ok
-}
-
-func (f *fakeLedger) Record(key string, value []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.cells == nil {
-		f.cells = map[string][]byte{}
-	}
-	f.cells[key] = value
-	f.records++
+	return f
 }
 
 // TestMapPanicBecomesTaskError: a panicking cell fails the run with its
@@ -236,11 +224,19 @@ func TestMapPanicBecomesTaskError(t *testing.T) {
 // TestMapCheckpointRoundTrip: fresh cells are journaled; served cells
 // skip the compute and reproduce the same results.
 func TestMapCheckpointRoundTrip(t *testing.T) {
-	led := &fakeLedger{}
+	dir := t.TempDir()
+	open := func(resume bool) *checkpoint.Ledger {
+		l, err := checkpoint.Open(checkpoint.Options{Dir: dir, Fingerprint: "runner-round-trip", Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	led := open(false)
 	cfg := Config{
-		Workers:    2,
-		TaskName:   func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Checkpoint: led,
+		Workers:  2,
+		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
+		Flight:   checkpoint.NewFlight(led, nil),
 	}
 	compute := func(ctx context.Context, i int, _ *telemetry.Tracer) (string, error) {
 		return fmt.Sprintf("value-%d", i), nil
@@ -249,12 +245,13 @@ func TestMapCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if led.records != 6 {
-		t.Fatalf("records = %d, want 6", led.records)
+	if led.Len() != 6 {
+		t.Fatalf("journaled cells = %d, want 6", led.Len())
 	}
 
-	// Resume: the ledger serves; the compute function must not run.
-	led.serves = true
+	// Resume: a fresh Flight over the reopened ledger serves; the compute
+	// function must not run.
+	cfg.Flight = checkpoint.NewFlight(open(true), nil)
 	second, err := Map(context.Background(), cfg, 6,
 		func(ctx context.Context, i int, _ *telemetry.Tracer) (string, error) {
 			t.Errorf("cell %d recomputed despite checkpoint hit", i)
@@ -271,13 +268,12 @@ func TestMapCheckpointRoundTrip(t *testing.T) {
 // TestMapCheckpointDecodeErrorRecomputes: an undecodable journaled cell
 // degrades to a recompute, not a failure.
 func TestMapCheckpointDecodeErrorRecomputes(t *testing.T) {
-	led := &fakeLedger{serves: true, cells: map[string][]byte{"cell-0": []byte("not json")}}
 	reg := telemetry.NewRegistry()
 	out, err := Map(context.Background(), Config{
-		Workers:    1,
-		Obs:        telemetry.Observation{Metrics: reg},
-		TaskName:   func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Checkpoint: led,
+		Workers:  1,
+		Obs:      telemetry.Observation{Metrics: reg},
+		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
+		Flight:   primedFlight(t, map[string]string{"cell-0": "not json"}),
 	}, 1, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
 		return 42, nil
 	})
@@ -325,13 +321,12 @@ func TestMapFaultCancel(t *testing.T) {
 // TestMapCheckpointSkipsFault: cells served from the ledger never reach
 // the fault hook — resumed cells are not "executed" in any sense.
 func TestMapCheckpointSkipsFault(t *testing.T) {
-	led := &fakeLedger{serves: true, cells: map[string][]byte{`cell-0`: []byte(`7`)}}
 	var faults atomic.Int64
 	out, err := Map(context.Background(), Config{
-		Workers:    1,
-		TaskName:   func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Checkpoint: led,
-		Fault:      cellStartFunc(func(int, func()) { faults.Add(1) }),
+		Workers:  1,
+		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
+		Flight:   primedFlight(t, map[string]string{"cell-0": "7"}),
+		Fault:    cellStartFunc(func(int, func()) { faults.Add(1) }),
 	}, 2, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
 		return i * 10, nil
 	})
@@ -346,18 +341,17 @@ func TestMapCheckpointSkipsFault(t *testing.T) {
 	}
 }
 
-// TestMapCellStats: every cell (computed, checkpoint-served, failed)
-// lands in the stats with its key, wall time, and attribution; a nil
-// collector is a no-op.
+// TestMapCellStats: every cell (computed, Flight-served, failed) lands
+// in the stats with its key, wall time, and source; a nil collector is
+// a no-op.
 func TestMapCellStats(t *testing.T) {
 	for _, j := range []int{1, 4} {
-		led := &fakeLedger{serves: true, cells: map[string][]byte{"cell-1": []byte(`11`)}}
 		cells := &CellStats{}
 		_, err := Map(context.Background(), Config{
-			Workers:    j,
-			TaskName:   func(i int) string { return fmt.Sprintf("cell-%d", i) },
-			Checkpoint: led,
-			Cells:      cells,
+			Workers:  j,
+			TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
+			Flight:   primedFlight(t, map[string]string{"cell-1": "11"}),
+			Cells:    cells,
 		}, 8, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
 			return i, nil
 		})
@@ -378,8 +372,12 @@ func TestMapCellStats(t *testing.T) {
 			if r.WallSeconds < 0 || r.QueueSeconds < 0 {
 				t.Errorf("j=%d: record %d has negative timing: %+v", j, i, r)
 			}
-			if r.FromCheckpoint != (i == 1) {
-				t.Errorf("j=%d: record %d fromCheckpoint = %v", j, i, r.FromCheckpoint)
+			want := "computed"
+			if i == 1 {
+				want = "cached"
+			}
+			if r.Source != want {
+				t.Errorf("j=%d: record %d source = %q, want %q", j, i, r.Source, want)
 			}
 			if r.Failed {
 				t.Errorf("j=%d: record %d marked failed", j, i)
@@ -438,12 +436,13 @@ func TestCellStatsNilSafe(t *testing.T) {
 func TestCellStatsSummary(t *testing.T) {
 	s := &CellStats{}
 	s.begin(4, time.Time{})
-	s.record(CellRecord{Index: 0, WallSeconds: 1, QueueSeconds: 0.5})
-	s.record(CellRecord{Index: 1, WallSeconds: 2, QueueSeconds: 3, FromCheckpoint: true})
-	s.record(CellRecord{Index: 2, WallSeconds: 4, FromTwin: true})
+	s.record(CellRecord{Index: 0, WallSeconds: 1, QueueSeconds: 0.5, Source: "computed"})
+	s.record(CellRecord{Index: 1, WallSeconds: 2, QueueSeconds: 3, Source: "cached"})
+	s.record(CellRecord{Index: 2, WallSeconds: 4, Source: SourceTwin})
 	s.record(CellRecord{Index: 3, WallSeconds: 8, QueueSeconds: 1, Failed: true})
+	s.record(CellRecord{Index: 4, WallSeconds: 16, Source: "coalesced"})
 	got := s.Summary()
-	want := Summary{Cells: 4, Computed: 1, FromCheckpoint: 1, FromTwin: 1, Failed: 1, WallSeconds: 15, MaxQueueSeconds: 3}
+	want := Summary{Cells: 5, Computed: 1, Cached: 1, Coalesced: 1, Twin: 1, Failed: 1, WallSeconds: 31, MaxQueueSeconds: 3}
 	if got != want {
 		t.Errorf("Summary = %+v, want %+v", got, want)
 	}
@@ -514,14 +513,14 @@ func TestMapTwinServesAndSamples(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tw.preds[fmt.Sprintf("cell-%d", i)] = []byte(fmt.Sprintf(`"twin-%d"`, i))
 	}
-	led := &fakeLedger{}
+	fl := checkpoint.NewFlight(nil, nil)
 	var mu sync.Mutex
 	computed := map[int]bool{}
 	out, err := Map(context.Background(), Config{
-		Workers:    2,
-		TaskName:   func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Checkpoint: led,
-		Twin:       tw,
+		Workers:  2,
+		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
+		Flight:   fl,
+		Twin:     tw,
 	}, 6, func(ctx context.Context, i int, _ *telemetry.Tracer) (string, error) {
 		mu.Lock()
 		computed[i] = true
@@ -552,9 +551,9 @@ func TestMapTwinServesAndSamples(t *testing.T) {
 	if got := fmt.Sprint(tw.validated); got != "[cell-0 cell-2]" {
 		t.Errorf("validated cells = %s, want [cell-0 cell-2]", got)
 	}
-	// Only the two uncovered cells were journaled.
-	if led.records != 2 {
-		t.Errorf("checkpoint records = %d, want 2 (twin-served cells must bypass the ledger)", led.records)
+	// Only the two uncovered cells were cached.
+	if fl.MemoLen() != 2 {
+		t.Errorf("cached cells = %d, want 2 (twin-served cells must bypass the Flight)", fl.MemoLen())
 	}
 }
 
@@ -601,8 +600,8 @@ func TestMapTwinDecodeErrorComputes(t *testing.T) {
 	}
 }
 
-// TestMapTwinCellStats: twin-served cells are attributed FromTwin in the
-// wall-clock records (sampled ones included — they also computed).
+// TestMapTwinCellStats: twin-served cells are attributed to the twin in
+// the wall-clock records (sampled ones included — they also computed).
 func TestMapTwinCellStats(t *testing.T) {
 	tw := &fakeTwin{every: 2, preds: map[string][]byte{
 		"cell-0": []byte(`0`), "cell-1": []byte(`1`),
@@ -623,9 +622,50 @@ func TestMapTwinCellStats(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("%d cell records, want 3", len(recs))
 	}
-	for i, want := range []bool{true, true, false} {
-		if recs[i].FromTwin != want {
-			t.Errorf("cell %d FromTwin = %v, want %v", i, recs[i].FromTwin, want)
+	for i, want := range []string{SourceTwin, SourceTwin, "computed"} {
+		if recs[i].Source != want {
+			t.Errorf("cell %d source = %q, want %q", i, recs[i].Source, want)
 		}
+	}
+}
+
+// TestMapCoalescedRetriesAfterForeignCancel: a cell that joined another
+// run's in-flight computation must not inherit that run's cancellation.
+// Run A starts computing "k" and is cancelled at its cell boundary once
+// run B has coalesced onto it; B, whose own context is live, asks the
+// Flight again and computes the cell itself.
+func TestMapCoalescedRetriesAfterForeignCancel(t *testing.T) {
+	fl := checkpoint.NewFlight(nil, nil)
+	key := func(int) string { return "k" }
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := Map(context.Background(), Config{
+			Workers: 1, CellKey: key, Flight: fl,
+			Fault: cellStartFunc(func(_ int, cancel func()) {
+				for fl.Inflight("k") < 2 {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}),
+		}, 1, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
+			t.Error("run A computed after its own cancellation")
+			return 0, nil
+		})
+		aDone <- err
+	}()
+	for fl.Inflight("k") < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cells := &CellStats{}
+	out, err := Map(context.Background(), Config{Workers: 1, CellKey: key, Flight: fl, Cells: cells}, 1,
+		func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) { return 42, nil })
+	if err != nil || out[0] != 42 {
+		t.Fatalf("run B = %v, %v; want [42] (a foreign cancellation leaked into a coalesced cell)", out, err)
+	}
+	if src := cells.Records()[0].Source; src != "computed" {
+		t.Errorf("run B source = %q, want computed (its retry ran the cell)", src)
+	}
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Errorf("run A err = %v, want context.Canceled", err)
 	}
 }

@@ -25,6 +25,14 @@ func smallSpec() Spec {
 
 const smallKey = "fig3:SPEC92:compress/A"
 
+// cellStart adapts a function to the runner.Fault seam (Options.Fault).
+// Its CellStart runs at the start of every computed cell and never for
+// a cached or coalesced one, which makes it the gate tests hold
+// computations with.
+type cellStart func(index int, cancel func())
+
+func (f cellStart) CellStart(index int, cancel func()) { f(index, cancel) }
+
 // testServer builds a Server plus its httptest wrapper, and tears both
 // down (drain first, then close) at test end.
 func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -137,19 +145,16 @@ func TestServeBadSpecs(t *testing.T) {
 // in-flight work finishes, a fresh request succeeds.
 func TestServeAdmissionControl(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, hs := testServer(t, Options{
+	// Hold the single executor hostage so admitted jobs stay queued and
+	// admission alone decides the outcome.
+	gate := make(chan struct{})
+	_, hs := testServer(t, Options{
 		Metrics: reg,
 		Rate:    0.5, // one token per 2s: effectively no refill inside the test
 		Burst:   2,
 		Jobs:    1,
+		Fault:   cellStart(func(int, func()) { <-gate }),
 	})
-	// Hold the single executor hostage so admitted jobs stay queued and
-	// admission alone decides the outcome.
-	gate := make(chan struct{})
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		<-gate
-		return json.Marshal(cellPayload{})
-	}
 
 	var wg sync.WaitGroup
 	statuses := make([]int, 3)
@@ -205,12 +210,6 @@ func TestServeAdmissionControl(t *testing.T) {
 // TestServeQueueFull: a full job queue rejects with 429 + Retry-After
 // even when the token bucket would admit.
 func TestServeQueueFull(t *testing.T) {
-	s, hs := testServer(t, Options{
-		Rate:       1000,
-		Burst:      1000,
-		Jobs:       1,
-		QueueDepth: 1,
-	})
 	gate := make(chan struct{})
 	defer func() {
 		select {
@@ -219,10 +218,13 @@ func TestServeQueueFull(t *testing.T) {
 			close(gate)
 		}
 	}()
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		<-gate
-		return json.Marshal(cellPayload{})
-	}
+	_, hs := testServer(t, Options{
+		Rate:       1000,
+		Burst:      1000,
+		Jobs:       1,
+		QueueDepth: 1,
+		Fault:      cellStart(func(int, func()) { <-gate }),
+	})
 	// First request occupies the executor, second fills the queue.
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
@@ -255,23 +257,21 @@ func TestServeQueueFull(t *testing.T) {
 func TestServeCoalescing(t *testing.T) {
 	const n = 4
 	reg := telemetry.NewRegistry()
+	var computes int
+	var mu sync.Mutex
+	gate := make(chan struct{})
 	s, hs := testServer(t, Options{
 		Metrics: reg,
 		Jobs:    n, // every job gets its own executor: all N run concurrently
 		Burst:   n + 1,
 		Rate:    1000,
+		Fault: cellStart(func(int, func()) {
+			mu.Lock()
+			computes++
+			mu.Unlock()
+			<-gate // hold until every job has joined the flight
+		}),
 	})
-	var computes int
-	var mu sync.Mutex
-	gate := make(chan struct{})
-	real := s.computeFn
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		mu.Lock()
-		computes++
-		mu.Unlock()
-		<-gate // hold until every job has joined the flight
-		return real(c, sp, tracer)
-	}
 
 	var wg sync.WaitGroup
 	statuses := make([]int, n)
@@ -443,15 +443,14 @@ func TestServeKillAndDrainByteIdentical(t *testing.T) {
 // ledger make retries free).
 func TestServeDeadline(t *testing.T) {
 	dir := t.TempDir()
-	s, hs := testServer(t, Options{CheckpointDir: dir})
 	slow := make(chan struct{})
 	var once sync.Once
-	real := s.computeFn
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		b, err := real(c, sp, tracer)
-		once.Do(func() { <-slow }) // first compute outlives the deadline
-		return b, err
-	}
+	_, hs := testServer(t, Options{
+		CheckpointDir: dir,
+		Fault: cellStart(func(int, func()) {
+			once.Do(func() { <-slow }) // first compute outlives the deadline
+		}),
+	})
 	spec := smallSpec()
 	spec.TimeoutSeconds = 0.2
 	done := make(chan struct{})
@@ -529,17 +528,15 @@ func TestServeDrainProtocol(t *testing.T) {
 // force-cancels the in-flight job (which reports 503 to its client) and
 // returns an error for the exit-code taxonomy.
 func TestServeForcedDrain(t *testing.T) {
-	s := New(Options{Workers: 1, Jobs: 1})
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
 	started := make(chan struct{})
 	var startOnce sync.Once
 	gate := make(chan struct{})
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
+	s := New(Options{Workers: 1, Jobs: 1, Fault: cellStart(func(int, func()) {
 		startOnce.Do(func() { close(started) })
 		<-gate
-		return json.Marshal(cellPayload{})
-	}
+	})})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
 	defer close(gate)
 
 	clientDone := make(chan int, 1)
@@ -575,19 +572,16 @@ func TestServeForcedDrain(t *testing.T) {
 // workers (the job unwinds via context cancellation) and the server
 // keeps serving.
 func TestServeClientDisconnect(t *testing.T) {
-	s, hs := testServer(t, Options{Workers: 1, Jobs: 1})
 	started := make(chan struct{})
 	var startOnce sync.Once
 	gate := make(chan struct{})
-	real := s.computeFn
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
+	_, hs := testServer(t, Options{Workers: 1, Jobs: 1, Fault: cellStart(func(int, func()) {
 		startOnce.Do(func() { close(started) })
 		select {
 		case <-gate:
 		case <-time.After(30 * time.Second):
 		}
-		return real(c, sp, tracer)
-	}
+	})})
 
 	b, _ := json.Marshal(smallSpec())
 	ctx, cancel := context.WithCancel(context.Background())

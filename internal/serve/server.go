@@ -14,8 +14,13 @@
 //     nobody will read.
 //   - Identical sub-requests coalesce: the checkpoint ledger is
 //     promoted to a memoization tier (checkpoint.Flight), so N
-//     concurrent identical cells cost exactly one simulation, and
+//     concurrent identical cells cost exactly one computation, and
 //     retries after a timeout are free once the cell has landed.
+//   - One cell path: every request resolves its cells through
+//     core.ResolveFigure3 — the function the batch grids use — on a
+//     per-job runner pool whose cache is the configuration's Flight, so
+//     a served cell is byte-identical to the batch one and an A–F panel
+//     shares its perfect runs (15 simulations, not 18).
 //   - Graceful drain: Drain stops admitting, finishes (and journals)
 //     the in-flight and queued jobs, then flushes; a drain deadline
 //     force-cancels at cell boundaries and reports the forced exit.
@@ -76,9 +81,10 @@ type Options struct {
 	// Passing an injector-wrapped FS threads -fault-schedule through
 	// every persistence path the server touches.
 	FS faultinject.FS
-	// Fault, when non-nil, is the runner-level fault injector
-	// (deterministic worker kills and cancellation at cell starts).
-	Fault *faultinject.Injector
+	// Fault, when non-nil, is the runner-level fault seam (e.g. a
+	// *faultinject.Injector: deterministic worker kills and cancellation
+	// at the start of each computed cell).
+	Fault runner.Fault
 	// Corpus shares trace materializations across jobs (nil: private
 	// entries per cell, identical code path).
 	Corpus *corpus.Corpus
@@ -89,10 +95,11 @@ type Options struct {
 	// reports).
 	Metrics *telemetry.Registry
 	// Twin, when non-nil, serves spec.Twin cells from the calibrated
-	// analytical model instead of simulating. TwinScale and
-	// TwinCacheScale pin the configuration the model was calibrated
-	// for; requests at any other (scale, cacheScale) fall back to
-	// simulation rather than serve mispredicted cells.
+	// analytical model instead of simulating (through runner.Twin, as
+	// the batch grids' -twin does). TwinScale and TwinCacheScale pin the
+	// configuration the model was calibrated for; requests at any other
+	// (scale, cacheScale) fall back to simulation rather than serve
+	// mispredicted cells.
 	Twin           *twin.Surrogate
 	TwinScale      int
 	TwinCacheScale int
@@ -166,11 +173,6 @@ type Server struct {
 
 	drainOnce sync.Once
 	drained   chan struct{} // closed when drain completes
-
-	// computeFn is the cell-computation seam (defaults to computeCell).
-	// Tests substitute a gated compute to make coalescing assertions
-	// deterministic instead of timing-dependent.
-	computeFn func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error)
 }
 
 // New builds a server from opts (zero values select the defaults
@@ -212,7 +214,6 @@ func New(opts Options) *Server {
 		progress: telemetry.NewProgress(io.Discard, time.Hour),
 		drained:  make(chan struct{}),
 	}
-	s.computeFn = s.computeCell
 	for i := 0; i < opts.Jobs; i++ {
 		s.wg.Add(1)
 		go s.executor()
@@ -488,128 +489,94 @@ func (s *Server) jobObs() telemetry.Observation {
 	return o
 }
 
-// run executes a plan through the runner pool, serving each cell from
-// the twin (opt-in), the memoization tier, or a fresh simulation.
+// run executes a plan: its cells resolve through core.ResolveFigure3 on
+// a per-job pool whose cache is the configuration's Flight, with the
+// analytical twin attached for "twin" requests at the configuration it
+// was calibrated for.
 func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 	fl, err := s.flightFor(p.spec.Scale, p.spec.CacheScale)
 	if err != nil {
 		return nil, err
 	}
-	type outCell struct {
-		Payload cellPayload
-		Source  string
+	cells := make([]core.Figure3Cell, len(p.cells))
+	// One Get per benchmark: a nil corpus generates the program anew on
+	// every Get.
+	progs := map[string]*workload.Program{}
+	for i, c := range p.cells {
+		prog := progs[c.bench]
+		if prog == nil {
+			if prog, err = s.opts.Corpus.Get(c.bench, p.spec.Scale).Program(); err != nil {
+				return nil, err
+			}
+			progs[c.bench] = prog
+		}
+		m, err := core.MachineByName(c.suite, c.exp, p.spec.CacheScale)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = core.Figure3Cell{Suite: c.suite, Program: prog, Machine: m}
 	}
-	var computed, cached, coalesced, twinServed atomic.Int64
-	cfg := runner.Config{
+	pool := runner.Config{
 		Workers: s.opts.Workers,
 		Obs:     s.jobObs(),
-		TaskName: func(i int) string {
-			c := p.cells[i]
-			return "serve:" + core.Figure3CellKey(c.suite, c.bench, c.exp)
-		},
-		Cells: &runner.CellStats{},
+		Flight:  fl,
+		Fault:   s.opts.Fault,
+		Cells:   &runner.CellStats{},
 	}
-	if s.opts.Fault != nil {
-		cfg.Fault = s.opts.Fault
+	if p.spec.Twin && s.opts.Twin != nil &&
+		p.spec.Scale == s.opts.TwinScale && p.spec.CacheScale == s.opts.TwinCacheScale {
+		pool.Twin = s.opts.Twin
 	}
-	outs, err := runner.Map(ctx, cfg, len(p.cells), func(ctx context.Context, i int, tracer *telemetry.Tracer) (outCell, error) {
-		c := p.cells[i]
-		key := core.Figure3CellKey(c.suite, c.bench, c.exp)
-		if p.spec.Twin && s.opts.Twin != nil &&
-			p.spec.Scale == s.opts.TwinScale && p.spec.CacheScale == s.opts.TwinCacheScale {
-			if res, ok := s.opts.Twin.Cell(key); ok {
-				twinServed.Add(1)
-				s.m.twinServed.Inc()
-				return outCell{Payload: cellPayload{Decomposition: res.Decomposition, Counts: res.Full}, Source: "twin"}, nil
-			}
-		}
-		b, src, err := fl.Do(ctx, key, func(cctx context.Context) ([]byte, error) {
-			if cerr := cctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return s.computeFn(c, p.spec, tracer)
-		})
-		if err != nil {
-			return outCell{}, err
-		}
-		var pay cellPayload
-		if jerr := json.Unmarshal(b, &pay); jerr != nil {
-			return outCell{}, fmt.Errorf("decoding cell %s: %w", key, jerr)
-		}
-		switch src {
-		case checkpoint.SourceComputed:
-			computed.Add(1)
-			s.m.cellsComputed.Inc()
-		case checkpoint.SourceCached:
-			cached.Add(1)
-			s.m.cellsCached.Inc()
-		case checkpoint.SourceCoalesced:
-			coalesced.Add(1) // serve.coalesced increments inside the Flight
-		}
-		return outCell{Payload: pay, Source: src.String()}, nil
-	})
+	results, err := core.ResolveFigure3(ctx, cells, pool)
+	sum := pool.Cells.Summary()
+	s.m.cellsComputed.Add(int64(sum.Computed))
+	s.m.cellsCached.Add(int64(sum.Cached))
+	s.m.twinServed.Add(int64(sum.Twin))
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Kind: p.spec.Kind, Cells: make([]CellResult, len(outs))}
-	for i, o := range outs {
+	recs := pool.Cells.Records()
+	res := &Result{Kind: p.spec.Kind, Cells: make([]CellResult, len(results))}
+	for i, r := range results {
 		c := p.cells[i]
 		res.Cells[i] = CellResult{
 			Key:           core.Figure3CellKey(c.suite, c.bench, c.exp),
 			Suite:         c.suite.String(),
 			Benchmark:     c.bench,
 			Experiment:    c.exp,
-			Decomposition: o.Payload.Decomposition,
-			Counts:        o.Payload.Counts,
-			Source:        o.Source,
+			Decomposition: r.Decomposition,
+			Counts:        r.Full,
+			Source:        recs[i].Source,
 		}
 	}
-	sum := cfg.Cells.Summary()
 	res.Stats = JobStats{
-		Cells:           len(outs),
-		Computed:        int(computed.Load()),
-		Cached:          int(cached.Load()),
-		Coalesced:       int(coalesced.Load()),
-		Twin:            int(twinServed.Load()),
+		Cells:           sum.Cells,
+		Computed:        sum.Computed,
+		Cached:          sum.Cached,
+		Coalesced:       sum.Coalesced,
+		Twin:            sum.Twin,
 		WallSeconds:     sum.WallSeconds,
 		MaxQueueSeconds: sum.MaxQueueSeconds,
 	}
 	return res, nil
 }
 
-// computeCell runs the three-simulation decomposition for one cell and
-// returns its journaled payload (deterministic outputs only).
-func (s *Server) computeCell(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-	prog, err := s.opts.Corpus.Get(c.bench, sp.Scale).Program()
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.MachineByName(c.suite, c.exp, sp.CacheScale)
-	if err != nil {
-		return nil, err
-	}
-	obs := s.jobObs()
-	obs.Tracer = tracer
-	m.Obs = obs
-	// Per-compute stream: the core.Decompose ownership rule.
-	res, err := core.Decompose(m, prog.Stream())
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(cellPayload{Decomposition: res.Decomposition, Counts: res.Full})
-}
-
-// flightFor returns the memoization tier for one (scale, cacheScale)
-// configuration, opening its ledger on first use. The fingerprint is
-// the serve manifest's — shared by every request kind, so a table6
-// cell coalesces with (and resumes from) the matching fig3 cell.
-func (s *Server) flightFor(scale, cacheScale int) (*checkpoint.Flight, error) {
+// fingerprint identifies one (scale, cacheScale) configuration: the
+// serve manifest's fingerprint, shared by every request kind, so a
+// table6 cell coalesces with (and resumes from) the matching fig3 cell.
+func fingerprint(scale, cacheScale int) string {
 	man := telemetry.NewManifest("memwall", "serve", nil)
 	man.Seed = workload.BaseSeed
 	man.Scale = scale
 	man.CacheScale = cacheScale
-	fp := man.Fingerprint()
+	return man.Fingerprint()
+}
+
+// flightFor returns the memoization tier for one (scale, cacheScale)
+// configuration, opening its ledger on first use.
+func (s *Server) flightFor(scale, cacheScale int) (*checkpoint.Flight, error) {
+	fp := fingerprint(scale, cacheScale)
 
 	s.flightsMu.Lock()
 	defer s.flightsMu.Unlock()

@@ -155,17 +155,11 @@ func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 	return p, nil
 }
 
-// cellPayload is the journaled (and served) shape of one cell: the
-// deterministic simulation outputs only. Host wall times (PhaseWall)
-// are deliberately excluded — a ledger-served cell would otherwise
-// return the wall time of whichever run computed it, breaking the
+// CellResult is one cell of a job response: the deterministic
+// simulation outputs only. Host wall times (DecomposeResult.Wall) are
+// deliberately excluded — a ledger-served cell would otherwise return
+// the wall time of whichever run computed it, breaking the
 // byte-identical-responses guarantee.
-type cellPayload struct {
-	Decomposition core.Decomposition `json:"decomposition"`
-	Counts        cpu.Result         `json:"counts"`
-}
-
-// CellResult is one cell of a job response.
 type CellResult struct {
 	// Key is the cell's stable identity (the checkpoint/twin cell key).
 	Key string `json:"key"`

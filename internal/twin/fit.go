@@ -346,7 +346,7 @@ type CalibrateOptions struct {
 	// through the identical code path.
 	Corpus *corpus.Corpus
 	// Pool configures the simulator grid runs (workers, telemetry,
-	// checkpoint ledger); summaries reuse its worker count.
+	// Flight); summaries reuse its worker count.
 	Pool runner.Config
 }
 
@@ -388,7 +388,7 @@ func Calibrate(opts CalibrateOptions) (*Model, error) {
 		}
 
 		// Ground truth: the full three-simulation grid, through the same
-		// pool (checkpoint ledger, -j, telemetry) as a normal fig3 run.
+		// pool (Flight, -j, telemetry) as a normal fig3 run.
 		cells, err := core.Figure3Pool(g.Suite, progs, opts.CacheScale, opts.Pool)
 		if err != nil {
 			return nil, err

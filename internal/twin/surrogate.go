@@ -39,8 +39,7 @@ type Surrogate struct {
 type surrogateCell struct {
 	// pred is the JSON-encoded core.DecomposeResult the twin serves.
 	pred []byte
-	// res is the decoded form, for callers that want the value directly
-	// (table sweeps) rather than through the runner seam.
+	// res is the decoded form (Cell).
 	res core.DecomposeResult
 	// t is the unrounded predicted execution time; bound is the
 	// workload's calibrated relative-error bound.
@@ -132,8 +131,8 @@ func (s *Surrogate) Validate(key string, _, computed []byte) error {
 	return nil
 }
 
-// Cell returns the twin's prediction for one grid cell, for sweeps that
-// consume results directly rather than through a runner pool.
+// Cell returns the twin's prediction for one grid cell, decoded: the
+// value Predict serves encoded through runner.Twin.
 func (s *Surrogate) Cell(key string) (core.DecomposeResult, bool) {
 	c, ok := s.cells[key]
 	return c.res, ok
