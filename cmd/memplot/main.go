@@ -65,10 +65,7 @@ func plotFig1(dir string) error {
 func plotFig3(dir string, scale, cacheScale int) error {
 	for _, suite := range []workload.Suite{workload.SPEC92, workload.SPEC95} {
 		var progs []*workload.Program
-		for _, name := range workload.SuiteNames(suite) {
-			if suite == workload.SPEC92 && name == "dnasa2" {
-				continue
-			}
+		for _, name := range core.Figure3Benchmarks(suite) {
 			p, err := workload.Generate(name, scale)
 			if err != nil {
 				return err

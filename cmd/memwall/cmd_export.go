@@ -26,21 +26,12 @@ func runExport(args []string) error {
 	workers := workersFlag(fs)
 	skipTiming := fs.Bool("notiming", false, "skip the Figure 3 timing runs")
 	headline := fs.Bool("headline", false, "emit only the headline summary")
-	tw := twinFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	// gridPool threads the run's Flight and fault injector into
-	// the Figure 3 grid (Figure3Pool names the cells itself). With -twin,
-	// the surrogate serves the timing cells it covers.
+	// the Figure 3 grid (Figure3Pool names the cells itself).
 	pool := gridPool(*workers, nil)
-	surr, err := tw.surrogate([]workload.Suite{workload.SPEC92, workload.SPEC95}, *scale, *cacheScale, *workers)
-	if err != nil {
-		return err
-	}
-	if surr != nil {
-		pool.Twin = surr
-	}
 	r, err := report.Collect(report.Options{
 		Scale:      *scale,
 		CacheScale: *cacheScale,

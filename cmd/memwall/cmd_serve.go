@@ -33,8 +33,6 @@ import (
 	"time"
 
 	"memwall/internal/serve"
-	"memwall/internal/twin"
-	"memwall/internal/workload"
 )
 
 func init() {
@@ -51,13 +49,12 @@ func runServe(args []string) error {
 	burst := fs.Float64("burst", 8, "token-bucket burst capacity")
 	requestTimeout := fs.Duration("request-timeout", 10*time.Minute, "default and maximum per-request deadline")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget; past it, in-flight jobs are cancelled and the exit is non-zero")
-	twinModel := fs.String("twin-model", "", "fitted model JSON from 'memwall twin calibrate -o'; requests with \"twin\":true are served from it")
 	smoke := fs.Bool("smoke", false, "self-test: bind an ephemeral port, POST one cell to itself, print the result, drain, exit")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 
-	opts := serve.Options{
+	s := serve.New(serve.Options{
 		Workers:        *workers,
 		Jobs:           *jobs,
 		QueueDepth:     *queueDepth,
@@ -70,27 +67,7 @@ func runServe(args []string) error {
 		Corpus:         activeCorpus(),
 		Obs:            observation(),
 		Metrics:        observation().Metrics,
-	}
-	if *twinModel != "" {
-		m, err := twin.LoadModel(*twinModel)
-		if err != nil {
-			return err
-		}
-		// The model pins its own (seed, scale, cacheScale); the server
-		// falls back to simulation for requests outside it.
-		if err := m.CheckConfig(workload.BaseSeed, m.Scale, m.CacheScale); err != nil {
-			return err
-		}
-		sur, err := twin.NewSurrogate(m, 0, observation().Metrics)
-		if err != nil {
-			return err
-		}
-		opts.Twin = sur
-		opts.TwinScale = m.Scale
-		opts.TwinCacheScale = m.CacheScale
-	}
-
-	s := serve.New(opts)
+	})
 	bind := *addr
 	if *smoke {
 		bind = "127.0.0.1:0" // never collide with a real server

@@ -13,7 +13,6 @@ import (
 	"memwall/internal/runner"
 	"memwall/internal/tablefmt"
 	"memwall/internal/telemetry"
-	"memwall/internal/twin"
 	"memwall/internal/workload"
 )
 
@@ -34,17 +33,9 @@ func parseSuite(s string) (workload.Suite, error) {
 	}
 }
 
-// timingBenchmarks returns the Figure 3 benchmark list for a suite. The
-// paper's SPEC92 panel omits dnasa2 (it appears only in the trace-driven
-// traffic studies). The twin package owns the list so its calibration
-// grid and the timing commands can never drift apart.
-func timingBenchmarks(suite workload.Suite) []string {
-	return twin.TimingBenchmarks(suite)
-}
-
 func generateSuite(suite workload.Suite, scale int) ([]*workload.Program, error) {
 	var progs []*workload.Program
-	for _, name := range timingBenchmarks(suite) {
+	for _, name := range core.Figure3Benchmarks(suite) {
 		// Programs come from the corpus so fig3/table6 runs in the same
 		// invocation (e.g. `memwall all`) share one generation each.
 		p, err := corpusProgram(name, scale)
@@ -62,17 +53,12 @@ func runFig3(args []string) error {
 	cacheScale := cacheScaleFlag(fs)
 	workers := workersFlag(fs)
 	suiteName := fs.String("suite", "both", "92, 95, or both")
-	tw := twinFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	suites, err := suiteList(*suiteName)
 	if err != nil {
 		return usageErr(err)
-	}
-	surr, err := tw.surrogate(suites, *scale, *cacheScale, *workers)
-	if err != nil {
-		return err
 	}
 	for _, suite := range suites {
 		progs, err := generateSuite(suite, *scale)
@@ -81,13 +67,7 @@ func runFig3(args []string) error {
 		}
 		// gridPool threads the run's Flight and fault injector through;
 		// Figure3Pool names the cells (suite-qualified keys in the ledger).
-		// With -twin, the surrogate serves each cell it covers and the
-		// runner re-simulates the sampled subset as ground truth.
-		pool := gridPool(*workers, nil)
-		if surr != nil {
-			pool.Twin = surr
-		}
-		cells, err := core.Figure3Pool(suite, progs, *cacheScale, pool)
+		cells, err := core.Figure3Pool(suite, progs, *cacheScale, gridPool(*workers, nil))
 		if err != nil {
 			return err
 		}
@@ -145,7 +125,6 @@ func runTable6(args []string) error {
 	cacheScale := cacheScaleFlag(fs)
 	workers := workersFlag(fs)
 	suiteName := fs.String("suite", "both", "92, 95, or both")
-	tw := twinFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -153,14 +132,8 @@ func runTable6(args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
-	surr, err := tw.surrogate(suites, *scale, *cacheScale, *workers)
-	if err != nil {
-		return err
-	}
 	// Table 6 is the A and F columns of Figure 3: the same cells, keyed
-	// and cached alike, resolved by the same function. With -twin the
-	// surrogate serves the cells it covers and the runner re-simulates
-	// its deterministic sample as ground truth.
+	// and cached alike, resolved by the same function.
 	var cells []core.Figure3Cell
 	for _, suite := range suites {
 		progs, err := generateSuite(suite, *scale)
@@ -177,11 +150,7 @@ func runTable6(args []string) error {
 			}
 		}
 	}
-	pool := gridPool(*workers, nil)
-	if surr != nil {
-		pool.Twin = surr
-	}
-	results, err := core.ResolveFigure3(context.Background(), cells, pool)
+	results, err := core.ResolveFigure3(context.Background(), cells, gridPool(*workers, nil))
 	if err != nil {
 		return fmt.Errorf("table6: %w", err)
 	}

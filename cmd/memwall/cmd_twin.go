@@ -1,6 +1,7 @@
-// The twin subcommand — calibrate the analytical twin against the cycle
-// simulator and gate its accuracy — plus the shared -twin wiring that
-// lets the grid commands serve cells from the fitted model.
+// The twin subcommand: calibrate the analytical twin against the cycle
+// simulator, report its in-sample and held-out accuracy, and gate the
+// in-sample accuracy. The twin is an analysis tool; no command serves
+// cells from it.
 package main
 
 import (
@@ -50,7 +51,7 @@ func suiteList(name string) ([]workload.Suite, error) {
 func calibrationGrids(suites []workload.Suite, benches string) ([]twin.SuiteGrid, error) {
 	var grids []twin.SuiteGrid
 	for _, suite := range suites {
-		names := twin.TimingBenchmarks(suite)
+		names := core.Figure3Benchmarks(suite)
 		if benches != "" {
 			have := make(map[string]bool, len(names))
 			for _, n := range names {
@@ -86,7 +87,7 @@ func runTwinCalibrate(args []string) error {
 	suiteName := fs.String("suite", "both", "92, 95, or both")
 	benches := fs.String("benches", "", "comma-separated benchmark subset (default: the full Figure 3 panel)")
 	outPath := fs.String("o", "", "write the fitted model to this JSON file")
-	check := fs.Bool("check", false, "fail when the global accuracy misses -max-mape or -min-r")
+	check := fs.Bool("check", false, "fail when the global in-sample accuracy misses -max-mape or -min-r")
 	maxMAPE := fs.Float64("max-mape", 10, "with -check: maximum global MAPE over Figure 3, percent")
 	minR := fs.Float64("min-r", 0.98, "with -check: minimum global Pearson r over Figure 3")
 	if err := parseFlags(fs, args); err != nil {
@@ -112,23 +113,30 @@ func runTwinCalibrate(args []string) error {
 	}
 
 	t := tablefmt.New(fmt.Sprintf("Analytical twin calibration (scale %d, cachescale %d)", m.Scale, m.CacheScale),
-		"benchmark", "suite", "MAPE%", "r", "max err%", "bound%")
+		"benchmark", "suite", "MAPE%", "r", "max err%", "held-out MAPE%", "held-out max%")
 	for _, w := range m.Workloads {
 		t.AddRow(w.Name, w.Suite,
 			fmt.Sprintf("%.2f", 100*w.MAPE),
 			fmt.Sprintf("%.4f", w.PearsonR),
 			fmt.Sprintf("%.2f", 100*w.MaxRelErr),
-			fmt.Sprintf("%.2f", 100*w.ErrBound))
+			fmt.Sprintf("%.2f", 100*w.HeldOutMAPE),
+			fmt.Sprintf("%.2f", 100*w.HeldOutMaxRelErr))
 	}
 	fmt.Println(t)
 	cells := 0
+	worst := m.Workloads[0]
 	for _, w := range m.Workloads {
 		if suite, err := parseSuite(w.Suite); err == nil {
 			cells += len(core.MachinesScaled(suite, m.CacheScale))
 		}
+		if w.HeldOutMaxRelErr > worst.HeldOutMaxRelErr {
+			worst = w
+		}
 	}
 	fmt.Printf("global (normalized Figure 3, %d cells): MAPE %.2f%%, Pearson r %.4f\n",
 		cells, 100*m.MAPE, m.PearsonR)
+	fmt.Printf("held-out (T of each machine, refitted without it, %d cells): MAPE %.2f%%, worst %.2f%% (%s)\n",
+		cells, 100*m.HeldOutMAPE, 100*worst.HeldOutMaxRelErr, worst.Name)
 	fmt.Printf("prediction cost: %.2f µs/point (closed form; the simulator re-runs three full simulations per point)\n",
 		predictMicros(m))
 	fmt.Println()
@@ -148,59 +156,6 @@ func runTwinCalibrate(args []string) error {
 		}
 	}
 	return nil
-}
-
-// twinOpts carries the grid commands' shared -twin flags.
-type twinOpts struct {
-	enabled bool
-	model   string
-	sample  int
-}
-
-// twinFlags registers -twin, -twin-model, and -twin-sample on a grid
-// subcommand's FlagSet.
-func twinFlags(fs *flag.FlagSet) *twinOpts {
-	o := &twinOpts{}
-	fs.BoolVar(&o.enabled, "twin", false, "serve grid cells from the calibrated analytical twin instead of the cycle simulator, re-simulating a deterministic sample as ground truth")
-	fs.StringVar(&o.model, "twin-model", "", "fitted model JSON from 'memwall twin calibrate -o' (default: calibrate in-process first)")
-	fs.IntVar(&o.sample, "twin-sample", twin.DefaultSampleEvery, "re-simulate every Nth twin-served cell as ground truth (0 disables sampled validation)")
-	return o
-}
-
-// surrogate loads (or fits in-process) the twin model and packages it as
-// the runner's surrogate seam; nil when -twin is off. A model loaded from
-// -twin-model must match the run's seed, -scale, and -cachescale.
-func (o *twinOpts) surrogate(suites []workload.Suite, scale, cacheScale, workers int) (*twin.Surrogate, error) {
-	if o == nil || !o.enabled {
-		return nil, nil
-	}
-	var m *twin.Model
-	var err error
-	if o.model != "" {
-		if m, err = twin.LoadModel(o.model); err != nil {
-			return nil, err
-		}
-		if err = m.CheckConfig(workload.BaseSeed, scale, cacheScale); err != nil {
-			return nil, err
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "twin: no -twin-model given; calibrating in-process (one full simulator grid — save the model with 'memwall twin calibrate -o')")
-		grids, gerr := calibrationGrids(suites, "")
-		if gerr != nil {
-			return nil, gerr
-		}
-		m, err = twin.Calibrate(twin.CalibrateOptions{
-			Grids:      grids,
-			Scale:      scale,
-			CacheScale: cacheScale,
-			Corpus:     activeCorpus(),
-			Pool:       gridPool(workers, nil),
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return twin.NewSurrogate(m, o.sample, observation().Metrics)
 }
 
 // predictMicros times the fitted predictor over the full calibrated grid

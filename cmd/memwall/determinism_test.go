@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"memwall/internal/core"
@@ -82,29 +81,5 @@ func TestSelfcheckParallelDeterminism(t *testing.T) {
 	parallel := capture(t, func() error { return runSelfcheck(args("8")) })
 	if serial != parallel {
 		t.Errorf("selfcheck output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
-	}
-}
-
-// TestFig3TwinParallelDeterminism requires the twin-served Figure 3
-// emission to be byte-identical between worker counts: predictions come
-// from a read-only cell table and the sampled ground-truth subset is
-// selected by task index, so -j changes wall time only. The calibration
-// output is captured (and discarded) once; both fig3 runs then load the
-// same persisted model.
-func TestFig3TwinParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing simulation")
-	}
-	model := filepath.Join(t.TempDir(), "model.json")
-	capture(t, func() error {
-		return runTwinCalibrate([]string{"-suite", "92", "-o", model, "-j", "8"})
-	})
-	args := func(j string) []string {
-		return []string{"-suite", "92", "-twin", "-twin-model", model, "-j", j}
-	}
-	serial := capture(t, func() error { return runFig3(args("1")) })
-	parallel := capture(t, func() error { return runFig3(args("8")) })
-	if serial != parallel {
-		t.Errorf("fig3 -twin output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
 	}
 }

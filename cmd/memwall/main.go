@@ -25,8 +25,7 @@
 //	explain      time-attribution report: T_P/T_L/T_B, stall causes,
 //	             interval samples, wall-clock breakdown
 //	twin         calibrate the analytical twin (closed-form T_P/T_L/T_B
-//	             prediction); fig3/table6/export accept -twin to serve
-//	             grid cells from it with sampled re-simulation
+//	             prediction) and report its in-sample and held-out error
 //	all          run everything above in order (explain excluded)
 //
 // Every command also accepts the global observability flags -metrics,

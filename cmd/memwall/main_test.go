@@ -180,14 +180,6 @@ func TestParseSuite(t *testing.T) {
 	}
 }
 
-func TestTimingBenchmarksOmitDnasa2(t *testing.T) {
-	for _, n := range timingBenchmarks(0) { // SPEC92
-		if n == "dnasa2" {
-			t.Error("dnasa2 must not appear in the Figure 3 SPEC92 panel")
-		}
-	}
-}
-
 func TestAblateOutput(t *testing.T) {
 	out := capture(t, func() error { return runAblate([]string{"-bench", "espresso", "-kb", "16"}) })
 	for _, want := range []string{"4B sector", "write-validate", "MTC+clean-pref"} {

@@ -268,6 +268,14 @@ func TestMachineByName(t *testing.T) {
 	}
 }
 
+func TestTimingBenchmarksOmitDnasa2(t *testing.T) {
+	for _, n := range Figure3Benchmarks(workload.SPEC92) {
+		if n == "dnasa2" {
+			t.Error("dnasa2 must not appear in the Figure 3 SPEC92 panel")
+		}
+	}
+}
+
 func TestNsToCycles(t *testing.T) {
 	if nsToCycles(30, 300) != 9 {
 		t.Errorf("30ns @300MHz = %d, want 9", nsToCycles(30, 300))

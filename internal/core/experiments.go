@@ -177,12 +177,28 @@ func tpKey(prog string, c cpu.Config) perfectKey {
 	}
 }
 
-// Figure3CellKey names one cell of the Figure 3 grid. It is the stable
-// identity shared by the checkpoint ledger and the analytical-twin
-// surrogate (internal/twin): both address cells by this key, so a twin
-// built from a fitted model can serve exactly the cells Figure3Pool asks
-// for. Keys are suite-qualified so the SPEC92 and SPEC95 grids of one
-// invocation never collide.
+// Figure3Benchmarks returns the Figure 3 benchmark panel for a suite:
+// every benchmark of the suite, except that the paper's SPEC92 panel
+// omits dnasa2 (it appears only in the trace-driven traffic studies).
+func Figure3Benchmarks(suite workload.Suite) []string {
+	names := workload.SuiteNames(suite)
+	if suite != workload.SPEC92 {
+		return names
+	}
+	out := names[:0:0]
+	for _, n := range names {
+		if n != "dnasa2" {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Figure3CellKey names one cell of the Figure 3 grid: the stable
+// identity under which the checkpoint ledger and its Flight journal,
+// memoize and coalesce cells, whichever caller asks. Keys are
+// suite-qualified so the SPEC92 and SPEC95 grids of one invocation never
+// collide.
 func Figure3CellKey(suite workload.Suite, benchmark, experiment string) string {
 	return "fig3:" + suite.String() + ":" + benchmark + "/" + experiment
 }
@@ -199,16 +215,16 @@ type Figure3Cell struct {
 // Figure3Pool, `memwall table6` and the simulation service all call it.
 // The cells run on pool (see internal/runner), keyed by Figure3CellKey
 // and with spans named "bench:<program>/<experiment>", so the pool's
-// Flight and Twin address cells the same way whichever caller asks.
-// Results come back in cell order.
+// Flight addresses cells the same way whichever caller asks. Results
+// come back in cell order.
 //
 // T_P depends only on the core configuration (see PerfectTime), and
 // Table 5 reuses cores across machines — A/B/C share one, D/E another —
 // so each (program, core) pair in cells needs a single perfect run, not
 // one per machine: an A–F panel costs 15 simulations, not 18. The
 // perfect run is keyed up front and filled lazily under a sync.Once, so
-// concurrent cells agree on its value and cells the Flight or the twin
-// answer never pay for it. Sharing holds whether or not the pool is
+// concurrent cells agree on its value and cells the Flight answers
+// never pay for it. Sharing holds whether or not the pool is
 // observed: the shared run emits its own "sim:perfect" span and progress
 // beats once, and only full-system runs publish metrics, so observing a
 // run never changes what it computes.
@@ -280,9 +296,9 @@ func Figure3(suite workload.Suite, progs []*workload.Program, cacheScale int) ([
 
 // Figure3Pool is Figure3 over a caller-supplied pool: its worker count
 // (<= 0 selects GOMAXPROCS, 1 reproduces the serial sweep bit-for-bit),
-// telemetry hooks, and — for a crash-safe CLI run — its Flight, fault
-// injector and twin (see cmd/memwall's -checkpoint-dir, -fault-schedule
-// and -twin). The (benchmark × experiment) grid resolves through
+// telemetry hooks, and — for a crash-safe CLI run — its Flight and fault
+// injector (see cmd/memwall's -checkpoint-dir and -fault-schedule). The
+// (benchmark × experiment) grid resolves through
 // ResolveFigure3, and results are collected in grid order, so the
 // returned slice is byte-identical however the cells were scheduled.
 //

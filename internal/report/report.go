@@ -254,10 +254,7 @@ func Collect(opts Options) (*Report, error) {
 	if !opts.SkipTiming {
 		for _, suite := range []workload.Suite{workload.SPEC92, workload.SPEC95} {
 			var list []*workload.Program
-			for _, name := range workload.SuiteNames(suite) {
-				if suite == workload.SPEC92 && name == "dnasa2" {
-					continue
-				}
+			for _, name := range core.Figure3Benchmarks(suite) {
 				list = append(list, progs[name])
 			}
 			pool := runner.Config{Workers: opts.Workers}

@@ -52,27 +52,10 @@ import (
 	"memwall/internal/telemetry"
 )
 
-// Twin is the analytical-surrogate seam (satisfied by *twin.Surrogate).
-// Predict returns the JSON-encoded predicted result for a cell key, or
-// false when the surrogate has no prediction for it — such cells are
-// computed normally, so a partial model degrades gracefully. Sampled
-// selects the deterministic ground-truth subset by task index: a sampled
-// cell is additionally computed in full, and Validate compares the two
-// encoded results, returning a non-nil error to fail the run loudly when
-// the prediction misses its calibrated error bound. Either way the
-// prediction is what the caller receives, so grid output is identical
-// whether or not a cell happened to be sampled.
-type Twin interface {
-	Predict(key string) ([]byte, bool)
-	Sampled(index int) bool
-	Validate(key string, predicted, computed []byte) error
-}
-
 // Fault is the worker-level fault seam (satisfied by
 // *faultinject.Injector, including a nil one). CellStart runs at the top
-// of every computed cell — never for a cell the Flight or the twin
-// answered — and may panic (worker kill) or call cancel (external
-// shutdown).
+// of every computed cell — never for a cell the Flight answered — and
+// may panic (worker kill) or call cancel (external shutdown).
 type Fault interface {
 	CellStart(index int, cancel func())
 }
@@ -112,16 +95,6 @@ type Config struct {
 	// round-trip through encoding/json. A record-only ledger underneath
 	// degrades to plain journaling.
 	Flight *checkpoint.Flight
-	// Twin, when non-nil, serves cells from an analytical surrogate
-	// instead of computing them: a cell whose key the twin can predict
-	// returns the decoded prediction, and the deterministic sample the
-	// twin selects (Sampled) is additionally computed as ground truth and
-	// checked against its calibrated bound (Validate) — a miss fails the
-	// run. Twin-served cells bypass the Flight entirely (predictions
-	// are microseconds; caching them would let a later non-twin request
-	// or resume mistake a prediction for a simulated result).
-	// Requires a key function (CellKey or TaskName).
-	Twin Twin
 	// Fault, when non-nil, is invoked at the start of every computed
 	// cell (see Fault); it is the injection point for deterministic
 	// worker kills and context cancellation.
@@ -132,11 +105,6 @@ type Config struct {
 	// so collecting it does not affect determinism.
 	Cells *CellStats
 }
-
-// SourceTwin is the CellRecord.Source of a cell the analytical
-// surrogate answered. The other sources are the checkpoint.Source names:
-// "computed", "cached" and "coalesced".
-const SourceTwin = "twin"
 
 // CellRecord is one cell's wall-clock accounting.
 type CellRecord struct {
@@ -152,10 +120,8 @@ type CellRecord struct {
 	// claimed by a worker — the queue wait induced by the worker budget.
 	QueueSeconds float64 `json:"queueSeconds"`
 	// Source is where the result came from: "computed", "cached" (the
-	// Flight's memo or ledger), "coalesced" (another caller's in-flight
-	// computation) or "twin" (the analytical surrogate, sampled cells
-	// included — they also ran the full computation for validation).
-	// Empty for a failed cell.
+	// Flight's memo or ledger) or "coalesced" (another caller's in-flight
+	// computation). Empty for a failed cell.
 	Source string `json:"source,omitempty"`
 	// Failed reports whether the cell returned an error (or panicked).
 	Failed bool `json:"failed,omitempty"`
@@ -218,8 +184,6 @@ type Summary struct {
 	// Coalesced counts cells that joined another caller's in-flight
 	// computation.
 	Coalesced int `json:"coalesced"`
-	// Twin counts cells served by the analytical surrogate.
-	Twin int `json:"twin"`
 	// Failed counts cells that returned an error or panicked.
 	Failed int `json:"failed"`
 	// WallSeconds is the summed per-cell wall time (CPU-seconds of grid
@@ -247,8 +211,6 @@ func (s *CellStats) Summary() Summary {
 			out.Cached++
 		case checkpoint.SourceCoalesced.String():
 			out.Coalesced++
-		case SourceTwin:
-			out.Twin++
 		}
 		if r.Failed {
 			out.Failed++
@@ -361,33 +323,6 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 				return zero, cerr
 			}
 			return fn(cctx, i, tracer)
-		}
-		if cfg.Twin != nil && keyFn != nil {
-			key := keyFn(i)
-			if pb, ok := cfg.Twin.Predict(key); ok {
-				var pred T
-				if jerr := json.Unmarshal(pb, &pred); jerr == nil {
-					if cfg.Twin.Sampled(i) {
-						// Ground-truth sample: compute the cell in full and
-						// check the prediction against its calibrated bound.
-						truth, terr := compute(ctx)
-						if terr != nil {
-							return pred, terr
-						}
-						tb, jerr2 := json.Marshal(truth)
-						if jerr2 != nil {
-							return pred, fmt.Errorf("%s: encoding ground truth: %w", cellID(i), jerr2)
-						}
-						if verr := cfg.Twin.Validate(key, pb, tb); verr != nil {
-							return pred, verr
-						}
-					}
-					source = SourceTwin
-					return pred, nil
-				}
-				// Undecodable prediction (schema drift): compute normally.
-				cfg.Obs.Metrics.Counter("runner.twin.decode_errors").Inc()
-			}
 		}
 		if cfg.Flight == nil || keyFn == nil {
 			source = checkpoint.SourceComputed.String()

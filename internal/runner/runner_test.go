@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -438,11 +436,10 @@ func TestCellStatsSummary(t *testing.T) {
 	s.begin(4, time.Time{})
 	s.record(CellRecord{Index: 0, WallSeconds: 1, QueueSeconds: 0.5, Source: "computed"})
 	s.record(CellRecord{Index: 1, WallSeconds: 2, QueueSeconds: 3, Source: "cached"})
-	s.record(CellRecord{Index: 2, WallSeconds: 4, Source: SourceTwin})
-	s.record(CellRecord{Index: 3, WallSeconds: 8, QueueSeconds: 1, Failed: true})
-	s.record(CellRecord{Index: 4, WallSeconds: 16, Source: "coalesced"})
+	s.record(CellRecord{Index: 2, WallSeconds: 8, QueueSeconds: 1, Failed: true})
+	s.record(CellRecord{Index: 3, WallSeconds: 16, Source: "coalesced"})
 	got := s.Summary()
-	want := Summary{Cells: 5, Computed: 1, Cached: 1, Coalesced: 1, Twin: 1, Failed: 1, WallSeconds: 31, MaxQueueSeconds: 3}
+	want := Summary{Cells: 4, Computed: 1, Cached: 1, Coalesced: 1, Failed: 1, WallSeconds: 27, MaxQueueSeconds: 3}
 	if got != want {
 		t.Errorf("Summary = %+v, want %+v", got, want)
 	}
@@ -471,160 +468,6 @@ func TestMapCancelAtCellBoundary(t *testing.T) {
 			if computed[i].Load() {
 				t.Errorf("j=%d: cell %d computed after a boundary cancellation", j, i)
 			}
-		}
-	}
-}
-
-// fakeTwin is an in-memory Twin seam: it predicts the cells in preds,
-// samples every every-th index, and validates by recording the key —
-// failing when the key matches failKey.
-type fakeTwin struct {
-	mu        sync.Mutex
-	preds     map[string][]byte
-	every     int
-	failKey   string
-	validated []string
-}
-
-func (f *fakeTwin) Predict(key string) ([]byte, bool) {
-	b, ok := f.preds[key]
-	return b, ok
-}
-
-func (f *fakeTwin) Sampled(index int) bool { return f.every > 0 && index%f.every == 0 }
-
-func (f *fakeTwin) Validate(key string, predicted, computed []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.validated = append(f.validated, key)
-	if key == f.failKey {
-		return fmt.Errorf("twin bound exceeded for %s", key)
-	}
-	return nil
-}
-
-// TestMapTwinServesAndSamples: covered cells come from the twin (and are
-// never journaled — a later non-twin resume must not mistake a
-// prediction for a simulated result), uncovered cells compute and
-// journal normally, and the deterministic sample is additionally
-// computed and validated.
-func TestMapTwinServesAndSamples(t *testing.T) {
-	tw := &fakeTwin{every: 2, preds: map[string][]byte{}}
-	for i := 0; i < 4; i++ {
-		tw.preds[fmt.Sprintf("cell-%d", i)] = []byte(fmt.Sprintf(`"twin-%d"`, i))
-	}
-	fl := checkpoint.NewFlight(nil, nil)
-	var mu sync.Mutex
-	computed := map[int]bool{}
-	out, err := Map(context.Background(), Config{
-		Workers:  2,
-		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Flight:   fl,
-		Twin:     tw,
-	}, 6, func(ctx context.Context, i int, _ *telemetry.Tracer) (string, error) {
-		mu.Lock()
-		computed[i] = true
-		mu.Unlock()
-		return fmt.Sprintf("sim-%d", i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if want := fmt.Sprintf("twin-%d", i); out[i] != want {
-			t.Errorf("cell %d = %q, want twin-served %q", i, out[i], want)
-		}
-	}
-	for i := 4; i < 6; i++ {
-		if want := fmt.Sprintf("sim-%d", i); out[i] != want {
-			t.Errorf("cell %d = %q, want computed %q", i, out[i], want)
-		}
-	}
-	// Sampled covered cells (0, 2) were re-simulated as ground truth;
-	// unsampled covered cells (1, 3) were not; uncovered cells always run.
-	for i, want := range map[int]bool{0: true, 1: false, 2: true, 3: false, 4: true, 5: true} {
-		if computed[i] != want {
-			t.Errorf("cell %d computed = %v, want %v", i, computed[i], want)
-		}
-	}
-	sort.Strings(tw.validated)
-	if got := fmt.Sprint(tw.validated); got != "[cell-0 cell-2]" {
-		t.Errorf("validated cells = %s, want [cell-0 cell-2]", got)
-	}
-	// Only the two uncovered cells were cached.
-	if fl.MemoLen() != 2 {
-		t.Errorf("cached cells = %d, want 2 (twin-served cells must bypass the Flight)", fl.MemoLen())
-	}
-}
-
-// TestMapTwinValidationFailure: a sampled cell whose prediction misses
-// its bound fails the run loudly with the cell's identity.
-func TestMapTwinValidationFailure(t *testing.T) {
-	tw := &fakeTwin{
-		every:   1,
-		failKey: "cell-1",
-		preds: map[string][]byte{
-			"cell-0": []byte(`10`), "cell-1": []byte(`20`), "cell-2": []byte(`30`),
-		},
-	}
-	_, err := Map(context.Background(), Config{
-		Workers:  1,
-		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Twin:     tw,
-	}, 3, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
-		return i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "twin bound exceeded for cell-1") {
-		t.Fatalf("err = %v, want the twin validation failure", err)
-	}
-}
-
-// TestMapTwinDecodeErrorComputes: an undecodable prediction (schema
-// drift) degrades to a normal compute, counted, never a failure.
-func TestMapTwinDecodeErrorComputes(t *testing.T) {
-	tw := &fakeTwin{preds: map[string][]byte{"cell-0": []byte("not json")}}
-	reg := telemetry.NewRegistry()
-	out, err := Map(context.Background(), Config{
-		Workers:  1,
-		Obs:      telemetry.Observation{Metrics: reg},
-		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Twin:     tw,
-	}, 1, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
-		return 42, nil
-	})
-	if err != nil || out[0] != 42 {
-		t.Fatalf("Map = %v, %v; want [42]", out, err)
-	}
-	if got := reg.Snapshot().Counters["runner.twin.decode_errors"]; got != 1 {
-		t.Errorf("twin.decode_errors = %d, want 1", got)
-	}
-}
-
-// TestMapTwinCellStats: twin-served cells are attributed to the twin in
-// the wall-clock records (sampled ones included — they also computed).
-func TestMapTwinCellStats(t *testing.T) {
-	tw := &fakeTwin{every: 2, preds: map[string][]byte{
-		"cell-0": []byte(`0`), "cell-1": []byte(`1`),
-	}}
-	cells := &CellStats{}
-	_, err := Map(context.Background(), Config{
-		Workers:  1,
-		TaskName: func(i int) string { return fmt.Sprintf("cell-%d", i) },
-		Twin:     tw,
-		Cells:    cells,
-	}, 3, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := cells.Records()
-	if len(recs) != 3 {
-		t.Fatalf("%d cell records, want 3", len(recs))
-	}
-	for i, want := range []string{SourceTwin, SourceTwin, "computed"} {
-		if recs[i].Source != want {
-			t.Errorf("cell %d source = %q, want %q", i, recs[i].Source, want)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -16,7 +18,6 @@ import (
 	"memwall/internal/faultinject"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
-	"memwall/internal/twin"
 	"memwall/internal/workload"
 )
 
@@ -103,7 +104,9 @@ func compactJSON(t *testing.T, raw json.RawMessage) string {
 // the one cell path: for a SPEC92 and a SPEC95 benchmark, the A–F panel
 // served over HTTP carries byte-identical decomposition and counts JSON
 // to core.Figure3Pool's, and a second server over the same ledger
-// directory serves the same bytes from disk.
+// directory serves the same bytes from disk. A spec that still carries
+// the retired "twin" field is served the same cells: the field is
+// ignored like any unknown one.
 func TestServeMatchesFigure3Pool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
@@ -135,11 +138,14 @@ func TestServeMatchesFigure3Pool(t *testing.T) {
 		}
 
 		spec := Spec{Kind: "fig3", Suite: tc.name, Benchmarks: []string{tc.bench}}
+		var hs *httptest.Server
+		var body []byte
 		for round, wantSource := range []string{"computed", "cached"} {
 			// Every cell is journaled before its response is written, so
 			// the second server reads the first one's complete ledger.
-			_, hs := testServer(t, Options{CheckpointDir: dir})
-			status, body, _ := post(t, hs.URL, spec)
+			_, hs = testServer(t, Options{CheckpointDir: dir})
+			var status int
+			status, body, _ = post(t, hs.URL, spec)
 			if status != http.StatusOK {
 				t.Fatalf("%s round %d: status %d (%s)", tc.bench, round, status, body)
 			}
@@ -160,67 +166,28 @@ func TestServeMatchesFigure3Pool(t *testing.T) {
 				}
 			}
 		}
+
+		raw := fmt.Sprintf(`{"kind":"fig3","suite":%q,"benchmarks":[%q],"twin":true}`, tc.name, tc.bench)
+		status, twinBody, _ := postRaw(t, hs.URL, []byte(raw))
+		if status != http.StatusOK {
+			t.Fatalf("%s with \"twin\":true: status %d (%s)", tc.bench, status, twinBody)
+		}
+		if got, want := cellsJSON(t, twinBody), cellsJSON(t, body); !bytes.Equal(got, want) {
+			t.Errorf("%s with \"twin\":true served other cells:\n%s\nwant:\n%s", tc.bench, got, want)
+		}
 	}
 }
 
-// TestServeTwinCells covers serve's twin path through runner.Twin: with
-// a surrogate calibrated on SPEC92 compress alone, a
-// "twin" request is answered by the model — every cell equal to
-// Surrogate.Cell, the sampled one validated against a simulation — and
-// the same request at another scale, where the model does not apply, is
-// simulated.
-func TestServeTwinCells(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing simulation")
+// cellsJSON returns a response's cells exactly as served.
+func cellsJSON(t *testing.T, body []byte) json.RawMessage {
+	t.Helper()
+	var r struct {
+		Cells json.RawMessage `json:"cells"`
 	}
-	model, err := twin.Calibrate(twin.CalibrateOptions{
-		Grids:      []twin.SuiteGrid{{Suite: workload.SPEC92, Benches: []string{"compress"}}},
-		Scale:      1,
-		CacheScale: 16,
-		Pool:       runner.Config{Workers: 2},
-	})
-	if err != nil {
+	if err := json.Unmarshal(body, &r); err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	sur, err := twin.NewSurrogate(model, twin.DefaultSampleEvery, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hs := testServer(t, Options{Metrics: reg, Twin: sur, TwinScale: 1, TwinCacheScale: 16})
-
-	spec := Spec{Kind: "fig3", Suite: "92", Benchmarks: []string{"compress"}, Twin: true}
-	status, body, _ := post(t, hs.URL, spec)
-	if status != http.StatusOK {
-		t.Fatalf("twin request: status %d (%s)", status, body)
-	}
-	r := decodeResult(t, body)
-	if len(r.Cells) != 6 || r.Stats.Twin != 6 || r.Stats.Computed != 0 {
-		t.Fatalf("twin request: %d cells, stats %+v; want 6 twin cells", len(r.Cells), r.Stats)
-	}
-	for _, c := range r.Cells {
-		want, ok := sur.Cell(c.Key)
-		if !ok {
-			t.Fatalf("surrogate lacks %s", c.Key)
-		}
-		if c.Source != "twin" || c.Decomposition != want.Decomposition || !reflect.DeepEqual(c.Counts, want.Full) {
-			t.Errorf("%s: served %s %+v, want twin %+v", c.Key, c.Source, c.Decomposition, want.Decomposition)
-		}
-	}
-	if got := reg.Snapshot().Counters["twin.validated"]; got != 1 {
-		t.Errorf("twin.validated = %d, want 1 (cell 0 of 6 sampled)", got)
-	}
-
-	spec.Scale = 2
-	status, body, _ = post(t, hs.URL, spec)
-	if status != http.StatusOK {
-		t.Fatalf("off-model request: status %d (%s)", status, body)
-	}
-	for _, c := range decodeResult(t, body).Cells {
-		if c.Source != "computed" {
-			t.Errorf("scale 2 %s: source %q, want computed (the model is calibrated at scale 1)", c.Key, c.Source)
-		}
-	}
+	return r.Cells
 }
 
 // TestServeFormat1LedgerIsStale: a format-1 serve ledger journaled

@@ -61,6 +61,12 @@ func post(t *testing.T, url string, spec Spec) (int, []byte, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, b)
+}
+
+// postRaw sends a raw JSON request body, like post.
+func postRaw(t *testing.T, url string, b []byte) (int, []byte, string) {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/experiments", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
@@ -470,6 +476,14 @@ func TestServeDeadline(t *testing.T) {
 	status, body, _ := post(t, hs.URL, smallSpec())
 	if status != http.StatusOK {
 		t.Fatalf("retry: status %d (%s)", status, body)
+	}
+
+	// A deadline past the server's cap runs under the cap. 1e10 s
+	// overflows a time.Duration, so it must not be converted first.
+	spec.TimeoutSeconds = 1e10
+	status, body, _ = post(t, hs.URL, spec)
+	if status != http.StatusOK {
+		t.Fatalf("timeoutSeconds 1e10: status %d (%s), want 200 under the cap", status, body)
 	}
 }
 

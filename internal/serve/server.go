@@ -49,7 +49,6 @@ import (
 	"memwall/internal/faultinject"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
-	"memwall/internal/twin"
 	"memwall/internal/workload"
 )
 
@@ -94,15 +93,6 @@ type Options struct {
 	// Obs.Metrics, then to a private registry (so /metricz always
 	// reports).
 	Metrics *telemetry.Registry
-	// Twin, when non-nil, serves spec.Twin cells from the calibrated
-	// analytical model instead of simulating (through runner.Twin, as
-	// the batch grids' -twin does). TwinScale and TwinCacheScale pin the
-	// configuration the model was calibrated for; requests at any other
-	// (scale, cacheScale) fall back to simulation rather than serve
-	// mispredicted cells.
-	Twin           *twin.Surrogate
-	TwinScale      int
-	TwinCacheScale int
 }
 
 // instruments bundles the server's telemetry.
@@ -116,7 +106,6 @@ type instruments struct {
 	jobsFailed    *telemetry.Counter
 	cellsComputed *telemetry.Counter
 	cellsCached   *telemetry.Counter
-	twinServed    *telemetry.Counter
 }
 
 func newInstruments(r *telemetry.Registry) instruments {
@@ -130,7 +119,6 @@ func newInstruments(r *telemetry.Registry) instruments {
 		jobsFailed:    r.Counter("serve.jobs.failed"),
 		cellsComputed: r.Counter("serve.cells.computed"),
 		cellsCached:   r.Counter("serve.cells.cached"),
-		twinServed:    r.Counter("serve.twin.served"),
 	}
 }
 
@@ -490,9 +478,7 @@ func (s *Server) jobObs() telemetry.Observation {
 }
 
 // run executes a plan: its cells resolve through core.ResolveFigure3 on
-// a per-job pool whose cache is the configuration's Flight, with the
-// analytical twin attached for "twin" requests at the configuration it
-// was calibrated for.
+// a per-job pool whose cache is the configuration's Flight.
 func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 	fl, err := s.flightFor(p.spec.Scale, p.spec.CacheScale)
 	if err != nil {
@@ -523,15 +509,10 @@ func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 		Fault:   s.opts.Fault,
 		Cells:   &runner.CellStats{},
 	}
-	if p.spec.Twin && s.opts.Twin != nil &&
-		p.spec.Scale == s.opts.TwinScale && p.spec.CacheScale == s.opts.TwinCacheScale {
-		pool.Twin = s.opts.Twin
-	}
 	results, err := core.ResolveFigure3(ctx, cells, pool)
 	sum := pool.Cells.Summary()
 	s.m.cellsComputed.Add(int64(sum.Computed))
 	s.m.cellsCached.Add(int64(sum.Cached))
-	s.m.twinServed.Add(int64(sum.Twin))
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +536,6 @@ func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 		Computed:        sum.Computed,
 		Cached:          sum.Cached,
 		Coalesced:       sum.Coalesced,
-		Twin:            sum.Twin,
 		WallSeconds:     sum.WallSeconds,
 		MaxQueueSeconds: sum.MaxQueueSeconds,
 	}

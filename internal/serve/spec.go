@@ -8,7 +8,6 @@ import (
 
 	"memwall/internal/core"
 	"memwall/internal/cpu"
-	"memwall/internal/twin"
 	"memwall/internal/workload"
 )
 
@@ -33,10 +32,6 @@ type Spec struct {
 	// CacheScale divides cache capacities to match reduced workloads
 	// (default 16, the CLI default).
 	CacheScale int `json:"cacheScale,omitempty"`
-	// Twin serves cells from the server's calibrated analytical twin
-	// when one is loaded — microseconds instead of simulations. Cells
-	// the model does not cover fall back to simulation.
-	Twin bool `json:"twin,omitempty"`
 	// TimeoutSeconds overrides the server's default request deadline
 	// (0 keeps the default; the server's cap still applies).
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
@@ -121,14 +116,13 @@ func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 	}
 
 	p := &plan{spec: s, timeout: defaultTimeout}
-	if s.TimeoutSeconds > 0 {
-		t := time.Duration(s.TimeoutSeconds * float64(time.Second))
-		if t < defaultTimeout {
-			p.timeout = t
-		}
+	// Compare in seconds: converting a huge TimeoutSeconds to a Duration
+	// first would overflow to a negative deadline.
+	if s.TimeoutSeconds > 0 && s.TimeoutSeconds < defaultTimeout.Seconds() {
+		p.timeout = time.Duration(s.TimeoutSeconds * float64(time.Second))
 	}
 	for _, suite := range suites {
-		panel := twin.TimingBenchmarks(suite)
+		panel := core.Figure3Benchmarks(suite)
 		benches := s.Benchmarks
 		if len(benches) == 0 {
 			benches = panel
@@ -161,7 +155,7 @@ func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 // the wall time of whichever run computed it, breaking the
 // byte-identical-responses guarantee.
 type CellResult struct {
-	// Key is the cell's stable identity (the checkpoint/twin cell key).
+	// Key is the cell's stable identity (the checkpoint cell key).
 	Key string `json:"key"`
 	// Suite, Benchmark, and Experiment locate the cell in the grid.
 	Suite      string `json:"suite"`
@@ -171,8 +165,8 @@ type CellResult struct {
 	Decomposition core.Decomposition `json:"decomposition"`
 	// Counts is the full-system simulation's deterministic statistics.
 	Counts cpu.Result `json:"counts"`
-	// Source records where the cell came from: "computed", "cached",
-	// "coalesced", or "twin".
+	// Source records where the cell came from: "computed", "cached", or
+	// "coalesced".
 	Source string `json:"source"`
 }
 
@@ -184,7 +178,6 @@ type JobStats struct {
 	Computed        int     `json:"computed"`
 	Cached          int     `json:"cached"`
 	Coalesced       int     `json:"coalesced"`
-	Twin            int     `json:"twin"`
 	WallSeconds     float64 `json:"wallSeconds"`
 	MaxQueueSeconds float64 `json:"maxQueueSeconds"`
 }

@@ -71,27 +71,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// SetMax records v only if it exceeds the current value — a concurrent
-// running-maximum (e.g. the worst twin validation error seen across grid
-// cells). Updates race benignly: the CAS loop guarantees the final value
-// is the maximum of everything recorded. Assumes the gauge is used
-// exclusively as a maximum (mixing Set and SetMax has last-writer-wins
-// semantics for Set, as always).
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the last recorded value (0 for a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

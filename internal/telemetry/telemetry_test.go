@@ -56,21 +56,6 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(0.5)
-	g.SetMax(0.25) // lower: must not regress the running max
-	if got := g.Value(); got != 0.5 {
-		t.Errorf("Value = %v, want 0.5", got)
-	}
-	g.SetMax(2)
-	if got := g.Value(); got != 2 {
-		t.Errorf("Value = %v, want 2", got)
-	}
-	var nilGauge *Gauge
-	nilGauge.SetMax(1) // nil-safe like the other instrument methods
-}
-
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram(LinearBuckets(0, 1, 4)) // bounds 0,1,2,3 + overflow
 	for _, v := range []float64{0, 0.5, 1, 2, 3, 7, 100} {

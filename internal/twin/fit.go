@@ -171,24 +171,47 @@ func FitWorkload(name string, suite workload.Suite, scale int, sum *Summary, obs
 	pred := make([]float64, len(obs))
 	for i, o := range obs {
 		actual[i] = o.T
-		pr := w.Predict(&o.Point)
-		pred[i] = pr.T
-		if o.T > 0 {
-			rel := math.Abs(pr.T-o.T) / o.T
-			if rel > w.MaxRelErr {
-				w.MaxRelErr = rel
-			}
-		}
+		pred[i] = w.Predict(&o.Point).T
 	}
 	w.MAPE, _ = stats.MAPE(actual, pred)
 	w.PearsonR, _ = stats.PearsonR(actual, pred)
-	// The sampled-validation bound: twice the worst calibration error
-	// plus absolute slack. Re-simulated calibration cells sit within
-	// MaxRelErr by construction, so a bound violation means the model no
-	// longer matches the simulator (stale model, changed configuration) —
-	// exactly what should fail loudly.
-	w.ErrBound = 2*w.MaxRelErr + 0.01
+	w.MaxRelErr = maxRelErr(actual, pred)
 	return w, nil
+}
+
+// holdOut measures w on machines it was not fitted to: it refits the
+// workload once per observation on the other observations only, and
+// returns each left-out machine's simulated and predicted T. The refits
+// reuse obs, so they cost no simulation.
+//
+//memwall:cold
+func holdOut(w *WorkloadModel, suite workload.Suite, obs []Observation) (actual, pred []float64, err error) {
+	rest := make([]Observation, 0, len(obs))
+	for i := range obs {
+		rest = append(append(rest[:0], obs[:i]...), obs[i+1:]...)
+		fit, err := FitWorkload(w.Name, suite, w.Scale, w.Summary, rest)
+		if err != nil {
+			return nil, nil, fmt.Errorf("twin: holding out %s: %w", obs[i].Experiment, err)
+		}
+		actual = append(actual, obs[i].T)
+		pred = append(pred, fit.Predict(&obs[i].Point).T)
+	}
+	return actual, pred, nil
+}
+
+// maxRelErr returns the worst relative error of pred against actual,
+// skipping nonpositive actual values.
+func maxRelErr(actual, pred []float64) float64 {
+	worst := 0.0
+	for i, a := range actual {
+		if a <= 0 {
+			continue
+		}
+		if rel := math.Abs(pred[i]-a) / a; rel > worst {
+			worst = rel
+		}
+	}
+	return worst
 }
 
 // solveLS solves min ||X c - y||^2 by normal equations with partial
@@ -352,8 +375,9 @@ type CalibrateOptions struct {
 
 // Calibrate runs the full simulator over every (benchmark, machine) cell
 // of the requested grids, extracts each workload's summary, fits its
-// twin, and returns the assembled model with global accuracy metrics over
-// the normalized Figure 3 values.
+// twin, measures it on held-out machines (leave-one-machine-out, see
+// holdOut), and returns the assembled model with global accuracy metrics:
+// in-sample over the normalized Figure 3 values, held-out on T.
 //
 //memwall:cold
 func Calibrate(opts CalibrateOptions) (*Model, error) {
@@ -372,7 +396,7 @@ func Calibrate(opts CalibrateOptions) (*Model, error) {
 		Scale:         opts.Scale,
 		CacheScale:    opts.CacheScale,
 	}
-	var normSim, normPred []float64
+	var normSim, normPred, heldSim, heldPred []float64
 	for _, g := range opts.Grids {
 		machines := core.MachinesScaled(g.Suite, opts.CacheScale)
 		blockSizes, predEntries, geoms := gridNeeds(machines)
@@ -425,6 +449,14 @@ func Calibrate(opts CalibrateOptions) (*Model, error) {
 			if err != nil {
 				return nil, err
 			}
+			actual, pred, err := holdOut(wm, g.Suite, obs)
+			if err != nil {
+				return nil, err
+			}
+			wm.HeldOutMAPE, _ = stats.MAPE(actual, pred)
+			wm.HeldOutMaxRelErr = maxRelErr(actual, pred)
+			heldSim = append(heldSim, actual...)
+			heldPred = append(heldPred, pred...)
 			model.Workloads = append(model.Workloads, wm)
 
 			// Global metric: normalized execution time, the Figure 3
@@ -453,6 +485,7 @@ func Calibrate(opts CalibrateOptions) (*Model, error) {
 	}
 	model.MAPE, _ = stats.MAPE(normSim, normPred)
 	model.PearsonR, _ = stats.PearsonR(normSim, normPred)
+	model.HeldOutMAPE, _ = stats.MAPE(heldSim, heldPred)
 	return model, nil
 }
 
@@ -469,21 +502,4 @@ func gridNeeds(machines []core.Machine) (blockSizes, predictorEntries []int, geo
 		}
 	}
 	return canonSizes(blockSizes), canonSizes(predictorEntries), canonGeoms(geoms)
-}
-
-// TimingBenchmarks returns the Figure 3 benchmark list for a suite — the
-// default calibration grid. The paper's SPEC92 timing panel omits dnasa2
-// (it appears only in the trace-driven traffic studies).
-func TimingBenchmarks(suite workload.Suite) []string {
-	names := workload.SuiteNames(suite)
-	if suite == workload.SPEC92 {
-		out := names[:0:0]
-		for _, n := range names {
-			if n != "dnasa2" {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	return names
 }

@@ -55,22 +55,25 @@ type WorkloadModel struct {
 	BWPrefetch float64
 
 	// Calibration quality over this workload's machine grid, on total
-	// execution time T: mean absolute percentage error, Pearson r, the
-	// worst relative error observed, and the sampled-validation bound
-	// derived from it (a re-simulated cell whose relative error exceeds
-	// ErrBound fails the run).
+	// execution time T: mean absolute percentage error, Pearson r, and
+	// the worst relative error observed.
 	MAPE      float64
 	PearsonR  float64
 	MaxRelErr float64
-	ErrBound  float64
+	// Held-out quality on T: the same workload refitted once per machine
+	// on the other machines only, each refit predicting the machine it
+	// left out. HeldOutMAPE is the mean and HeldOutMaxRelErr the worst
+	// relative error over those predictions.
+	HeldOutMAPE      float64
+	HeldOutMaxRelErr float64
 }
 
 // Model is the full fitted twin: every calibrated workload plus the
 // configuration fingerprint the calibration ran under.
 type Model struct {
 	SchemaVersion int
-	// Seed, Scale, and CacheScale pin the workload/machine configuration
-	// the model is valid for; CheckConfig rejects mismatches at load.
+	// Seed, Scale, and CacheScale record the workload/machine
+	// configuration the model was calibrated under.
 	Seed       uint64
 	Scale      int
 	CacheScale int
@@ -79,6 +82,9 @@ type Model struct {
 	// y-axis).
 	MAPE     float64
 	PearsonR float64
+	// HeldOutMAPE is the mean relative error of T over every workload's
+	// held-out predictions (see WorkloadModel.HeldOutMAPE).
+	HeldOutMAPE float64
 	// Workloads holds the per-workload models in calibration grid order.
 	Workloads []*WorkloadModel
 }
@@ -98,24 +104,6 @@ func (m *Model) Find(suite workload.Suite, name string) *WorkloadModel {
 	return nil
 }
 
-// CheckConfig verifies the model was calibrated under the given workload
-// seed, scale, and cache scale — predictions from a model fitted under a
-// different configuration would be silently wrong, so a mismatch is an
-// error, not a degradation.
-func (m *Model) CheckConfig(seed uint64, scale, cacheScale int) error {
-	if m.SchemaVersion != SchemaVersion {
-		return fmt.Errorf("twin: model schema version %d, want %d — recalibrate (memwall twin calibrate)", m.SchemaVersion, SchemaVersion)
-	}
-	if m.Seed != seed || m.Scale != scale || m.CacheScale != cacheScale {
-		return fmt.Errorf("twin: model calibrated for seed=%#x scale=%d cachescale=%d, run wants seed=%#x scale=%d cachescale=%d — recalibrate (memwall twin calibrate)",
-			m.Seed, m.Scale, m.CacheScale, seed, scale, cacheScale)
-	}
-	if len(m.Workloads) == 0 {
-		return fmt.Errorf("twin: model has no calibrated workloads")
-	}
-	return nil
-}
-
 // WriteFile persists the model as indented JSON.
 func (m *Model) WriteFile(path string) error {
 	b, err := json.MarshalIndent(m, "", "  ")
@@ -126,29 +114,4 @@ func (m *Model) WriteFile(path string) error {
 		return fmt.Errorf("twin: writing model: %w", err)
 	}
 	return nil
-}
-
-// LoadModel reads a persisted model. Callers should CheckConfig it against
-// the run's configuration before predicting from it.
-func LoadModel(path string) (*Model, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("twin: reading model: %w", err)
-	}
-	var m Model
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("twin: decoding model %s: %w", path, err)
-	}
-	return &m, nil
-}
-
-// suiteFromString parses a Suite.String() value back to the enum.
-func suiteFromString(s string) (workload.Suite, error) {
-	switch s {
-	case workload.SPEC92.String():
-		return workload.SPEC92, nil
-	case workload.SPEC95.String():
-		return workload.SPEC95, nil
-	}
-	return 0, fmt.Errorf("twin: unknown suite %q in model", s)
 }

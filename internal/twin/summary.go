@@ -17,13 +17,12 @@
 //     for bandwidth stalls;
 //   - a calibration harness (Calibrate) fitting the residual coefficients
 //     per workload against full three-simulation runs, reporting MAPE and
-//     Pearson r, and persisting the fitted model (Model) with the run's
-//     fingerprint parameters.
+//     Pearson r in-sample and MAPE on held-out machines, and persisting
+//     the fitted model (Model) with the run's fingerprint parameters.
 //
-// A fitted model serves grid cells through the runner's Twin seam
-// (Surrogate): every cell is answered from the model, a deterministic
-// sample is re-simulated as ground truth, and a sampled prediction outside
-// its calibrated error bound fails the run loudly.
+// The twin is an analysis tool, not a source of results: every Figure 3
+// cell the CLI and the service report is simulated (or served from the
+// checkpoint ledger that journaled a simulation).
 package twin
 
 import (
@@ -40,8 +39,8 @@ import (
 )
 
 const (
-	// SchemaVersion versions the summary/model JSON encodings; a persisted
-	// model with a different version is rejected at load.
+	// SchemaVersion versions the summary/model JSON encodings; it also
+	// keys the summary memo on corpus entries.
 	SchemaVersion = 1
 	// histBuckets bounds the log2 reuse-distance histogram. Bucket 0 holds
 	// distance 0 (immediate re-reference); bucket k>=1 holds distances in

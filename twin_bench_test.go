@@ -1,5 +1,5 @@
 // Analytical-twin cost benchmarks: one Figure 3 grid point computed by
-// the full three-simulation decomposition vs. served by the calibrated
+// the full three-simulation decomposition vs. predicted by the calibrated
 // closed-form twin. benchjson pairs the Sim/Twin suffixes into a
 // before/after row with its speedup, so the twin's per-point cost
 // reduction is recorded in the bench-json artifact as data, not prose.
@@ -70,8 +70,9 @@ func BenchmarkFig3PointSim(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3PointTwin is the after side: the same cell served by the
-// calibrated closed-form predictor.
+// BenchmarkFig3PointTwin is the after side: the same cell predicted by
+// the calibrated closed-form predictor (WorkloadModel.Predict, which
+// calibration calls for every fitted and held-out point).
 func BenchmarkFig3PointTwin(b *testing.B) {
 	_, w, pt := twinBenchSetup(b)
 	b.ResetTimer()
