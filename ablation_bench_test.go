@@ -99,7 +99,7 @@ func BenchmarkAblationStreamBuffers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := cpu.Run(base.CPU, h, p.Stream())
+			r, err := cpu.Run(base.CPU, h, p.Stream(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

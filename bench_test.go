@@ -297,7 +297,7 @@ func coreBench(b *testing.B, ooo bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cpu.Run(cfg, h, p.Stream()); err != nil {
+		if _, err := cpu.Run(cfg, h, p.Stream(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -89,21 +90,30 @@ func runExplain(args []string) error {
 		if err != nil {
 			return usageErr(err)
 		}
+		// The panel's Figure 3 cells with attribution attached, resolved
+		// like every other Figure 3 caller's (see core.ResolveFigure3).
+		var cells []core.Figure3Cell
+		for _, p := range progs {
+			for _, m := range core.MachinesScaled(suite, *cacheScale) {
+				m.Attr = &opts
+				cells = append(cells, core.Figure3Cell{Suite: suite, Program: p, Machine: m})
+			}
+		}
 		pool := gridPool(*workers, nil)
-		cells := &runner.CellStats{}
-		pool.Cells = cells
-		ecs, err := core.ExplainPool(suite, progs, *cacheScale, opts, pool)
+		stats := &runner.CellStats{}
+		pool.Cells = stats
+		results, err := core.ResolveFigure3(context.Background(), cells, pool)
 		if err != nil {
 			return err
 		}
-		for _, c := range ecs {
-			configs = append(configs, core.BuildConfigReport(suite, c, *record))
+		for i, c := range cells {
+			configs = append(configs, core.BuildConfigReport(c, results[i], *record))
 			records = append(records, labeledRecord{
-				label: fmt.Sprintf("%s:%s/%s", suite, c.Benchmark, c.Experiment),
-				rec:   c.Result.Attr,
+				label: fmt.Sprintf("%s:%s/%s", suite, c.Program.Name, c.Machine.Name),
+				rec:   results[i].Attr,
 			})
 		}
-		for _, r := range cells.Records() {
+		for _, r := range stats.Records() {
 			cached := r.Source == checkpoint.SourceCached.String()
 			wall.Cells = append(wall.Cells, attr.WallCell{
 				Key: r.Key, Seconds: r.WallSeconds,

@@ -172,7 +172,7 @@ func runAblate(args []string) error {
 			if err != nil {
 				return 0, 0
 			}
-			r, err := cpu.Run(m.CPU, h, p.Stream())
+			r, err := cpu.Run(m.CPU, h, p.Stream(), nil)
 			if err != nil {
 				return 0, 0
 			}

@@ -66,7 +66,6 @@ func runServe(args []string) error {
 		Fault:          activeFault(),
 		Corpus:         activeCorpus(),
 		Obs:            observation(),
-		Metrics:        observation().Metrics,
 	})
 	bind := *addr
 	if *smoke {

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"memwall/internal/attr"
-	"memwall/internal/core"
+	"memwall/internal/cpu"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 )
@@ -149,9 +149,9 @@ func TestExplainReportReconciles(t *testing.T) {
 			t.Errorf("%s/%s: -record did not embed the attribution record", c.Benchmark, c.Experiment)
 			continue
 		}
-		led, ok := c.Record.Ledgers[core.CoreStallLedger]
+		led, ok := c.Record.Ledgers[cpu.StallLedger]
 		if !ok {
-			t.Errorf("%s/%s: record has no %s ledger", c.Benchmark, c.Experiment, core.CoreStallLedger)
+			t.Errorf("%s/%s: record has no %s ledger", c.Benchmark, c.Experiment, cpu.StallLedger)
 			continue
 		}
 		if led.Cycles != c.T {

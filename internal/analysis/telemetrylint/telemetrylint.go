@@ -3,7 +3,7 @@
 // method receiver (*Counter, *Gauge, *Tracer, ... all no-op when nil) so
 // simulator code can stay unconditionally instrumented — but that safety
 // does not extend to bare func-typed callback fields such as
-// Observation.Progress or cpu Config.Progress, where calling a nil field
+// Observation.Progress or cpu Probe.Progress, where calling a nil field
 // panics. And spans only reach the trace file when ended: a *Span whose
 // End is never called records nothing, silently truncating the phase
 // trace the profile subcommand renders.
@@ -20,11 +20,11 @@
 //
 // A third check covers the attribution layer (internal/attr), which
 // shares the registry-of-named-instruments shape: instrument names
-// passed to Collector.Sampler / Collector.RefSampler / Collector.Ledger
-// must be compile-time string constants (so the set of series and
-// ledgers in a record is knowable statically, exactly like telemetry
-// registry names) and must satisfy attr's dotted-lowercase naming rule —
-// attr.ValidName — at lint time rather than panicking at run time.
+// passed to Collector.Sampler / Collector.Ledger must be compile-time
+// string constants (so the set of series and ledgers in a record is
+// knowable statically, exactly like telemetry registry names) and must
+// satisfy attr's dotted-lowercase naming rule — attr.ValidName — at lint
+// time rather than panicking at run time.
 package telemetrylint
 
 import (
@@ -54,7 +54,7 @@ const attrPkg = "memwall/internal/attr"
 
 // attrFactories are the attr.Collector methods whose first argument is a
 // registered instrument name.
-var attrFactories = map[string]bool{"Sampler": true, "RefSampler": true, "Ledger": true}
+var attrFactories = map[string]bool{"Sampler": true, "Ledger": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -99,7 +99,7 @@ func objFromAttr(obj types.Object) bool {
 // checkAttrName flags attr instrument registrations whose name argument
 // is not a compile-time constant, or is a constant that the attr
 // package's naming rule would reject at run time. Constants (including
-// named consts such as cpu's attrLedgerName) are resolved through the
+// named consts such as cpu's StallLedger) are resolved through the
 // type checker, so any expression with a known constant string value
 // passes the first check.
 func checkAttrName(pass *analysis.Pass, call *ast.CallExpr, method string) {

@@ -8,7 +8,7 @@ import (
 	"memwall/internal/telemetry"
 )
 
-// config mirrors cpu.Config: a Progress callback outside the telemetry
+// config mirrors cpu.Probe: a Progress callback outside the telemetry
 // package is still covered by the field-name rule.
 type config struct {
 	Progress func(insts, cycles int64)
@@ -71,5 +71,5 @@ func BadAttrInvalidName(c *attr.Collector) {
 }
 
 func BadAttrSingleSegment(c *attr.Collector) {
-	c.RefSampler("cache", 64) // want "is invalid"
+	c.Sampler("cache") // want "is invalid"
 }

@@ -31,10 +31,8 @@ func Sorted(c cmp) bool {
 const ledgerName = "attr.core.stalls"
 
 // AttrInstruments registers attr instruments with valid constant names:
-// literal, named const, and a multi-segment literal with digits and
-// underscores.
+// a named const and a literal.
 func AttrInstruments(c *attr.Collector) {
 	c.Ledger(ledgerName, 4)
 	c.Sampler("attr.core.samples")
-	c.RefSampler("attr.cache.l2_refs", 4096)
 }

@@ -119,7 +119,6 @@ func (o Options) withDefaults() Options {
 type Collector struct {
 	opts     Options
 	samplers map[string]*Sampler
-	refs     map[string]*RefSampler
 	ledgers  map[string]*Ledger
 }
 
@@ -128,7 +127,6 @@ func New(opts Options) *Collector {
 	return &Collector{
 		opts:     opts.withDefaults(),
 		samplers: map[string]*Sampler{},
-		refs:     map[string]*RefSampler{},
 		ledgers:  map[string]*Ledger{},
 	}
 }
@@ -191,25 +189,6 @@ func (c *Collector) Sampler(name string) *Sampler {
 	return s
 }
 
-// RefSampler returns the named reference-interval sampler (for
-// trace-driven cache runs, which have no clock), creating it if needed.
-// Returns nil on a nil collector.
-func (c *Collector) RefSampler(name string, every int64) *RefSampler {
-	if c == nil {
-		return nil
-	}
-	checkName(name)
-	s, ok := c.refs[name]
-	if !ok {
-		if every <= 0 {
-			every = 4096
-		}
-		s = &RefSampler{name: name, every: every, next: every, max: c.opts.MaxSamples}
-		c.refs[name] = s
-	}
-	return s
-}
-
 // Ledger returns the named stall ledger for a core of the given issue
 // width, creating it if needed. Returns nil on a nil collector.
 func (c *Collector) Ledger(name string, issueWidth int) *Ledger {
@@ -242,12 +221,6 @@ func (c *Collector) Record() *RunRecord {
 			r.Series[n] = s.series.clone()
 		}
 	}
-	if len(c.refs) > 0 {
-		r.RefSeries = map[string]RefSeries{}
-		for n, s := range c.refs {
-			r.RefSeries[n] = s.series.clone()
-		}
-	}
 	if len(c.ledgers) > 0 {
 		r.Ledgers = map[string]LedgerSnapshot{}
 		for n, l := range c.ledgers {
@@ -265,13 +238,12 @@ func (c *Collector) Record() *RunRecord {
 type RunRecord struct {
 	// Interval is the configured sampling period in simulated cycles
 	// (individual series may have doubled it — see Series.Interval).
-	Interval  int64                     `json:"interval"`
-	Series    map[string]Series         `json:"series,omitempty"`
-	RefSeries map[string]RefSeries      `json:"refSeries,omitempty"`
-	Ledgers   map[string]LedgerSnapshot `json:"ledgers,omitempty"`
+	Interval int64                     `json:"interval"`
+	Series   map[string]Series         `json:"series,omitempty"`
+	Ledgers  map[string]LedgerSnapshot `json:"ledgers,omitempty"`
 }
 
-// SeriesNames returns the cycle-series names in sorted order.
+// SeriesNames returns the series names in sorted order.
 func (r *RunRecord) SeriesNames() []string {
 	if r == nil {
 		return nil

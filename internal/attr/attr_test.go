@@ -9,7 +9,7 @@ import (
 
 func TestNilCollectorHandsOutNilInstruments(t *testing.T) {
 	var c *Collector
-	if c.Sampler("a.b") != nil || c.Ledger("a.b", 4) != nil || c.RefSampler("a.b", 16) != nil {
+	if c.Sampler("a.b") != nil || c.Ledger("a.b", 4) != nil {
 		t.Fatal("nil collector handed out instruments")
 	}
 	if c.Record() != nil {
@@ -31,14 +31,6 @@ func TestNilCollectorHandsOutNilInstruments(t *testing.T) {
 	if snap := l.Snapshot(); snap.TotalSlots != 0 {
 		t.Error("nil ledger has slots")
 	}
-	var rs *RefSampler
-	if rs.Due(1 << 40) {
-		t.Error("nil ref sampler was due")
-	}
-	rs.Record(1, 2, 3)
-	if rs.Series().Len() != 0 {
-		t.Error("nil ref sampler recorded")
-	}
 	var rec *RunRecord
 	if rec.SeriesNames() != nil || rec.LedgerNames() != nil {
 		t.Error("nil record has names")
@@ -56,9 +48,6 @@ func TestCollectorReusesInstruments(t *testing.T) {
 	}
 	if c.Ledger("core.stalls", 4) != c.Ledger("core.stalls", 4) {
 		t.Error("ledger not reused")
-	}
-	if c.RefSampler("cache.refs", 64) != c.RefSampler("cache.refs", 64) {
-		t.Error("ref sampler not reused")
 	}
 }
 
@@ -256,28 +245,6 @@ func TestSamplerDecimatesWhenFull(t *testing.T) {
 	}
 }
 
-func TestRefSamplerRecordsAndDecimates(t *testing.T) {
-	c := New(Options{MaxSamples: 4})
-	s := c.RefSampler("cache.refs", 100)
-	for refs := int64(100); refs <= 1200; refs += 100 {
-		if s.Due(refs) {
-			s.Record(refs, refs/10, refs*32)
-		}
-	}
-	ser := s.Series()
-	if ser.Len() > 4 {
-		t.Errorf("series length %d exceeds max 4", ser.Len())
-	}
-	if ser.Every <= 100 {
-		t.Errorf("every %d did not grow on decimation", ser.Every)
-	}
-	for i := 1; i < ser.Len(); i++ {
-		if ser.Ref[i] <= ser.Ref[i-1] {
-			t.Fatalf("refs not increasing: %v", ser.Ref)
-		}
-	}
-}
-
 func TestRecordJSONRoundTrip(t *testing.T) {
 	c := New(Options{Interval: 50})
 	s := c.Sampler("core.samples")
@@ -286,7 +253,6 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	l := c.Ledger("core.stalls", 2)
 	l.Charge(CauseBandwidth, 30)
 	l.Close(100, 45)
-	c.RefSampler("cache.refs", 10).Record(10, 2, 64)
 
 	rec := c.Record()
 	b1, err := json.Marshal(rec)

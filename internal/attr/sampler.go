@@ -160,88 +160,3 @@ func (s *Sampler) Series() Series {
 	}
 	return s.series.clone()
 }
-
-// RefSeries is the columnar store for reference-driven sampling: cache
-// simulations have no clock, so the x-axis is references processed.
-// Misses and TrafficBytes are cumulative.
-type RefSeries struct {
-	Every        int64   `json:"every"`
-	Ref          []int64 `json:"ref"`
-	Misses       []int64 `json:"misses"`
-	TrafficBytes []int64 `json:"trafficBytes"`
-}
-
-// Len returns the number of samples.
-func (s RefSeries) Len() int { return len(s.Ref) }
-
-func (s RefSeries) clone() RefSeries {
-	out := s
-	out.Ref = append([]int64(nil), s.Ref...)
-	out.Misses = append([]int64(nil), s.Misses...)
-	out.TrafficBytes = append([]int64(nil), s.TrafficBytes...)
-	return out
-}
-
-// RefSampler records miss/traffic snapshots every fixed number of cache
-// references. A nil *RefSampler is never due and discards records.
-type RefSampler struct {
-	name   string
-	every  int64
-	next   int64
-	max    int
-	series RefSeries
-}
-
-// Due reports whether refs has reached the next sampling boundary.
-func (s *RefSampler) Due(refs int64) bool {
-	return s != nil && refs >= s.next
-}
-
-// Record stores one snapshot at refs references processed, decimating as
-// Sampler.Record does when the series outgrows MaxSamples.
-func (s *RefSampler) Record(refs, misses, trafficBytes int64) {
-	if s == nil {
-		return
-	}
-	if s.series.Every == 0 {
-		s.series.Every = s.every
-	}
-	if n := s.series.Len(); n > 0 && s.series.Ref[n-1] == refs {
-		s.series.Misses[n-1] = misses
-		s.series.TrafficBytes[n-1] = trafficBytes
-	} else {
-		s.series.Ref = append(s.series.Ref, refs)
-		s.series.Misses = append(s.series.Misses, misses)
-		s.series.TrafficBytes = append(s.series.TrafficBytes, trafficBytes)
-	}
-	if s.series.Len() > s.max {
-		keep := func(col []int64) []int64 {
-			n := 0
-			for i := 0; i < len(col); i += 2 {
-				col[n] = col[i]
-				n++
-			}
-			return col[:n]
-		}
-		s.series.Ref = keep(s.series.Ref)
-		s.series.Misses = keep(s.series.Misses)
-		s.series.TrafficBytes = keep(s.series.TrafficBytes)
-		s.series.Every *= 2
-		s.every = s.series.Every
-	}
-	if refs >= s.next {
-		ev := s.every
-		if ev < 1 { // constructors reject nonpositive strides; self-heal anyway
-			ev = 1
-		}
-		s.next = (refs/ev + 1) * ev
-	}
-}
-
-// Series returns a copy of the recorded series.
-func (s *RefSampler) Series() RefSeries {
-	if s == nil {
-		return RefSeries{}
-	}
-	return s.series.clone()
-}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"memwall/internal/attr"
 	"memwall/internal/stats"
 	"memwall/internal/telemetry"
 	"memwall/internal/trace"
@@ -119,13 +118,6 @@ type Config struct {
 	// flexible-transfer-size proposal builds on. Must divide BlockSize
 	// and be a power of two >= 4. Zero means SubBlockSize == BlockSize.
 	SubBlockSize int
-	// Attr, when non-nil, records a miss/traffic time series over the
-	// reference stream (sampled every AttrEvery references, default
-	// 4096) under "attr.cache.samples". Nil disables sampling with no
-	// cost to the access loop.
-	Attr *attr.Collector
-	// AttrEvery is the attribution sampling period in references.
-	AttrEvery int64
 }
 
 // subBlock returns the effective transfer size.
@@ -282,10 +274,6 @@ type Cache struct {
 	now       int64
 	rng       *stats.RNG
 	stats     Stats
-	// refSampler/refCount drive attribution sampling in the Run loops;
-	// refSampler is nil unless Config.Attr is set.
-	refSampler *attr.RefSampler
-	refCount   int64
 }
 
 // New constructs a cache simulator for cfg. It returns an error if the
@@ -322,9 +310,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	nsub := cfg.BlockSize / sub
 	c.subMask = (uint64(1) << nsub) - 1
-	if cfg.Attr != nil {
-		c.refSampler = cfg.Attr.RefSampler("attr.cache.samples", cfg.AttrEvery)
-	}
 	return c, nil
 }
 
@@ -526,9 +511,6 @@ func (c *Cache) Run(s trace.Stream) Stats {
 			break
 		}
 		c.Access(r)
-		if c.refSampler != nil {
-			c.refTick()
-		}
 	}
 	c.Flush()
 	s.Reset()
@@ -541,23 +523,9 @@ func (c *Cache) Run(s trace.Stream) Stats {
 func (c *Cache) RunRefs(refs []trace.Ref) Stats {
 	for _, r := range refs {
 		c.Access(r)
-		if c.refSampler != nil {
-			c.refTick()
-		}
 	}
 	c.Flush()
 	return c.stats
-}
-
-// refTick advances the attribution reference counter and records a
-// snapshot when the sampling period elapses. Kept out of Access so the
-// sampler ticks once per replayed reference regardless of how callers
-// drive the cache directly.
-func (c *Cache) refTick() {
-	c.refCount++
-	if c.refSampler.Due(c.refCount) {
-		c.refSampler.Record(c.refCount, c.stats.Misses, int64(c.stats.TrafficBytes()))
-	}
 }
 
 // Flush writes back all dirty blocks and invalidates the cache, as the

@@ -1,89 +1,23 @@
-// The attribution grid behind `memwall explain`: the Figure 3 sweep with
-// a time-attribution collector attached to every cell's full-system run.
+// The report rows behind `memwall explain`: an attributed Figure 3 cell
+// (see ResolveFigure3) folded into the decomposition it reconciles.
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"memwall/internal/attr"
-	"memwall/internal/runner"
-	"memwall/internal/telemetry"
-	"memwall/internal/workload"
+	"memwall/internal/cpu"
 )
 
-// ExplainCell is one (benchmark, experiment) cell of an attribution
-// sweep.
-type ExplainCell struct {
-	Benchmark  string
-	Experiment string
-	Result     DecomposeResult
-}
-
-// ExplainPool runs the (benchmark × experiment) grid like Figure3Pool
-// but with attribution enabled: each cell's full-system run carries its
-// own attr.Collector (collectors are single-run state, so one is built
-// inside each task), and the cell's DecomposeResult.Attr holds the
-// resulting record. Cell keys are "explain:"-prefixed so an explain
-// sweep never collides with a fig3 sweep in a shared checkpoint ledger.
-func ExplainPool(suite workload.Suite, progs []*workload.Program, cacheScale int, opts attr.Options, pool runner.Config) ([]ExplainCell, error) {
-	machines := MachinesScaled(suite, cacheScale)
-	nm := len(machines)
-	type cell struct {
-		p *workload.Program
-		m Machine
-	}
-	tasks := make([]cell, 0, len(progs)*nm)
-	for _, p := range progs {
-		for _, m := range machines {
-			tasks = append(tasks, cell{p, m})
-		}
-	}
-	obs := pool.Obs
-	pool.TaskName = func(i int) string { return "explain:" + tasks[i].p.Name + "/" + tasks[i].m.Name }
-	pool.CellKey = func(i int) string {
-		return "explain:" + suite.String() + ":" + tasks[i].p.Name + "/" + tasks[i].m.Name
-	}
-	results, err := runner.Map(context.Background(), pool, len(tasks),
-		func(ctx context.Context, i int, tracer *telemetry.Tracer) (DecomposeResult, error) {
-			t := tasks[i]
-			m := t.m
-			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
-			m.Attr = attr.New(opts)
-			res, err := Decompose(m, t.p.Stream())
-			if err != nil {
-				return DecomposeResult{}, fmt.Errorf("%s/%s: %w", t.p.Name, m.Name, err)
-			}
-			return res, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ExplainCell, 0, len(results))
-	for bi, p := range progs {
-		for mi, m := range machines {
-			out = append(out, ExplainCell{
-				Benchmark:  p.Name,
-				Experiment: m.Name,
-				Result:     results[bi*nm+mi],
-			})
-		}
-	}
-	return out, nil
-}
-
-// BuildConfigReport folds one explain cell into the report row the
-// `memwall explain` command and the CI validation consume: the paper
-// decomposition (exact by construction after Decompose's monotonicity
-// clamp), the ledger's per-cause cycles, and the skew between the two
-// accountings. includeRecord controls whether the full series/ledger
-// record is embedded (it dominates report size).
-func BuildConfigReport(suite workload.Suite, c ExplainCell, includeRecord bool) attr.ConfigReport {
-	res := c.Result
+// BuildConfigReport folds one explain cell and its result into the
+// report row the `memwall explain` command and the CI validation consume:
+// the paper decomposition (exact by construction after Decompose's
+// monotonicity clamp), the ledger's per-cause cycles, and the skew
+// between the two accountings. includeRecord controls whether the full
+// series/ledger record is embedded (it dominates report size).
+func BuildConfigReport(c Figure3Cell, res DecomposeResult, includeRecord bool) attr.ConfigReport {
 	r := attr.ConfigReport{
-		Suite:      suite.String(),
-		Benchmark:  c.Benchmark,
-		Experiment: c.Experiment,
+		Suite:      c.Suite.String(),
+		Benchmark:  c.Program.Name,
+		Experiment: c.Machine.Name,
 		TP:         int64(res.TP),
 		TL:         int64(res.TI - res.TP),
 		TB:         int64(res.T - res.TI),
@@ -94,7 +28,7 @@ func BuildConfigReport(suite workload.Suite, c ExplainCell, includeRecord bool) 
 		r.ReconcileError = absF(float64(sum-r.T)) / float64(r.T)
 	}
 	if res.Attr != nil {
-		if led, ok := res.Attr.Ledgers[CoreStallLedger]; ok {
+		if led, ok := res.Attr.Ledgers[cpu.StallLedger]; ok {
 			r.CauseCycles = map[string]float64{}
 			for c := attr.Cause(0); c < attr.NumCauses; c++ {
 				r.CauseCycles[c.String()] = led.CauseCycles(c)
@@ -111,10 +45,6 @@ func BuildConfigReport(suite workload.Suite, c ExplainCell, includeRecord bool) 
 	}
 	return r
 }
-
-// CoreStallLedger is the ledger name the cores register (see
-// internal/cpu); exported so report consumers can find it in records.
-const CoreStallLedger = "attr.core.stalls"
 
 func absF(v float64) float64 {
 	if v < 0 {

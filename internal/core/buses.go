@@ -61,7 +61,7 @@ func DecomposeBuses(m Machine, s isa.Stream) (BusDecomposition, error) {
 		if err != nil {
 			return 0, fmt.Errorf("machine %s: %w", m.Name, err)
 		}
-		res, err := cpu.Run(m.CPU, h, s)
+		res, err := cpu.Run(m.CPU, h, s, nil)
 		if err != nil {
 			return 0, err
 		}

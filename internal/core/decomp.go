@@ -93,11 +93,12 @@ type Machine struct {
 	// this machine. The zero value disables all instrumentation.
 	Obs telemetry.Observation
 	// Attr, when non-nil, attaches time attribution (stall ledger +
-	// interval sampler, see internal/attr) to the full-system run only —
-	// the perfect and infinite-bandwidth runs are methodological
-	// scaffolding, and attributing them would double-count. Collectors
-	// are single-run state: give each concurrent Decompose its own.
-	Attr *attr.Collector
+	// interval sampler, see internal/attr) with these options to the
+	// full-system run only — the perfect and infinite-bandwidth runs are
+	// methodological scaffolding, and attributing them would
+	// double-count. Each Decompose builds the one collector for its full
+	// run, so a Machine can be shared by concurrent cells.
+	Attr *attr.Options
 }
 
 // PhaseWall records the wall-clock time each of the three simulations of
@@ -162,14 +163,12 @@ func Decompose(m Machine, s isa.Stream) (DecomposeResult, error) {
 func PerfectTime(m Machine, s isa.Stream) (units.Cycles, error) {
 	cfg := m.Mem
 	cfg.Mode = mem.Perfect
-	ccfg := m.CPU
-	ccfg.Progress = m.Obs.Progress
 	h, err := mem.New(cfg)
 	if err != nil {
 		return 0, fmt.Errorf("machine %s: %w", m.Name, err)
 	}
 	sp := m.Obs.Tracer.StartSpan("sim:"+mem.Perfect.String(), map[string]any{"machine": m.Name})
-	res, err := cpu.Run(ccfg, h, s)
+	res, err := cpu.Run(m.CPU, h, s, &cpu.Probe{Progress: m.Obs.Progress})
 	sp.End()
 	if err != nil {
 		return 0, err
@@ -187,18 +186,16 @@ func DecomposeWithTP(m Machine, s isa.Stream, tp units.Cycles) (DecomposeResult,
 
 func decompose(m Machine, s isa.Stream, sharedTP *units.Cycles) (DecomposeResult, error) {
 	var out DecomposeResult
+	var col *attr.Collector
+	if m.Attr != nil {
+		col = attr.New(*m.Attr)
+	}
 	run := func(mode mem.Mode) (cpu.Result, time.Duration, error) {
 		cfg := m.Mem
 		cfg.Mode = mode
-		ccfg := m.CPU
-		ccfg.Progress = m.Obs.Progress
+		probe := &cpu.Probe{Progress: m.Obs.Progress}
 		if mode == mem.Full {
-			cfg.Metrics = m.Obs.Metrics
-			ccfg.Metrics = m.Obs.Metrics
-			if m.Attr != nil {
-				cfg.Attr = true
-				ccfg.Attr = m.Attr
-			}
+			probe.Metrics, probe.Attr = m.Obs.Metrics, col
 		}
 		h, err := mem.New(cfg)
 		if err != nil {
@@ -208,7 +205,7 @@ func decompose(m Machine, s isa.Stream, sharedTP *units.Cycles) (DecomposeResult
 			map[string]any{"machine": m.Name})
 		//memlint:allow detlint phase wall time measures the simulator itself, not simulated time
 		start := time.Now()
-		res, err := cpu.Run(ccfg, h, s)
+		res, err := cpu.Run(m.CPU, h, s, probe)
 		wall := time.Since(start) //memlint:allow detlint simulator throughput, feeds `memwall profile`
 		sp.End()
 		return res, wall, err
@@ -247,6 +244,6 @@ func decompose(m Machine, s isa.Stream, sharedTP *units.Cycles) (DecomposeResult
 	if out.T < out.TI {
 		out.T = out.TI
 	}
-	out.Attr = m.Attr.Record()
+	out.Attr = col.Record()
 	return out, nil
 }

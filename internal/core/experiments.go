@@ -149,32 +149,11 @@ func MachineByName(suite workload.Suite, name string, cacheScale int) (Machine, 
 	return Machine{}, fmt.Errorf("core: unknown experiment %q (want A-F)", name)
 }
 
-// perfectKey identifies a (program, core) pair for perfect-run sharing:
-// every cpu.Config field that influences a simulation, and none of the
-// instrumentation hooks (which travel in Machine.Obs, not the table
-// configs MachinesScaled builds).
+// perfectKey identifies a (program, core) pair for perfect-run sharing.
+// cpu.Config holds hardware fields only, so the whole value is the core.
 type perfectKey struct {
-	prog              string
-	issueWidth        int
-	lsUnits           int
-	outOfOrder        bool
-	ruuSlots          int
-	lsqEntries        int
-	predictorEntries  int
-	mispredictPenalty int64
-}
-
-func tpKey(prog string, c cpu.Config) perfectKey {
-	return perfectKey{
-		prog:              prog,
-		issueWidth:        c.IssueWidth,
-		lsUnits:           c.LSUnits,
-		outOfOrder:        c.OutOfOrder,
-		ruuSlots:          c.RUUSlots,
-		lsqEntries:        c.LSQEntries,
-		predictorEntries:  c.PredictorEntries,
-		mispredictPenalty: c.MispredictPenalty,
-	}
+	prog string
+	cpu  cpu.Config
 }
 
 // Figure3Benchmarks returns the Figure 3 benchmark panel for a suite:
@@ -212,11 +191,14 @@ type Figure3Cell struct {
 }
 
 // ResolveFigure3 is the one place a list of Figure 3 cells is resolved;
-// Figure3Pool, `memwall table6` and the simulation service all call it.
-// The cells run on pool (see internal/runner), keyed by Figure3CellKey
-// and with spans named "bench:<program>/<experiment>", so the pool's
-// Flight addresses cells the same way whichever caller asks. Results
-// come back in cell order.
+// Figure3Pool, `memwall table6`, `memwall explain` and the simulation
+// service all call it. The cells run on pool (see internal/runner), keyed
+// by Figure3CellKey and with spans named "bench:<program>/<experiment>",
+// so the pool's Flight addresses cells the same way whichever caller
+// asks. A cell whose machine carries attribution options (Machine.Attr)
+// is keyed "explain:<suite>:<program>/<experiment>" instead: its result
+// carries an attribution record, so a Flight never serves one kind of
+// cell in place of the other. Results come back in cell order.
 //
 // T_P depends only on the core configuration (see PerfectTime), and
 // Table 5 reuses cores across machines — A/B/C share one, D/E another —
@@ -224,15 +206,19 @@ type Figure3Cell struct {
 // one per machine: an A–F panel costs 15 simulations, not 18. The
 // perfect run is keyed up front and filled lazily under a sync.Once, so
 // concurrent cells agree on its value and cells the Flight answers
-// never pay for it. Sharing holds whether or not the pool is
-// observed: the shared run emits its own "sim:perfect" span and progress
-// beats once, and only full-system runs publish metrics, so observing a
-// run never changes what it computes.
+// never pay for it. Sharing holds whether or not the pool is observed
+// or the cells attributed: the shared run emits its own "sim:perfect"
+// span and progress beats once, and only full-system runs publish
+// metrics or attribution, so observing a run never changes what it
+// computes.
 func ResolveFigure3(ctx context.Context, cells []Figure3Cell, pool runner.Config) ([]DecomposeResult, error) {
 	obs := pool.Obs
 	pool.TaskName = func(i int) string { return "bench:" + cells[i].Program.Name + "/" + cells[i].Machine.Name }
 	pool.CellKey = func(i int) string {
 		c := cells[i]
+		if c.Machine.Attr != nil {
+			return "explain:" + c.Suite.String() + ":" + c.Program.Name + "/" + c.Machine.Name
+		}
 		return Figure3CellKey(c.Suite, c.Program.Name, c.Machine.Name)
 	}
 	type tpEntry struct {
@@ -242,7 +228,7 @@ func ResolveFigure3(ctx context.Context, cells []Figure3Cell, pool runner.Config
 	}
 	tpCache := make(map[perfectKey]*tpEntry)
 	for _, c := range cells {
-		k := tpKey(c.Program.Name, c.Machine.CPU)
+		k := perfectKey{c.Program.Name, c.Machine.CPU}
 		if tpCache[k] == nil {
 			tpCache[k] = &tpEntry{}
 		}
@@ -256,7 +242,7 @@ func ResolveFigure3(ctx context.Context, cells []Figure3Cell, pool runner.Config
 			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
 			// Each cell owns a fresh stream, and so does the shared perfect
 			// run: see the Decompose ownership rule.
-			e := tpCache[tpKey(c.Program.Name, m.CPU)]
+			e := tpCache[perfectKey{c.Program.Name, m.CPU}]
 			e.once.Do(func() {
 				// Stands if PerfectTime panics, so the cells waiting on
 				// this Once fail instead of decomposing against T_P = 0.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"reflect"
@@ -9,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"memwall/internal/attr"
+	"memwall/internal/checkpoint"
+	"memwall/internal/cpu"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 	"memwall/internal/workload"
@@ -158,13 +162,86 @@ func TestFigure3PoolObservedSpanCounts(t *testing.T) {
 	}
 }
 
-func TestObservationEnabled(t *testing.T) {
-	var o telemetry.Observation
-	if o.Enabled() {
-		t.Error("zero Observation reports enabled")
+// TestAttributedFigure3MatchesPlain: attribution rides on the Figure 3
+// cell path without changing what it computes. A compress A–F panel
+// resolved with Machine.Attr set matches the plain Figure3Pool panel
+// byte for byte, every attributed cell's core ledger closes at that
+// cell's T, the traced attributed panel still shares its perfect runs
+// (3/6/6 simulations), and a Flight holding the plain panel serves none
+// of the attributed cells, which are keyed apart.
+func TestAttributedFigure3MatchesPlain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
 	}
-	o.Metrics = telemetry.NewRegistry()
-	if !o.Enabled() {
-		t.Error("Observation with registry reports disabled")
+	prog, err := workload.Generate("compress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := checkpoint.NewFlight(nil, nil)
+	plain, err := Figure3Pool(workload.SPEC92, []*workload.Program{prog}, 16, runner.Config{Workers: 2, Flight: fl})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := attr.Options{Interval: 2048}
+	var cells []Figure3Cell
+	for _, m := range MachinesScaled(workload.SPEC92, 16) {
+		m.Attr = &opts
+		cells = append(cells, Figure3Cell{Suite: workload.SPEC92, Program: prog, Machine: m})
+	}
+	var buf bytes.Buffer
+	sink := telemetry.NewEventSink(&buf)
+	stats := &runner.CellStats{}
+	pool := runner.Config{Workers: 2, Flight: fl, Cells: stats, Obs: telemetry.Observation{Tracer: telemetry.NewTracer(sink)}}
+	attributed, err := ResolveFigure3(context.Background(), cells, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(attributed) != len(plain) {
+		t.Fatalf("%d attributed cells, %d plain", len(attributed), len(plain))
+	}
+	if sum := stats.Summary(); sum.Computed != len(cells) {
+		t.Errorf("attributed panel summary %+v: want all %d cells computed, none served from the plain panel", sum, len(cells))
+	}
+	for i, c := range cells {
+		p, a := plain[i].Result, attributed[i]
+		for _, f := range []struct {
+			name string
+			p, a any
+		}{{"Decomposition", p.Decomposition, a.Decomposition}, {"Full", p.Full, a.Full}} {
+			pj, err := json.Marshal(f.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aj, err := json.Marshal(f.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pj, aj) {
+				t.Errorf("%s: %s differs:\n plain      %s\n attributed %s", c.Machine.Name, f.name, pj, aj)
+			}
+		}
+		if p.Attr != nil {
+			t.Errorf("%s: plain cell carries an attribution record", c.Machine.Name)
+		}
+		if a.Attr == nil {
+			t.Errorf("%s: attributed cell has no attribution record", c.Machine.Name)
+			continue
+		}
+		led, ok := a.Attr.Ledgers[cpu.StallLedger]
+		if !ok {
+			t.Errorf("%s: record has no %s ledger (have %v)", c.Machine.Name, cpu.StallLedger, a.Attr.LedgerNames())
+			continue
+		}
+		if led.Cycles != int64(a.T) {
+			t.Errorf("%s: ledger closed at %d cycles, cell T = %d", c.Machine.Name, led.Cycles, a.T)
+		}
+	}
+	want := map[string]int{"sim:perfect": 3, "sim:infinite-bw": 6, "sim:full": 6}
+	if got := simSpans(t, buf.String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("attributed panel simulation spans %v, want %v", got, want)
 	}
 }

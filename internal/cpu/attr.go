@@ -1,8 +1,9 @@
 // Attribution probe shared by both cores. The probe charges every issue
 // slot a core loses to the attr cause taxonomy and records interval
-// samples; it exists only when Config.Attr is set, so the simulation
-// loops pay a single nil check when attribution is off (the same
-// zero-cost-when-disabled contract as the telemetry heartbeat).
+// samples; it exists only when the run's Probe carries a collector, so
+// the simulation loops pay a single nil check when attribution is off
+// (the same zero-cost-when-disabled contract as the telemetry
+// heartbeat).
 //
 // The latency/bandwidth split rides on register provenance: when a load
 // writes a register the probe remembers the memory system's
@@ -22,11 +23,13 @@ import (
 	"memwall/internal/mem"
 )
 
-// Instrument names the cores register with the attribution collector.
-const (
-	attrLedgerName  = "attr.core.stalls"
-	attrSamplerName = "attr.core.samples"
-)
+// StallLedger names the stall ledger the cores register with the
+// attribution collector; report consumers look it up in a run's record
+// by this name.
+const StallLedger = "attr.core.stalls"
+
+// attrSamplerName names the cores' interval sampler.
+const attrSamplerName = "attr.core.samples"
 
 type attrProbe struct {
 	ledger  *attr.Ledger
@@ -46,7 +49,7 @@ func newAttrProbe(c *attr.Collector, cfg Config, h *mem.Hierarchy) *attrProbe {
 		return nil
 	}
 	return &attrProbe{
-		ledger:  c.Ledger(attrLedgerName, cfg.IssueWidth),
+		ledger:  c.Ledger(StallLedger, cfg.IssueWidth),
 		sampler: c.Sampler(attrSamplerName),
 		h:       h,
 	}

@@ -20,7 +20,6 @@ func attrHierarchy(t *testing.T, mode mem.Mode, mshrs int) *mem.Hierarchy {
 		MemBus:          mem.BusConfig{WidthBytes: 8, Ratio: 2},
 		MemAccessCycles: 30,
 		Mode:            mode,
-		Attr:            true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +32,7 @@ func attrHierarchy(t *testing.T, mode mem.Mode, mshrs int) *mem.Hierarchy {
 func attrRun(t *testing.T, cfg Config, h *mem.Hierarchy, insts []isa.Inst) (Result, *attr.RunRecord) {
 	t.Helper()
 	col := attr.New(attr.Options{Interval: 64})
-	cfg.Attr = col
-	r, err := Run(cfg, h, isa.NewSliceStream(insts))
+	r, err := Run(cfg, h, isa.NewSliceStream(insts), &Probe{Attr: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +61,9 @@ func TestLedgerIdentityBothCores(t *testing.T) {
 	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, rec := attrRun(t, tc.cfg, attrHierarchy(t, mem.Full, 4), insts)
-			led, ok := rec.Ledgers[attrLedgerName]
+			led, ok := rec.Ledgers[StallLedger]
 			if !ok {
-				t.Fatalf("no %s ledger in record (have %v)", attrLedgerName, rec.LedgerNames())
+				t.Fatalf("no %s ledger in record (have %v)", StallLedger, rec.LedgerNames())
 			}
 			if err := led.CheckIdentity(); err != nil {
 				t.Fatal(err)
@@ -75,9 +73,14 @@ func TestLedgerIdentityBothCores(t *testing.T) {
 					led.Cycles, led.UsefulSlots, r.Cycles, r.Insts)
 			}
 			// A memory-bound chase on a finite hierarchy must charge
-			// some slots to memory causes.
+			// some slots to memory causes, bandwidth among them: the
+			// probe's collector turns on the hierarchy's
+			// latency/bandwidth split, which attrHierarchy leaves off.
 			if led.Slots["latency"]+led.Slots["bandwidth"] == 0 {
 				t.Errorf("no memory-attributed slots: %v", led.Slots)
+			}
+			if led.Slots["bandwidth"] == 0 {
+				t.Errorf("no bandwidth slots: the probe did not split load waits: %v", led.Slots)
 			}
 			// And the sampler must have recorded a time series ending
 			// at the final cycle.
@@ -108,12 +111,12 @@ func TestLedgerPerfectMemoryHasNoMemoryCauses(t *testing.T) {
 		cfg  Config
 	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := mem.New(mem.Config{Mode: mem.Perfect, Attr: true})
+			h, err := mem.New(mem.Config{Mode: mem.Perfect})
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, rec := attrRun(t, tc.cfg, h, insts)
-			led := rec.Ledgers[attrLedgerName]
+			led := rec.Ledgers[StallLedger]
 			if err := led.CheckIdentity(); err != nil {
 				t.Fatal(err)
 			}
@@ -141,13 +144,12 @@ func TestAttrDoesNotChangeResults(t *testing.T) {
 		cfg  Config
 	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			base, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Stream())
+			base, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Stream(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := tc.cfg
-			cfg.Attr = attr.New(attr.Options{Interval: 256})
-			withAttr, err := Run(cfg, attrHierarchy(t, mem.Full, 4), prog.Stream())
+			withAttr, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Stream(),
+				&Probe{Attr: attr.New(attr.Options{Interval: 256})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,9 +170,7 @@ func TestAttrRecordDeterministic(t *testing.T) {
 	}
 	build := func() []byte {
 		col := attr.New(attr.Options{Interval: 512})
-		cfg := oooCfg()
-		cfg.Attr = col
-		if _, err := Run(cfg, attrHierarchy(t, mem.Full, 4), prog.Stream()); err != nil {
+		if _, err := Run(oooCfg(), attrHierarchy(t, mem.Full, 4), prog.Stream(), &Probe{Attr: col}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := json.Marshal(col.Record())
@@ -204,17 +204,15 @@ func benchAttr(b *testing.B, enabled bool) {
 			MemBus:          mem.BusConfig{WidthBytes: 8, Ratio: 3},
 			MemAccessCycles: 30,
 			Mode:            mem.Full,
-			Attr:            enabled,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		var probe *Probe
 		if enabled {
-			cfg.Attr = attr.New(attr.Options{})
-		} else {
-			cfg.Attr = nil
+			probe = &Probe{Attr: attr.New(attr.Options{})}
 		}
-		if _, err := Run(cfg, h, prog.Stream()); err != nil {
+		if _, err := Run(cfg, h, prog.Stream(), probe); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,8 @@ var latency = [256]int64{
 // Latency returns the execution latency of an op class in cycles.
 func Latency(op isa.Op) int64 { return latency[op] }
 
-// Config parameterises a core.
+// Config parameterises a core. It holds hardware parameters only, so it
+// is comparable; instrumentation travels in a Probe.
 type Config struct {
 	// IssueWidth is instructions issued per cycle (4 in all experiments).
 	IssueWidth int
@@ -56,24 +57,33 @@ type Config struct {
 	// MispredictPenalty is the fetch-redirect cost in cycles after a
 	// mispredicted branch resolves.
 	MispredictPenalty int64
-	// Metrics, when non-nil, receives the run's counters (instructions
-	// retired, stall cycles by cause, branch mispredicts, and the memory
-	// hierarchy's per-level statistics) at the end of Run. Nil disables
-	// publishing at zero cost to the simulation loop.
-	Metrics *telemetry.Registry
+}
+
+// ProgressEvery is the heartbeat period in retired instructions: a
+// probe's Progress callback runs every ProgressEvery instructions and
+// once at the end of the run.
+const ProgressEvery = 1 << 20
+
+// Probe is the instrumentation one run carries into Run, and the only
+// way instrumentation reaches the core and its hierarchy: Config and
+// mem.Config describe hardware alone. A nil *Probe is off, as is a Probe
+// whose fields are all nil; a run with neither a heartbeat nor a
+// collector takes the cores' fused step loop.
+type Probe struct {
 	// Progress, when non-nil, is called with (instructions, cycles)
 	// deltas every ProgressEvery retired instructions and once at the
 	// end of the run — the heartbeat behind `memwall -progress`.
 	Progress func(insts, cycles int64)
-	// ProgressEvery is the heartbeat granularity in instructions
-	// (default 1<<20 when Progress is set).
-	ProgressEvery int64
+	// Metrics, when non-nil, receives the run's counters (instructions
+	// retired, stall cycles by cause, branch mispredicts, and the memory
+	// hierarchy's per-level statistics) at the end of Run, and the
+	// hierarchy's MSHR-occupancy histograms during it.
+	Metrics *telemetry.Registry
 	// Attr, when non-nil, receives time attribution for the run: a
 	// stall ledger charging every lost issue slot to a cause taxonomy
 	// and an interval sampler of core/memory state (see internal/attr).
-	// The hierarchy's Config.Attr must be set too so load waits can be
-	// split into latency and bandwidth causes. Nil disables attribution
-	// at no cost to the simulation loop.
+	// It also turns on the hierarchy's latency-only bookkeeping, so load
+	// waits split into latency and bandwidth causes.
 	Attr *attr.Collector
 }
 
@@ -145,26 +155,35 @@ func (r Result) CPI() float64 {
 }
 
 // Run simulates the instruction stream on a core configured by cfg against
-// hierarchy h, resets the stream, and returns the result. If cfg.Metrics
-// or cfg.Progress is set, the run publishes counters and emits heartbeats
-// (see Config); both default off with no cost to the simulation loop.
-func Run(cfg Config, h *mem.Hierarchy, s isa.Stream) (Result, error) {
+// hierarchy h, resets the stream, and returns the result. probe, when
+// non-nil, instruments the run (see Probe); a nil probe costs the
+// simulation loop nothing.
+func Run(cfg Config, h *mem.Hierarchy, s isa.Stream, probe *Probe) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	hb := newHeartbeat(cfg)
-	probe := newAttrProbe(cfg.Attr, cfg, h)
+	var (
+		hb  *heartbeat
+		ap  *attrProbe
+		reg *telemetry.Registry
+	)
+	if probe != nil {
+		reg = probe.Metrics
+		h.Instrument(reg, probe.Attr != nil)
+		hb = newHeartbeat(probe.Progress)
+		ap = newAttrProbe(probe.Attr, cfg, h)
+	}
 	var r Result
 	if cfg.OutOfOrder {
-		r = runOutOfOrder(cfg, h, s, hb, probe)
+		r = runOutOfOrder(cfg, h, s, hb, ap)
 	} else {
-		r = runInOrder(cfg, h, s, hb, probe)
+		r = runInOrder(cfg, h, s, hb, ap)
 	}
 	if hb != nil {
 		hb.beat(r.Insts, r.Cycles)
 	}
 	r.Mem = h.Stats()
-	publishResult(cfg.Metrics, r)
+	publishResult(reg, r)
 	s.Reset()
 	return r, nil
 }

@@ -18,7 +18,7 @@ type inOrder struct {
 	// pred is the concrete predictor type so the per-branch
 	// Predict/Update calls devirtualize and inline (see ooo.go).
 	pred  *TwoLevel
-	probe *attrProbe // nil unless Config.Attr is set
+	probe *attrProbe // nil unless the run's Probe carries a collector
 
 	// regReady spans the full uint8 Reg range (not just NumRegs) so the
 	// four reads per instruction index without bounds checks.

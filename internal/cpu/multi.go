@@ -170,16 +170,5 @@ func RunMulti(cfg Config, hs []*mem.Hierarchy, streams []isa.Stream) (MultiResul
 		}
 		streams[i].Reset()
 	}
-	if reg := cfg.Metrics; reg != nil {
-		// Publish per-core processor counters but the shared hierarchy's
-		// statistics only once.
-		for i := range out.Cores {
-			r := out.Cores[i]
-			r.Mem = mem.Stats{}
-			publishResult(reg, r)
-		}
-		publishMemStats(reg, agg)
-		publishDerivedGauges(reg)
-	}
 	return out, nil
 }

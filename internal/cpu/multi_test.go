@@ -23,7 +23,7 @@ func TestRunMultiSingleCoreMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), p.Stream())
+	single, err := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), p.Stream(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type outOfOrder struct {
 	// interface: Predict/Update run once per branch in the issue loop,
 	// and the devirtualized call lets them inline.
 	pred  *TwoLevel
-	probe *attrProbe // nil unless Config.Attr is set
+	probe *attrProbe // nil unless the run's Probe carries a collector
 
 	// regReady spans the full uint8 Reg range (not just NumRegs) so the
 	// four reads per instruction index without bounds checks.

@@ -1,19 +1,15 @@
 // Telemetry bridge for the processor cores: the per-run heartbeat driven
 // from the simulation loop, and the publication of a finished run's
-// counters into a telemetry registry. Both are optional; a run with
-// neither configured pays only a nil check per retired instruction.
+// counters into a telemetry registry. Both come from the run's Probe; a
+// run with neither pays only a nil check per retired instruction.
 package cpu
 
-import (
-	"memwall/internal/mem"
-	"memwall/internal/telemetry"
-)
+import "memwall/internal/telemetry"
 
-// heartbeat throttles Config.Progress callbacks to every `every` retired
-// instructions and converts cumulative totals to deltas.
+// heartbeat throttles a probe's Progress callback to every ProgressEvery
+// retired instructions and converts cumulative totals to deltas.
 type heartbeat struct {
 	fn         func(insts, cycles int64)
-	every      int64
 	next       int64
 	lastInsts  int64
 	lastCycles int64
@@ -21,15 +17,11 @@ type heartbeat struct {
 
 // newHeartbeat returns nil (no per-instruction work) when no progress
 // callback is configured.
-func newHeartbeat(cfg Config) *heartbeat {
-	if cfg.Progress == nil {
+func newHeartbeat(fn func(insts, cycles int64)) *heartbeat {
+	if fn == nil {
 		return nil
 	}
-	every := cfg.ProgressEvery
-	if every <= 0 {
-		every = 1 << 20
-	}
-	return &heartbeat{fn: cfg.Progress, every: every, next: every}
+	return &heartbeat{fn: fn, next: ProgressEvery}
 }
 
 // beat reports progress at the given cumulative instruction and cycle
@@ -43,17 +35,19 @@ func (hb *heartbeat) beat(insts, cycles int64) {
 	}
 	hb.fn(insts-hb.lastInsts, cycles-hb.lastCycles)
 	hb.lastInsts, hb.lastCycles = insts, cycles
-	hb.next = insts + hb.every
+	hb.next = insts + ProgressEvery
 }
 
 // publishResult folds a finished run's counters into reg (no-op when reg
 // is nil). Counters accumulate across runs, so a command that simulates
-// many benchmark/machine pairs reports totals; the utilization gauges are
-// recomputed from the cumulative counters on every publish.
+// many benchmark/machine pairs reports totals; the ratio gauges (IPC,
+// bus utilization) are recomputed from the cumulative counters on every
+// publish.
 func publishResult(reg *telemetry.Registry, r Result) {
 	if reg == nil {
 		return
 	}
+	m := r.Mem
 	for _, c := range []struct {
 		name string
 		v    int64
@@ -68,34 +62,6 @@ func publishResult(reg *telemetry.Registry, r Result) {
 		{"cpu.stall_cycles.operand", r.StallOperand},
 		{"cpu.stall_cycles.ls_unit", r.StallLS},
 		{"cpu.stall_cycles.window", r.StallWindow},
-	} {
-		reg.Counter(c.name).Add(c.v)
-	}
-	publishMemStats(reg, r.Mem)
-	publishDerivedGauges(reg)
-}
-
-// publishDerivedGauges recomputes the ratio gauges (IPC, bus utilization)
-// from the cumulative counters.
-func publishDerivedGauges(reg *telemetry.Registry) {
-	cycles := reg.Counter("cpu.cycles").Value()
-	if cycles <= 0 {
-		return
-	}
-	insts := reg.Counter("cpu.insts_retired").Value()
-	reg.Gauge("cpu.ipc").Set(float64(insts) / float64(cycles))
-	l1l2 := reg.Counter("mem.bus.l1l2_busy_cycles").Value()
-	membus := reg.Counter("mem.bus.mem_busy_cycles").Value()
-	reg.Gauge("mem.bus.l1l2_utilization").Set(float64(l1l2) / float64(cycles))
-	reg.Gauge("mem.bus.mem_utilization").Set(float64(membus) / float64(cycles))
-}
-
-// publishMemStats folds one hierarchy's statistics into reg.
-func publishMemStats(reg *telemetry.Registry, m mem.Stats) {
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
 		{"mem.loads", m.Loads},
 		{"mem.stores", m.Stores},
 		{"mem.l1.hits", m.L1Hits},
@@ -119,4 +85,14 @@ func publishMemStats(reg *telemetry.Registry, m mem.Stats) {
 	} {
 		reg.Counter(c.name).Add(c.v)
 	}
+	cycles := reg.Counter("cpu.cycles").Value()
+	if cycles <= 0 {
+		return
+	}
+	insts := reg.Counter("cpu.insts_retired").Value()
+	reg.Gauge("cpu.ipc").Set(float64(insts) / float64(cycles))
+	l1l2 := reg.Counter("mem.bus.l1l2_busy_cycles").Value()
+	membus := reg.Counter("mem.bus.mem_busy_cycles").Value()
+	reg.Gauge("mem.bus.l1l2_utilization").Set(float64(l1l2) / float64(cycles))
+	reg.Gauge("mem.bus.mem_utilization").Set(float64(membus) / float64(cycles))
 }

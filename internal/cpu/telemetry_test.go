@@ -23,7 +23,7 @@ func TestInOrderOperandStalls(t *testing.T) {
 			prog[i].Addr = uint64(0x10000 + 64*i)
 		}
 	}
-	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog))
+	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestInOrderFetchStalls(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		prog = append(prog, isa.Inst{Op: isa.Branch, PC: 0x40, Taken: i%2 == 0})
 	}
-	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog))
+	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestInOrderLSStructuralStalls(t *testing.T) {
 	h := perfectHierarchy(t)
 	// Four independent stores per cycle against two LS units.
 	prog := repeat(128, isa.Inst{Op: isa.Store, Addr: 0x100})
-	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog))
+	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestOOOWindowStalls(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		prog = append(prog, isa.Inst{Op: isa.Load, Dst: 3, Addr: uint64(0x20000 + 64*i)})
 	}
-	res, err := Run(cfg, h, isa.NewSliceStream(prog))
+	res, err := Run(cfg, h, isa.NewSliceStream(prog), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +91,12 @@ func TestOOOWindowStalls(t *testing.T) {
 
 func TestRunPublishesMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := inorderCfg()
-	cfg.Metrics = reg
 	h := smallHierarchy(t, mem.Full, 1)
 	prog, err := workload.Generate("compress", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, h, prog.Stream())
+	res, err := Run(inorderCfg(), h, prog.Stream(), &Probe{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,22 +118,33 @@ func TestRunPublishesMetrics(t *testing.T) {
 	}
 }
 
+// aluStream yields n single-cycle ALU instructions without materializing
+// them, so a run can span several heartbeat periods cheaply.
+type aluStream struct{ n, pos int64 }
+
+func (s *aluStream) Next() (isa.Inst, bool) {
+	if s.pos == s.n {
+		return isa.Inst{}, false
+	}
+	s.pos++
+	return isa.Inst{Op: isa.IALU, Dst: 1}, true
+}
+
+func (s *aluStream) Reset() { s.pos = 0 }
+
 func TestRunHeartbeat(t *testing.T) {
-	cfg := inorderCfg()
 	var beats int
 	var totalInsts, totalCycles int64
-	cfg.Progress = func(insts, cycles int64) {
+	probe := &Probe{Progress: func(insts, cycles int64) {
 		beats++
 		totalInsts += insts
 		totalCycles += cycles
 		if insts < 0 || cycles < 0 {
 			t.Errorf("negative progress delta: %d insts, %d cycles", insts, cycles)
 		}
-	}
-	cfg.ProgressEvery = 1000
+	}}
 	h := perfectHierarchy(t)
-	prog := repeat(5000, isa.Inst{Op: isa.IALU, Dst: 1})
-	res, err := Run(cfg, h, isa.NewSliceStream(prog))
+	res, err := Run(inorderCfg(), h, &aluStream{n: 5 * ProgressEvery}, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +164,7 @@ func TestRunHeartbeat(t *testing.T) {
 // configured must cost (within noise) the same as before the telemetry
 // layer existed. Compare these two with `go test -bench=RunTelemetry`;
 // the acceptance bar is <2% overhead for the Off case versus On.
-func benchmarkRun(b *testing.B, cfg Config) {
+func benchmarkRun(b *testing.B, probe *Probe) {
 	prog, err := workload.Generate("compress", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -170,25 +179,23 @@ func benchmarkRun(b *testing.B, cfg Config) {
 			MemBus:          mem.BusConfig{WidthBytes: 8, Ratio: 3},
 			MemAccessCycles: 30,
 			Mode:            mem.Full,
-			Metrics:         cfg.Metrics,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Run(cfg, h, s); err != nil {
+		if _, err := Run(inorderCfg(), h, s, probe); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRunTelemetryOff(b *testing.B) {
-	benchmarkRun(b, inorderCfg())
+	benchmarkRun(b, nil)
 }
 
 func BenchmarkRunTelemetryOn(b *testing.B) {
-	cfg := inorderCfg()
-	cfg.Metrics = telemetry.NewRegistry()
-	cfg.Progress = func(insts, cycles int64) {}
-	cfg.ProgressEvery = 1 << 16
-	benchmarkRun(b, cfg)
+	benchmarkRun(b, &Probe{
+		Metrics:  telemetry.NewRegistry(),
+		Progress: func(insts, cycles int64) {},
+	})
 }

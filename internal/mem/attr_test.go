@@ -12,9 +12,8 @@ import (
 // transfer time, and summing (ready - bw) over a run must track the
 // InfiniteBW hierarchy's timings.
 func TestLoadBWDelayColdMiss(t *testing.T) {
-	cfg := testConfig(Full, 8)
-	cfg.Attr = true
-	h := mustNew(t, cfg)
+	h := mustNew(t, testConfig(Full, 8))
+	h.Instrument(nil, true)
 	ready := h.Load(0, 0)
 	bw := h.LastLoadBWDelay()
 	// Latency-only completion: L1 access 1 + L2 access 10 + memory 30.
@@ -36,9 +35,8 @@ func TestLoadBWDelayColdMiss(t *testing.T) {
 }
 
 func TestLoadBWDelayHitIsZero(t *testing.T) {
-	cfg := testConfig(Full, 8)
-	cfg.Attr = true
-	h := mustNew(t, cfg)
+	h := mustNew(t, testConfig(Full, 8))
+	h.Instrument(nil, true)
 	done := h.Load(0, 0)
 	if got := h.Load(0, done+10); got != done+11 {
 		t.Fatalf("expected an L1 hit, got completion %d", got)
@@ -49,9 +47,8 @@ func TestLoadBWDelayHitIsZero(t *testing.T) {
 }
 
 func TestLoadBWDelayMergedMiss(t *testing.T) {
-	cfg := testConfig(Full, 8)
-	cfg.Attr = true
-	h := mustNew(t, cfg)
+	h := mustNew(t, testConfig(Full, 8))
+	h.Instrument(nil, true)
 	h.Load(0, 0)
 	// Second word of the same block while the fill is in flight: the
 	// wait beyond the latency-only arrival is a bandwidth charge.
@@ -69,14 +66,15 @@ func TestLoadBWDelayMergedMiss(t *testing.T) {
 }
 
 // Attribution bookkeeping must not perturb timing: the same access
-// sequence returns identical completion times with Attr on and off.
+// sequence returns identical completion times with the latency/bandwidth
+// split on and off.
 func TestAttrDoesNotChangeTiming(t *testing.T) {
 	addrs := []uint64{0, 64, 4096, 8, 131072, 64, 0, 262144, 4096, 96}
 	run := func(enabled bool) []int64 {
 		cfg := testConfig(Full, 4)
-		cfg.Attr = enabled
 		cfg.TaggedPrefetch = true
 		h := mustNew(t, cfg)
+		h.Instrument(nil, enabled)
 		var out []int64
 		now := int64(0)
 		for _, a := range addrs {
@@ -95,9 +93,8 @@ func TestAttrDoesNotChangeTiming(t *testing.T) {
 }
 
 func TestFillAttrSample(t *testing.T) {
-	cfg := testConfig(Full, 8)
-	cfg.Attr = true
-	h := mustNew(t, cfg)
+	h := mustNew(t, testConfig(Full, 8))
+	h.Instrument(nil, true)
 	h.Load(0, 0)
 	h.Load(4096, 0)
 	var s attr.Sample

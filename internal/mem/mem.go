@@ -116,20 +116,6 @@ type Config struct {
 	// in Section 6 ("the kinds of analyses performed for effective
 	// register allocation might be readily extended").
 	Scratchpad ScratchpadConfig
-	// Metrics, when non-nil, receives live hot-path instruments that the
-	// plain Stats counters cannot express: the per-level MSHR occupancy
-	// histograms (mem.l1.mshr_occupancy / mem.l2.mshr_occupancy). Leave
-	// nil to disable; the hot paths then skip the occupancy scans
-	// entirely.
-	Metrics *telemetry.Registry
-	// Attr enables per-access bandwidth attribution: alongside each
-	// load's actual completion time the hierarchy tracks a latency-only
-	// estimate (what an infinitely-wide-bus system would have delivered,
-	// the T_I analogue), exposing the difference via LastLoadBWDelay so
-	// the core's stall ledger can split load waits into latency vs
-	// bandwidth causes. Timing results are identical either way; the
-	// flag only gates the extra bookkeeping.
-	Attr bool
 }
 
 // ScratchpadConfig describes a software-managed on-chip memory region.
@@ -282,7 +268,7 @@ type fill struct {
 	ready int64 // critical word available
 	done  int64 // full block arrived
 	// latReady is the critical-word time an infinitely-wide bus would
-	// have achieved (populated and read only when Config.Attr is set).
+	// have achieved (populated and read only under Instrument's splitBW).
 	latReady int64
 }
 
@@ -525,13 +511,15 @@ type Hierarchy struct {
 	victim *victimCache
 	stats  Stats
 	// MSHR occupancy histograms, sampled at each miss; nil unless
-	// Config.Metrics is set (the occupancy scan is skipped when nil).
+	// Instrument was given a registry (the occupancy scan is skipped
+	// when nil).
 	mshrOccL1 *telemetry.Histogram
 	mshrOccL2 *telemetry.Histogram
-	// lastLat/lastBW carry per-access attribution between l2Access/miss
-	// and Load when Config.Attr is set: lastLat is the latency-only
-	// completion estimate of the access being serviced, lastBW the
-	// bandwidth-attributable delay of the most recent Load.
+	// splitBW turns on per-access attribution (see Instrument). lastLat
+	// and lastBW carry it between l2Access/miss and Load: lastLat is the
+	// latency-only completion estimate of the access being serviced,
+	// lastBW the bandwidth-attributable delay of the most recent Load.
+	splitBW bool
 	lastLat int64
 	lastBW  int64
 }
@@ -578,14 +566,31 @@ func New(cfg Config) (*Hierarchy, error) {
 	if cfg.MemBanks > 0 && cfg.Mode == Full {
 		h.banks = make([]int64, cfg.MemBanks)
 	}
-	if reg := cfg.Metrics; reg != nil {
-		// One bucket per possible occupancy value 0..MSHRs.
-		h.mshrOccL1 = reg.Histogram("mem.l1.mshr_occupancy",
-			telemetry.LinearBuckets(0, 1, cfg.L1.MSHRs+1))
-		h.mshrOccL2 = reg.Histogram("mem.l2.mshr_occupancy",
-			telemetry.LinearBuckets(0, 1, cfg.L2.MSHRs+1))
-	}
 	return h, nil
+}
+
+// Instrument sets the hierarchy's instrumentation for the run ahead;
+// cpu.Run calls it from the run's probe. metrics, when non-nil, receives
+// live per-level MSHR-occupancy histograms (mem.l1.mshr_occupancy and
+// mem.l2.mshr_occupancy), which the Stats counters cannot express; a
+// Perfect hierarchy has no MSHRs and registers none. splitBW turns on
+// per-access bandwidth attribution: alongside each load's actual
+// completion time the hierarchy tracks a latency-only estimate (what an
+// infinitely-wide-bus system would have delivered, the T_I analogue),
+// exposing the difference via LastLoadBWDelay so the core's stall
+// ledger can split load waits into latency and bandwidth causes. Timing
+// results are identical either way; Instrument only gates the extra
+// bookkeeping, and a nil registry with splitBW false turns it all off.
+func (h *Hierarchy) Instrument(metrics *telemetry.Registry, splitBW bool) {
+	h.splitBW = splitBW
+	h.mshrOccL1, h.mshrOccL2 = nil, nil
+	if metrics != nil && h.l1 != nil {
+		// One bucket per possible occupancy value 0..MSHRs.
+		h.mshrOccL1 = metrics.Histogram("mem.l1.mshr_occupancy",
+			telemetry.LinearBuckets(0, 1, h.cfg.L1.MSHRs+1))
+		h.mshrOccL2 = metrics.Histogram("mem.l2.mshr_occupancy",
+			telemetry.LinearBuckets(0, 1, h.cfg.L2.MSHRs+1))
+	}
 }
 
 // bankAccess serialises an access to the DRAM bank serving addr, starting
@@ -659,7 +664,7 @@ func (h *Hierarchy) Stats() Stats {
 }
 
 // MSHROccupancy returns snapshots of the L1 and L2 MSHR-occupancy
-// histograms (zero snapshots unless Config.Metrics was set).
+// histograms (zero snapshots unless Instrument was given a registry).
 func (h *Hierarchy) MSHROccupancy() (l1, l2 telemetry.HistogramSnapshot) {
 	return h.mshrOccL1.Snapshot(), h.mshrOccL2.Snapshot()
 }
@@ -671,7 +676,7 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // of the most recent Load's completion time: actual completion minus the
 // latency-only (infinitely-wide-bus) estimate, covering bus transfer
 // time and all contention (bus queueing, MSHR waits, bank conflicts).
-// Zero for hits and whenever Config.Attr is unset. The caller must
+// Zero for hits and unless Instrument turned on splitBW. The caller must
 // consume it before issuing the next access.
 func (h *Hierarchy) LastLoadBWDelay() int64 { return h.lastBW }
 
@@ -710,7 +715,7 @@ func (h *Hierarchy) l2Access(addr uint64, t int64) (critical, done int64) {
 		} else {
 			h.stats.L2Hits++
 		}
-		if h.cfg.Attr {
+		if h.splitBW {
 			h.lastLat = lat // an infinite bus forwards instantly
 		}
 		c, d := h.l1l2.transfer(dataAt, h.cfg.L1.BlockSize)
@@ -732,7 +737,7 @@ func (h *Hierarchy) l2Access(addr uint64, t int64) (critical, done int64) {
 	// bank queueing are contention, which attribution charges to
 	// bandwidth.
 	latCrit := t + h.cfg.L2.AccessCycles + h.cfg.MemAccessCycles
-	if h.cfg.Attr {
+	if h.splitBW {
 		h.lastLat = latCrit
 	}
 	l2.fills.put(blk, fill{ready: critMem, done: doneMem, latReady: latCrit})
@@ -762,7 +767,7 @@ func (h *Hierarchy) miss(addr uint64, t int64, dirty, prefTag bool) int64 {
 	}
 	start := l1.acquireMSHR(t)
 	crit, done := h.l2Access(addr, start)
-	if h.cfg.Attr {
+	if h.splitBW {
 		// l2Access measured its latency-only estimate from start; shift
 		// it back to t so the L1 MSHR wait (start-t) counts as
 		// contention, not latency.
@@ -823,7 +828,7 @@ func (h *Hierarchy) prefetch(addr uint64, t int64) {
 //memwall:hot
 func (h *Hierarchy) Load(addr uint64, now int64) int64 {
 	h.stats.Loads++
-	if h.cfg.Attr {
+	if h.splitBW {
 		h.lastBW = 0 // hits and buffer/scratchpad paths have no bus share
 	}
 	if h.cfg.Mode == Perfect {
@@ -853,7 +858,7 @@ func (h *Hierarchy) Load(addr uint64, now int64) int64 {
 			// notes a lockup-free cache "may combine two misses with
 			// one response from memory").
 			h.stats.L1MergedMisses++
-			if h.cfg.Attr {
+			if h.splitBW {
 				lat := f.latReady
 				if ready > lat {
 					lat = ready
@@ -880,7 +885,7 @@ func (h *Hierarchy) Load(addr uint64, now int64) int64 {
 		return ready
 	}
 	ready := h.miss(addr, now+h.cfg.L1.AccessCycles, false, false)
-	if h.cfg.Attr {
+	if h.splitBW {
 		// Snapshot the bandwidth share before the tagged prefetch below
 		// — its nested miss overwrites lastLat.
 		if d := ready - h.lastLat; d > 0 {

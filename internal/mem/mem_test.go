@@ -540,8 +540,8 @@ func TestInfiniteBWBusesStayIdle(t *testing.T) {
 func TestMSHROccupancyHistogram(t *testing.T) {
 	cfg := testConfig(Full, 4)
 	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
 	h := mustNew(t, cfg)
+	h.Instrument(reg, false)
 	// Issue independent misses back-to-back at the same cycle so several
 	// fills are outstanding at once.
 	for i := 0; i < 64; i++ {

@@ -220,7 +220,7 @@ func TestServeFormat1LedgerIsStale(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	_, hs := testServer(t, Options{CheckpointDir: dir, Metrics: reg})
+	_, hs := testServer(t, Options{CheckpointDir: dir, Obs: telemetry.Observation{Metrics: reg}})
 	status, body, _ := post(t, hs.URL, smallSpec())
 	if status != http.StatusOK {
 		t.Fatalf("status %d (%s)", status, body)

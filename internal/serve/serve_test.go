@@ -37,9 +37,6 @@ func (f cellStart) CellStart(index int, cancel func()) { f(index, cancel) }
 // down (drain first, then close) at test end.
 func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	if opts.Metrics == nil {
-		opts.Metrics = telemetry.NewRegistry()
-	}
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
@@ -155,11 +152,11 @@ func TestServeAdmissionControl(t *testing.T) {
 	// admission alone decides the outcome.
 	gate := make(chan struct{})
 	_, hs := testServer(t, Options{
-		Metrics: reg,
-		Rate:    0.5, // one token per 2s: effectively no refill inside the test
-		Burst:   2,
-		Jobs:    1,
-		Fault:   cellStart(func(int, func()) { <-gate }),
+		Obs:   telemetry.Observation{Metrics: reg},
+		Rate:  0.5, // one token per 2s: effectively no refill inside the test
+		Burst: 2,
+		Jobs:  1,
+		Fault: cellStart(func(int, func()) { <-gate }),
 	})
 
 	var wg sync.WaitGroup
@@ -267,10 +264,10 @@ func TestServeCoalescing(t *testing.T) {
 	var mu sync.Mutex
 	gate := make(chan struct{})
 	s, hs := testServer(t, Options{
-		Metrics: reg,
-		Jobs:    n, // every job gets its own executor: all N run concurrently
-		Burst:   n + 1,
-		Rate:    1000,
+		Obs:   telemetry.Observation{Metrics: reg},
+		Jobs:  n, // every job gets its own executor: all N run concurrently
+		Burst: n + 1,
+		Rate:  1000,
 		Fault: cellStart(func(int, func()) {
 			mu.Lock()
 			computes++
@@ -376,7 +373,7 @@ func TestServeKillAndDrainByteIdentical(t *testing.T) {
 	reg1 := telemetry.NewRegistry()
 	s1 := New(Options{
 		Workers:       2,
-		Metrics:       reg1,
+		Obs:           telemetry.Observation{Metrics: reg1},
 		CheckpointDir: dir,
 		FS:            inject.Wrap(faultinject.OS()),
 		Fault:         inject,
@@ -409,7 +406,7 @@ func TestServeKillAndDrainByteIdentical(t *testing.T) {
 	reg2 := telemetry.NewRegistry()
 	s2, hs2 := testServer(t, Options{
 		Workers:       2,
-		Metrics:       reg2,
+		Obs:           telemetry.Observation{Metrics: reg2},
 		CheckpointDir: dir,
 	})
 	_ = s2
@@ -492,7 +489,7 @@ func TestServeDeadline(t *testing.T) {
 // the drain duration gauge.
 func TestServeDrainProtocol(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := New(Options{Metrics: reg, Workers: 1})
+	s := New(Options{Obs: telemetry.Observation{Metrics: reg}, Workers: 1})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 

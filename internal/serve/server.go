@@ -87,12 +87,11 @@ type Options struct {
 	// Corpus shares trace materializations across jobs (nil: private
 	// entries per cell, identical code path).
 	Corpus *corpus.Corpus
-	// Obs carries the CLI's telemetry hooks into job pools.
+	// Obs carries the CLI's telemetry hooks into job pools. Obs.Metrics
+	// also receives the serve.* instruments; when it is nil they go to a
+	// private registry, so /metricz always reports while job pools stay
+	// unobserved.
 	Obs telemetry.Observation
-	// Metrics receives the serve.* instruments; nil falls back to
-	// Obs.Metrics, then to a private registry (so /metricz always
-	// reports).
-	Metrics *telemetry.Registry
 }
 
 // instruments bundles the server's telemetry.
@@ -184,10 +183,7 @@ func New(opts Options) *Server {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = time.Second
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = opts.Obs.Metrics
-	}
+	reg := opts.Obs.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}

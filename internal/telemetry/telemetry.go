@@ -394,11 +394,6 @@ type Observation struct {
 	Progress func(insts, cycles int64)
 }
 
-// Enabled reports whether any hook is attached.
-func (o Observation) Enabled() bool {
-	return o.Metrics != nil || o.Tracer != nil || o.Progress != nil
-}
-
 // marshalSorted renders v as JSON with a stable field order (maps are
 // already sorted by encoding/json; this is a convenience wrapper that
 // fails loudly on unserialisable values — only our own snapshot structs
