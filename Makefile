@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json vet fmt lint memlint lint-baseline figures paper selfcheck selfcheck-par profile race chaos serve-smoke clean
+.PHONY: all build test bench bench-check vet fmt lint memlint lint-baseline figures paper selfcheck selfcheck-par profile race chaos serve-smoke clean
 
 all: build test
 
@@ -15,26 +15,21 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable before/after benchmark artifact. Runs the paper-artifact
-# benchmarks that the trace corpus accelerates (plus the corpus-neutral
-# Figure 3 pair) and the analytical-twin cost pair, and converts the
-# output into BENCH_PR9.json: the *NoCorpus/*Corpus and *Sim/*Twin pairs
-# become before/after rows with their speedups (Fig3Point records the
-# twin's per-point cost reduction over the full simulator).
-# The binary is built with the committed CPU profile (default.pgo —
-# `go test` does not pick it up implicitly, the flag is required), each
-# benchmark runs -count 3, and benchjson keeps the per-benchmark minimum,
-# so one noisy repeat on a shared host cannot fake a regression. The
-# conversion also checks trends against the committed BENCH_PR8.json
-# baseline (trend table on stderr) and fails past benchjson's default
-# 1.25x gate. CI uploads the file as a build artifact. The intermediate
-# file keeps a benchjson failure from being masked by a pipeline's exit
-# status.
-bench-json:
-	$(GO) test -run '^$$' -bench 'Table7|Figure3|MTC|Fig3Point' -benchtime 5x -count 3 -pgo=default.pgo . > bench_raw.txt
-	$(GO) run ./cmd/benchjson -baseline BENCH_PR8.json < bench_raw.txt > BENCH_PR9.json
-	@rm -f bench_raw.txt
-	@cat BENCH_PR9.json
+# Output gate: run each memwallbench workload once at its minimum passes
+# and fail unless its JSON result line reads "correct":true. That checks
+# every digest in memwallbench/expected.json (78 Figure 3 cells, 84 Table 7
+# and 84 Table 8 results, 42 Table 9 results) and serve-mix's served cells
+# against fig3-grid's. memwallbench exits 0 on a digest mismatch, so the
+# result line decides, not the exit status. Timings are not gated.
+bench-check:
+	@for w in fig3-grid traffic-sweep serve-mix; do \
+		out=$$(bash memwallbench/run.sh --workload $$w --seed 1 --seconds 0 --trace 0) || exit 1; \
+		if ! printf '%s\n' "$$out" | tail -n 1 | grep -q '^{"correct":true,'; then \
+			printf '%s\n' "$$out" >&2; \
+			echo "bench-check: $$w outputs do not match memwallbench/expected.json" >&2; exit 1; \
+		fi; \
+		echo "bench-check: $$w outputs match memwallbench/expected.json"; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -62,13 +62,9 @@ func runExplain(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	suites := []workload.Suite{workload.SPEC92, workload.SPEC95}
-	if *suiteName != "both" {
-		s, err := parseSuite(*suiteName)
-		if err != nil {
-			return usageErr(err)
-		}
-		suites = []workload.Suite{s}
+	suites, err := workload.ParseSuites(*suiteName)
+	if err != nil {
+		return usageErr(err)
 	}
 
 	opts := attr.Options{Interval: *interval, MaxSamples: *maxSamples}

@@ -11,10 +11,20 @@ import (
 
 	"memwall/internal/core"
 	"memwall/internal/tablefmt"
+	"memwall/internal/workload"
 )
 
 func init() {
 	register("profile", "simulation-throughput table (sim-cycles/sec), experiments A-F", runProfile)
+}
+
+// parseSuite resolves profile's -suite value, which names one suite.
+func parseSuite(s string) (workload.Suite, error) {
+	suites, err := workload.ParseSuites(s)
+	if err != nil || len(suites) != 1 {
+		return 0, fmt.Errorf("unknown suite %q (want 92 or 95)", s)
+	}
+	return suites[0], nil
 }
 
 func runProfile(args []string) error {

@@ -22,17 +22,6 @@ func init() {
 	register("table1", "Table 1: measured direction of f_P/f_L/f_B under machine changes", runTable1)
 }
 
-func parseSuite(s string) (workload.Suite, error) {
-	switch s {
-	case "92", "spec92", "SPEC92":
-		return workload.SPEC92, nil
-	case "95", "spec95", "SPEC95":
-		return workload.SPEC95, nil
-	default:
-		return 0, fmt.Errorf("unknown suite %q (want 92 or 95)", s)
-	}
-}
-
 func generateSuite(suite workload.Suite, scale int) ([]*workload.Program, error) {
 	var progs []*workload.Program
 	for _, name := range core.Figure3Benchmarks(suite) {
@@ -56,7 +45,7 @@ func runFig3(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	suites, err := suiteList(*suiteName)
+	suites, err := workload.ParseSuites(*suiteName)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -128,7 +117,7 @@ func runTable6(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	suites, err := suiteList(*suiteName)
+	suites, err := workload.ParseSuites(*suiteName)
 	if err != nil {
 		return usageErr(err)
 	}

@@ -6,27 +6,9 @@
 //
 //	memwall <command> [flags]
 //
-// Commands:
-//
-//	fig1         Figure 1: pin/performance/bandwidth trends 1978–1997
-//	table2       Table 2: I/O-complexity growth rates (+ measured check)
-//	fig2         Figure 2: processing vs bandwidth trend curves
-//	table3       Table 3: benchmark reference counts and data-set sizes
-//	fig3         Figure 3: execution-time decomposition, experiments A–F
-//	table1       Table 1: measured direction of f_P/f_L/f_B under changes
-//	table6       Table 6: latency vs bandwidth stalls, experiments A vs F
-//	table7       Table 7: traffic ratios for 1KB–2MB direct-mapped caches
-//	table8       Table 8: traffic inefficiencies vs the MTC
-//	fig4         Figure 4: total traffic vs cache and MTC size
-//	table9       Tables 9–10: inefficiency-gap factor isolation
-//	epin         Equations 5 & 7: effective pin bandwidth and its bound
-//	extrapolate  Section 4.3: the processor of 2006
-//	profile      simulation-throughput table, experiments A–F
-//	explain      time-attribution report: T_P/T_L/T_B, stall causes,
-//	             interval samples, wall-clock breakdown
-//	twin         calibrate the analytical twin (closed-form T_P/T_L/T_B
-//	             prediction) and report its in-sample and held-out error
-//	all          run everything above in order (explain excluded)
+// Run memwall with no arguments to list every registered command with
+// its one-line brief. `memwall all` runs the paper's tables and figures
+// in paper order, skipping the commands allExcluded names.
 //
 // Every command also accepts the global observability flags -metrics,
 // -events, -cpuprofile, -memprofile, and -progress (see observe.go).
@@ -145,7 +127,6 @@ var allExcluded = map[string]bool{
 	"selfcheck": true,
 	"profile":   true,
 	"explain":   true,
-	"twin":      true,
 	"serve":     true, // long-running service; `all` must terminate
 }
 

@@ -170,8 +170,10 @@ func TestTable1Output(t *testing.T) {
 }
 
 func TestParseSuite(t *testing.T) {
-	if _, err := parseSuite("nope"); err == nil {
-		t.Error("bad suite accepted")
+	for _, s := range []string{"nope", "both", ""} {
+		if _, err := parseSuite(s); err == nil {
+			t.Errorf("parseSuite(%q) accepted", s)
+		}
 	}
 	for _, s := range []string{"92", "spec92", "SPEC92", "95", "spec95", "SPEC95"} {
 		if _, err := parseSuite(s); err != nil {

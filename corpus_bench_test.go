@@ -3,8 +3,9 @@
 // traces and every MTC configuration rebuilds its future-knowledge table
 // from scratch — while the matching *Corpus benchmark runs the same grid
 // through a shared corpus (one materialization per trace, one future
-// table per block size). cmd/benchjson pairs them into the before/after
-// rows of BENCH_PR4.json (see `make bench-json`).
+// table per block size). Compare a pair with
+// `go test -run '^$' -bench 'MTCGrid' -count 10 .`; memwallbench's
+// traffic-sweep workload measures the corpus path end to end.
 package memwall
 
 import (

@@ -203,16 +203,6 @@ type Entry struct {
 
 	futMu sync.Mutex
 	futs  map[int]*futSlot
-
-	memoMu sync.Mutex
-	memos  map[string]*memoSlot
-}
-
-// memoSlot guards one lazily-built derived artifact (see Memo).
-type memoSlot struct {
-	once sync.Once
-	val  any
-	err  error
 }
 
 // Key returns the entry's identity.
@@ -279,31 +269,6 @@ func (e *Entry) Future(blockSize int) (*mtc.Future, error) {
 		s.fut, s.err = mtc.FutureOfRefs(refs, blockSize)
 	})
 	return s.fut, s.err
-}
-
-// Memo returns the entry's derived artifact for key, building it at most
-// once per entry — the generic once-guarded seam behind Future, used by
-// consumers (e.g. the twin trace summarizer, internal/twin) whose artifact
-// types this package cannot know. The build function must be deterministic
-// in the entry's contents and the key, and the returned value is shared by
-// every caller: treat it as immutable. On a disabled (nil) corpus each Get
-// hands out a fresh private entry, so memoization degrades to "built once
-// per Get" through the identical code path.
-func (e *Entry) Memo(key string, build func() (any, error)) (any, error) {
-	e.memoMu.Lock()
-	if e.memos == nil {
-		e.memos = make(map[string]*memoSlot)
-	}
-	s, ok := e.memos[key]
-	if !ok {
-		s = &memoSlot{}
-		e.memos[key] = s
-	}
-	e.memoMu.Unlock()
-	s.once.Do(func() {
-		s.val, s.err = build()
-	})
-	return s.val, s.err
 }
 
 // materializeRefs fills e.refs and e.meta, consulting the disk tier when

@@ -117,17 +117,23 @@ func TestServeOneCell(t *testing.T) {
 	}
 }
 
+// badSpecs are specs newPlan must refuse. A repeated benchmark or
+// experiment would otherwise multiply the plan without bound.
+var badSpecs = []Spec{
+	{Kind: "nope"},
+	{Kind: "fig3", Suite: "93"},
+	{Kind: "fig3", Suite: "92", Benchmarks: []string{"notabench"}},
+	{Kind: "fig3", Suite: "92", Experiments: []string{"Z"}},
+	{Kind: "fig3", Scale: -1},
+	{Kind: "fig3", CacheScale: -2},
+	{Kind: "fig3", Suite: "92", Benchmarks: []string{"compress", "compress"}},
+	{Kind: "fig3", Suite: "92", Benchmarks: []string{"compress"}, Experiments: []string{"A", "B", "A"}},
+}
+
 // TestServeBadSpecs: validation failures are client errors.
 func TestServeBadSpecs(t *testing.T) {
 	_, hs := testServer(t, Options{})
-	for _, spec := range []Spec{
-		{Kind: "nope"},
-		{Kind: "fig3", Suite: "93"},
-		{Kind: "fig3", Suite: "92", Benchmarks: []string{"notabench"}},
-		{Kind: "fig3", Suite: "92", Experiments: []string{"Z"}},
-		{Kind: "fig3", Scale: -1},
-		{Kind: "fig3", CacheScale: -2},
-	} {
+	for _, spec := range badSpecs {
 		status, body, _ := post(t, hs.URL, spec)
 		if status != http.StatusBadRequest {
 			t.Errorf("spec %+v: status %d (%s), want 400", spec, status, body)

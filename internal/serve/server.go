@@ -264,12 +264,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	var spec Spec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding spec: " + err.Error()})
-		return
-	}
-	p, err := newPlan(spec, s.opts.RequestTimeout)
+	p, err := readPlan(r.Body, s.opts.RequestTimeout)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

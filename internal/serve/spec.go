@@ -3,7 +3,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"memwall/internal/core"
@@ -27,7 +29,8 @@ type Spec struct {
 	// Experiments subsets the machines A-F (default: all six; table6
 	// forces A and F).
 	Experiments []string `json:"experiments,omitempty"`
-	// Scale is the workload size-reduction factor (default 1).
+	// Scale multiplies the workload trace length, as the CLI's -scale
+	// does (default 1).
 	Scale int `json:"scale,omitempty"`
 	// CacheScale divides cache capacities to match reduced workloads
 	// (default 16, the CLI default).
@@ -54,33 +57,37 @@ type plan struct {
 // allExperiments is the full machine panel, in grid order.
 var allExperiments = []string{"A", "B", "C", "D", "E", "F"}
 
-// parseSuites resolves a spec suite name into an ordered suite set.
-func parseSuites(name string) ([]workload.Suite, error) {
-	switch name {
-	case "", "both":
-		return []workload.Suite{workload.SPEC92, workload.SPEC95}, nil
-	case "92", "spec92", "SPEC92":
-		return []workload.Suite{workload.SPEC92}, nil
-	case "95", "spec95", "SPEC95":
-		return []workload.Suite{workload.SPEC95}, nil
-	default:
-		return nil, fmt.Errorf("unknown suite %q (want 92, 95, or both)", name)
+// readPlan decodes a request body, up to its first MiB, into a spec and
+// validates it. Either failure is a client error (HTTP 400).
+func readPlan(body io.Reader, defaultTimeout time.Duration) (*plan, error) {
+	var s Spec
+	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&s); err != nil {
+		return nil, fmt.Errorf("decoding spec: %w", err)
 	}
+	return newPlan(s, defaultTimeout)
 }
 
 // newPlan validates a spec and expands it into cells, in the stable
 // (suite, benchmark, experiment) nesting order every grid command uses.
-// Validation errors are client errors (HTTP 400).
+// A spec names each benchmark and experiment at most once, which bounds
+// a plan by the 78 cells of both Figure 3 panels. Validation errors are
+// client errors (HTTP 400).
 func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 	switch s.Kind {
 	case "fig3", "table6", "export":
 	default:
 		return nil, fmt.Errorf("unknown kind %q (want fig3, table6, or export)", s.Kind)
 	}
+	if b, ok := repeated(s.Benchmarks); ok {
+		return nil, fmt.Errorf("benchmark %q named twice", b)
+	}
+	if e, ok := repeated(s.Experiments); ok {
+		return nil, fmt.Errorf("experiment %q named twice", e)
+	}
 	if s.Kind == "export" {
 		s.Suite = "both"
 	}
-	suites, err := parseSuites(s.Suite)
+	suites, err := workload.ParseSuites(s.Suite)
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +154,18 @@ func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 		return nil, fmt.Errorf("spec selects no cells")
 	}
 	return p, nil
+}
+
+// repeated returns the first name that occurs twice in names.
+func repeated(names []string) (string, bool) {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
+			return n, true
+		}
+		seen[n] = true
+	}
+	return "", false
 }
 
 // CellResult is one cell of a job response: the deterministic

@@ -70,59 +70,6 @@ func Max(xs []float64) (float64, bool) {
 	return m, true
 }
 
-// MAPE returns the mean absolute percentage error of pred against actual,
-// as a fraction (0.10 = 10%). Pairs whose actual value is zero are skipped
-// (a percentage error against zero is undefined); the second result is
-// false when the series lengths differ, the series are empty, or every
-// actual value is zero — in which case the value is 0, not a NaN that
-// could leak into downstream arithmetic unnoticed.
-func MAPE(actual, pred []float64) (float64, bool) {
-	if len(actual) != len(pred) || len(actual) == 0 {
-		return 0, false
-	}
-	sum, n := 0.0, 0
-	for i, a := range actual {
-		if a == 0 {
-			continue
-		}
-		sum += math.Abs((pred[i] - a) / a)
-		n++
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
-// PearsonR returns the Pearson correlation coefficient of x and y. The
-// second result is false when the series lengths differ, fewer than two
-// points are given, or either series has zero variance (the coefficient is
-// undefined there; the value returned is 0).
-func PearsonR(x, y []float64) (float64, bool) {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0, false
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, syy, sxy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	den := math.Sqrt(sxx) * math.Sqrt(syy)
-	if den == 0 {
-		return 0, false
-	}
-	return sxy / den, true
-}
-
 // LinearFit computes the least-squares line y = a + b*x over the given
 // points. It requires at least two points with distinct x values.
 func LinearFit(x, y []float64) (a, b float64, err error) {

@@ -237,47 +237,3 @@ func TestRNGUniformity(t *testing.T) {
 		}
 	}
 }
-
-func TestMAPE(t *testing.T) {
-	v, ok := MAPE([]float64{100, 200, 400}, []float64{110, 180, 400})
-	if !ok {
-		t.Fatal("MAPE reported not-ok for valid series")
-	}
-	want := (0.10 + 0.10 + 0.0) / 3
-	if math.Abs(v-want) > 1e-12 {
-		t.Errorf("MAPE = %v, want %v", v, want)
-	}
-	// Zero actuals are skipped, not divided by.
-	v, ok = MAPE([]float64{0, 100}, []float64{5, 150})
-	if !ok || math.Abs(v-0.5) > 1e-12 {
-		t.Errorf("MAPE with zero actual = %v, %v; want 0.5, true", v, ok)
-	}
-	if _, ok := MAPE(nil, nil); ok {
-		t.Error("MAPE(nil, nil) reported ok")
-	}
-	if _, ok := MAPE([]float64{1, 2}, []float64{1}); ok {
-		t.Error("MAPE with mismatched lengths reported ok")
-	}
-	if v, ok := MAPE([]float64{0, 0}, []float64{1, 2}); ok || v != 0 {
-		t.Errorf("MAPE with all-zero actuals = %v, %v; want 0, false", v, ok)
-	}
-}
-
-func TestPearsonR(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if v, ok := PearsonR(x, []float64{2, 4, 6, 8}); !ok || math.Abs(v-1) > 1e-12 {
-		t.Errorf("PearsonR perfect positive = %v, %v; want 1, true", v, ok)
-	}
-	if v, ok := PearsonR(x, []float64{8, 6, 4, 2}); !ok || math.Abs(v+1) > 1e-12 {
-		t.Errorf("PearsonR perfect negative = %v, %v; want -1, true", v, ok)
-	}
-	if _, ok := PearsonR(x, []float64{5, 5, 5, 5}); ok {
-		t.Error("PearsonR with zero-variance y reported ok")
-	}
-	if _, ok := PearsonR([]float64{1}, []float64{2}); ok {
-		t.Error("PearsonR with one point reported ok")
-	}
-	if _, ok := PearsonR(x, x[:2]); ok {
-		t.Error("PearsonR with mismatched lengths reported ok")
-	}
-}

@@ -53,6 +53,22 @@ func (s Suite) String() string {
 	return "SPEC92"
 }
 
+// ParseSuites resolves a suite name, as the CLI's -suite flags and serve
+// specs spell it, into an ordered suite set: "" and "both" select both
+// suites, and "92", "spec92", "SPEC92" or "95", "spec95", "SPEC95" one.
+func ParseSuites(name string) ([]Suite, error) {
+	switch name {
+	case "", "both":
+		return []Suite{SPEC92, SPEC95}, nil
+	case "92", "spec92", "SPEC92":
+		return []Suite{SPEC92}, nil
+	case "95", "spec95", "SPEC95":
+		return []Suite{SPEC95}, nil
+	default:
+		return nil, fmt.Errorf("unknown suite %q (want 92, 95, or both)", name)
+	}
+}
+
 // Region is one named data area of a workload — the unit a compiler-
 // managed on-chip memory (scratchpad) could choose to place on chip.
 type Region struct {

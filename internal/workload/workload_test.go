@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"memwall/internal/isa"
@@ -20,6 +21,25 @@ func TestNamesComplete(t *testing.T) {
 func TestSuiteString(t *testing.T) {
 	if SPEC92.String() != "SPEC92" || SPEC95.String() != "SPEC95" {
 		t.Error("suite names wrong")
+	}
+}
+
+func TestParseSuites(t *testing.T) {
+	both := []Suite{SPEC92, SPEC95}
+	for name, want := range map[string][]Suite{
+		"": both, "both": both,
+		"92": {SPEC92}, "spec92": {SPEC92}, "SPEC92": {SPEC92},
+		"95": {SPEC95}, "spec95": {SPEC95}, "SPEC95": {SPEC95},
+	} {
+		got, err := ParseSuites(name)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("ParseSuites(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"93", "Both", "spec 92", " 92"} {
+		if got, err := ParseSuites(name); err == nil {
+			t.Errorf("ParseSuites(%q) = %v, want an error", name, got)
+		}
 	}
 }
 
