@@ -67,7 +67,7 @@ paper:
 figures:
 	$(GO) run ./cmd/memplot
 
-# Cross-simulator invariant battery (slow).
+# Cross-simulator invariant battery.
 selfcheck:
 	$(GO) run ./cmd/memwall selfcheck
 

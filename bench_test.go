@@ -254,8 +254,14 @@ func BenchmarkSection43Extrapolation(b *testing.B) {
 
 // --- Component microbenchmarks ---
 
-func BenchmarkCacheAccess(b *testing.B) {
-	c, err := cache.New(cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: 2})
+func BenchmarkCacheAccess(b *testing.B) { cacheAccessBench(b, 2) }
+
+// BenchmarkCacheAccessFullyAssoc is Table 9's 64 KB/32 B fully-associative
+// cache, one 2,048-way set, which cache.New indexes instead of scanning.
+func BenchmarkCacheAccessFullyAssoc(b *testing.B) { cacheAccessBench(b, 0) }
+
+func cacheAccessBench(b *testing.B, assoc int) {
+	c, err := cache.New(cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: assoc})
 	if err != nil {
 		b.Fatal(err)
 	}

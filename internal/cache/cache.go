@@ -274,6 +274,9 @@ type Cache struct {
 	now       int64
 	rng       *stats.RNG
 	stats     Stats
+	// fa indexes a one-set cache for O(1) lookup and victim choice; nil
+	// for set-associative caches, which scan their ways.
+	fa *faIndex
 }
 
 // New constructs a cache simulator for cfg. It returns an error if the
@@ -299,6 +302,9 @@ func New(cfg Config) (*Cache, error) {
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, assoc)
+	}
+	if nsets == 1 {
+		c.fa = newFAIndex(assoc)
 	}
 	for shift := cfg.BlockSize; shift > 1; shift >>= 1 {
 		c.setShift++
@@ -329,7 +335,8 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return blk & c.setMask, blk
 }
 
-// lookup returns the way index holding tag in set, or -1.
+// lookup scans set for tag and returns its way, or -1. Access asks a
+// one-set cache's index instead.
 func (c *Cache) lookup(set []line, tag uint64) int {
 	for i := range set {
 		if set[i].present() && set[i].tag == tag {
@@ -340,8 +347,21 @@ func (c *Cache) lookup(set []line, tag uint64) int {
 }
 
 // victim picks the way to replace in set according to the policy,
-// preferring an invalid way when one exists.
+// preferring an invalid way when one exists. A one-set cache reads the
+// same choice off its index instead of scanning.
 func (c *Cache) victim(set []line) int {
+	if x := c.fa; x != nil {
+		switch {
+		case x.filled < len(set):
+			return x.filled
+		case c.cfg.Repl == FIFO:
+			return x.cursor
+		case c.cfg.Repl == Random:
+			return c.rng.Intn(len(set))
+		default: // LRU
+			return int(x.tail)
+		}
+	}
 	for i := range set {
 		if !set[i].present() {
 			return i
@@ -412,8 +432,19 @@ func (c *Cache) Access(r trace.Ref) bool {
 	si, tag := c.index(r.Addr)
 	set := c.sets[si]
 	bit := c.subBit(r.Addr)
-	if w := c.lookup(set, tag); w >= 0 {
+	// The index is asked here rather than inside lookup, which keeps
+	// lookup small enough to inline on the direct-mapped path.
+	var w int
+	if c.fa != nil {
+		w = c.fa.find(tag)
+	} else {
+		w = c.lookup(set, tag)
+	}
+	if w >= 0 {
 		set[w].lastUse = c.now
+		if c.fa != nil {
+			c.fa.touch(w)
+		}
 		if set[w].valid&bit != 0 {
 			// Full hit.
 			if isWrite {
@@ -466,7 +497,11 @@ func (c *Cache) Access(r trace.Ref) bool {
 	} else {
 		c.stats.ReadMisses++
 	}
-	w := c.victim(set)
+	w = c.victim(set)
+	if c.fa != nil {
+		// Re-key the index while way w still holds the evicted tag.
+		c.fa.fill(set, w, tag)
+	}
 	c.evict(set, w, false)
 	var fetch, valid, dirty uint64
 	switch {
@@ -535,6 +570,9 @@ func (c *Cache) Flush() {
 		for w := range set {
 			c.evict(set, w, true)
 		}
+	}
+	if c.fa != nil {
+		c.fa.reset()
 	}
 }
 
