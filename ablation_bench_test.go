@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // traffic-reduction schemes of Sections 5.3 and 6 (sector transfers,
-// write-validate, stream buffers, write-conscious MIN) and the
-// single-chip multiprocessor projection of Section 2.2. Each reports the
-// measured effect as a custom metric.
+// write-validate, stream buffers) and the single-chip multiprocessor
+// projection of Section 2.2. Each reports the measured effect as a
+// custom metric.
 package memwall
 
 import (
@@ -13,8 +13,6 @@ import (
 	"memwall/internal/cpu"
 	"memwall/internal/isa"
 	"memwall/internal/mem"
-	"memwall/internal/mtc"
-	"memwall/internal/trace"
 	"memwall/internal/units"
 	"memwall/internal/workload"
 )
@@ -56,28 +54,6 @@ func BenchmarkAblationWriteValidate(b *testing.B) {
 		ratio = float64(run(cache.WriteAllocate)) / float64(run(cache.WriteValidate))
 	}
 	b.ReportMetric(ratio, "traffic-reduction-x")
-}
-
-// BenchmarkAblationCleanMIN quantifies the paper's belief that the
-// write-conscious optimal policy would change little: the relative
-// traffic difference between plain MIN and clean-preferring MIN.
-func BenchmarkAblationCleanMIN(b *testing.B) {
-	p := mustGen(b, "eqntott")
-	var deltaPct float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run := func(clean bool) units.Bytes {
-			st, err := mtc.Simulate(mtc.Config{Size: 64 << 10, BlockSize: trace.WordSize,
-				Alloc: mtc.WriteValidate, PreferCleanVictims: clean}, p.MemRefs())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st.TrafficBytes()
-		}
-		base, clean := run(false), run(true)
-		deltaPct = 100 * float64(base-clean) / float64(base)
-	}
-	b.ReportMetric(deltaPct, "traffic-delta-%")
 }
 
 // BenchmarkAblationStreamBuffers compares tagged prefetching against

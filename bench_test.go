@@ -289,6 +289,27 @@ func BenchmarkMTCSimulate(b *testing.B) {
 	b.SetBytes(int64(len(refs)) * 4)
 }
 
+// BenchmarkMTCReplay replays Table 8's twelve MTC sizes on su2cor over
+// one shared future table, so it times the MIN replay alone, not the
+// table's construction, and reports the cost per replayed reference.
+func BenchmarkMTCReplay(b *testing.B) {
+	refs := trace.Collect(mustGen(b, "su2cor").MemRefs())
+	fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sz := range mtcGridSizes {
+			cfg := mtc.Config{Size: sz, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
+			if _, err := mtc.SimulateRefs(cfg, fut, refs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(mtcGridSizes)*len(refs)), "ns/ref")
+}
+
 func coreBench(b *testing.B, ooo bool) {
 	p := mustGen(b, "li")
 	cfg := cpu.Config{IssueWidth: 4, LSUnits: 2, PredictorEntries: 8192, MispredictPenalty: 3}

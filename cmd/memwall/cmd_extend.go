@@ -104,7 +104,7 @@ func runAblate(args []string) error {
 	}
 	bytes := *size << 10
 	t := tablefmt.New(fmt.Sprintf("Traffic-reduction scheme ablations (%dKB caches; traffic ratios R)", *size),
-		"benchmark", "32B blocks", "4B sector", "write-validate", "MTC", "MTC+clean-pref")
+		"benchmark", "32B blocks", "4B sector", "write-validate", "MTC")
 	for _, name := range strings.Split(*benchList, ",") {
 		name = strings.TrimSpace(name)
 		e := corpusEntry(name, *scale)
@@ -127,29 +127,21 @@ func runAblate(args []string) error {
 			st := c.RunRefs(refs)
 			row = append(row, fmt.Sprintf("%.3f", core.TrafficRatio(st.TrafficBytes(), refBytes)))
 		}
-		// Both MTC configs replay the same word-grain future table from the
-		// corpus; only the tie-breaking policy differs.
 		fut, err := e.Future(trace.WordSize)
 		if err != nil {
 			return err
 		}
-		for _, mcfg := range []mtc.Config{
-			{Size: bytes, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate},
-			{Size: bytes, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate, PreferCleanVictims: true},
-		} {
-			st, err := mtc.SimulateRefs(mcfg, fut, refs)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.3f", core.TrafficRatio(st.TrafficBytes(), refBytes)))
+		st, err := mtc.SimulateRefs(mtc.Config{Size: bytes, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+		if err != nil {
+			return err
 		}
+		row = append(row, fmt.Sprintf("%.3f", core.TrafficRatio(st.TrafficBytes(), refBytes)))
 		t.AddRow(row...)
 	}
 	fmt.Println(t)
 	fmt.Println("Sector (sub-block) transfers and write-validate recover much of the")
 	fmt.Println("cache/MTC gap for low-spatial-locality codes — the flexible on-chip")
-	fmt.Println("memory the paper proposes. Clean-preferring MIN barely moves traffic,")
-	fmt.Println("supporting the paper's choice to skip the Horwitz policy.")
+	fmt.Println("memory the paper proposes.")
 	fmt.Println()
 
 	// Timing ablation: a 4-entry victim cache (Jouppi) against the

@@ -78,6 +78,38 @@ func spec92Traces(scale int) (map[string]*corpus.Entry, error) {
 	return entries, nil
 }
 
+// ladderRow is one table row: a trace measured at every cacheSizes
+// column. Exported field: the row must survive the ledger's JSON
+// round-trip.
+type ladderRow[T any] struct {
+	Cells []T
+}
+
+// sizeLadders runs Tables 7 and 8 on the runner pool, one task per trace,
+// each walking the full size ladder of 32-byte-block direct-mapped caches,
+// so a checkpointed cell is a complete table row named "<table>:<trace>".
+func sizeLadders[T any](workers int, table string, names []string, entries map[string]*corpus.Entry,
+	measure func(cache.Config, core.RefTrace, int64) (T, error)) ([]ladderRow[T], error) {
+	return runner.Map(context.Background(), gridPool(workers, func(i int) string {
+		return table + ":" + names[i]
+	}), len(names), func(_ context.Context, i int, _ *telemetry.Tracer) (ladderRow[T], error) {
+		e := entries[names[i]]
+		meta, err := e.Meta()
+		if err != nil {
+			return ladderRow[T]{}, err
+		}
+		var row ladderRow[T]
+		for _, sz := range cacheSizes {
+			res, err := measure(cache.Config{Size: sz, BlockSize: 32, Assoc: 1}, e, meta.DataSetBytes)
+			if err != nil {
+				return ladderRow[T]{}, err
+			}
+			row.Cells = append(row.Cells, res)
+		}
+		return row, nil
+	})
+}
+
 func runTable7(args []string) error {
 	fs := flag.NewFlagSet("table7", flag.ContinueOnError)
 	scale := scaleFlag(fs)
@@ -94,32 +126,8 @@ func runTable7(args []string) error {
 		header = append(header, tablefmt.Bytes(int64(sz)))
 	}
 	t := tablefmt.New("Table 7: traffic ratios for 32-byte block, direct-mapped caches", header...)
-	// One task per benchmark: each walks the full size ladder so a
-	// checkpointed cell is a complete table row. Exported field: the row
-	// must survive the ledger's JSON round-trip.
 	names := workload.SuiteNames(workload.SPEC92)
-	type trafficRow struct {
-		Cells []core.RatioResult
-	}
-	rows, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
-		return "table7:" + names[i]
-	}), len(names), func(ctx context.Context, i int, _ *telemetry.Tracer) (trafficRow, error) {
-		e := entries[names[i]]
-		meta, err := e.Meta()
-		if err != nil {
-			return trafficRow{}, err
-		}
-		var row trafficRow
-		for _, sz := range cacheSizes {
-			cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-			res, err := core.MeasureRatioRefs(cfg, e, meta.DataSetBytes)
-			if err != nil {
-				return trafficRow{}, err
-			}
-			row.Cells = append(row.Cells, res)
-		}
-		return row, nil
-	})
+	rows, err := sizeLadders(*workers, "table7", names, entries, core.MeasureRatioRefs)
 	if err != nil {
 		return err
 	}
@@ -173,6 +181,7 @@ func runTable7(args []string) error {
 func runTable8(args []string) error {
 	fs := flag.NewFlagSet("table8", flag.ContinueOnError)
 	scale := scaleFlag(fs)
+	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -185,19 +194,14 @@ func runTable8(args []string) error {
 		header = append(header, tablefmt.Bytes(int64(sz)))
 	}
 	t := tablefmt.New("Table 8: traffic inefficiencies for 32-byte block, direct-mapped caches", header...)
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := entries[name]
-		meta, err := e.Meta()
-		if err != nil {
-			return err
-		}
+	names := workload.SuiteNames(workload.SPEC92)
+	rows, err := sizeLadders(*workers, "table8", names, entries, core.MeasureInefficiencyRefs)
+	if err != nil {
+		return err
+	}
+	for i, name := range names {
 		row := []string{name}
-		for _, sz := range cacheSizes {
-			cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-			res, err := core.MeasureInefficiencyRefs(cfg, e, meta.DataSetBytes)
-			if err != nil {
-				return err
-			}
+		for _, res := range rows[i].Cells {
 			if res.FitsDataSet {
 				row = append(row, "<<<")
 			} else {
@@ -295,6 +299,7 @@ func runFig4(args []string) error {
 func runTable9(args []string) error {
 	fs := flag.NewFlagSet("table9", flag.ContinueOnError)
 	scale := scaleFlag(fs)
+	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -314,39 +319,50 @@ func runTable9(args []string) error {
 	}
 	fmt.Println(legend)
 
-	rows := map[string][]string{}
-	var factorOrder []string
-	for _, name := range names {
-		e := entries[name]
+	// One task per benchmark: its column of the table, the reference MTC
+	// and then ΔG for each factor pair, in core.Factors order.
+	type factorColumn struct {
+		DeltaG []float64
+	}
+	cols, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
+		return "table9:" + names[i]
+	}), len(names), func(_ context.Context, i int, _ *telemetry.Tracer) (factorColumn, error) {
+		e := entries[names[i]]
 		refs, err := e.Refs()
 		if err != nil {
-			return err
+			return factorColumn{}, err
 		}
 		fut, err := e.Future(trace.WordSize)
 		if err != nil {
-			return err
+			return factorColumn{}, err
 		}
 		size := 64 << 10
-		if name == "espresso" {
+		if names[i] == "espresso" {
 			size = 16 << 10 // the paper shrinks espresso's cache to fit its data set
 		}
 		ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
 		if err != nil {
-			return err
+			return factorColumn{}, err
 		}
+		var col factorColumn
 		for _, spec := range core.Factors(size) {
 			res, err := core.MeasureFactorRefs(spec, e, ref.TrafficBytes())
 			if err != nil {
-				return err
+				return factorColumn{}, err
 			}
-			if _, seen := rows[spec.Name]; !seen {
-				factorOrder = append(factorOrder, spec.Name)
-			}
-			rows[spec.Name] = append(rows[spec.Name], fmt.Sprintf("%.1f", res.DeltaG))
+			col.DeltaG = append(col.DeltaG, res.DeltaG)
 		}
+		return col, nil
+	})
+	if err != nil {
+		return err
 	}
-	for _, f := range factorOrder {
-		t.AddRow(append([]string{f}, rows[f]...)...)
+	for f, spec := range core.Factors(64 << 10) {
+		row := []string{spec.Name}
+		for i := range names {
+			row = append(row, fmt.Sprintf("%.1f", cols[i].DeltaG[f]))
+		}
+		t.AddRow(row...)
 	}
 	fmt.Println(t)
 	return nil

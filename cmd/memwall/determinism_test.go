@@ -83,3 +83,19 @@ func TestSelfcheckParallelDeterminism(t *testing.T) {
 		t.Errorf("selfcheck output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
 	}
 }
+
+// TestTrafficTablesParallelDeterminism requires Tables 8 and 9, which
+// run one pool task per trace, to print byte-identical tables under a
+// serial and a parallel worker pool.
+func TestTrafficTablesParallelDeterminism(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+	}{{"table8", runTable8}, {"table9", runTable9}} {
+		serial := capture(t, func() error { return tc.run([]string{"-j", "1"}) })
+		parallel := capture(t, func() error { return tc.run([]string{"-j", "8"}) })
+		if serial != parallel {
+			t.Errorf("%s output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", tc.name, serial, parallel)
+		}
+	}
+}

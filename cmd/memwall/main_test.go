@@ -184,7 +184,7 @@ func TestParseSuite(t *testing.T) {
 
 func TestAblateOutput(t *testing.T) {
 	out := capture(t, func() error { return runAblate([]string{"-bench", "espresso", "-kb", "16"}) })
-	for _, want := range []string{"4B sector", "write-validate", "MTC+clean-pref"} {
+	for _, want := range []string{"4B sector", "write-validate", "MTC"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablate output missing %q", want)
 		}

@@ -11,6 +11,8 @@ import (
 
 	"memwall/internal/cache"
 	"memwall/internal/core"
+	"memwall/internal/mtc"
+	"memwall/internal/trace"
 	"memwall/internal/workload"
 )
 
@@ -73,6 +75,40 @@ func TestGoldenTable8(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%.1f", res.G); got != want {
 			t.Errorf("Table 8 %s: G = %s, golden %s", name, got, want)
+		}
+	}
+}
+
+// goldenTable9RefMTC pins every field of Table 9's reference MTC (64KB,
+// 16KB espresso; word blocks, write-validate, bypass). FlushWriteBacks
+// depends on which of the never-reused blocks the heap puts on top when
+// one must go, so it pins the heap's arrangement, not just MIN's traffic.
+var goldenTable9RefMTC = map[string]mtc.Stats{
+	"compress": {Accesses: 73215, Reads: 57807, Writes: 15408, Hits: 57778, Misses: 15437, Bypasses: 0, Fetches: 11882, FetchBytes: 47528, BypassBytes: 0, WriteBackBytes: 20012, FlushWriteBacks: 5003},
+	"dnasa2":   {Accesses: 244096, Reads: 135872, Writes: 108224, Hits: 217792, Misses: 26304, Bypasses: 0, Fetches: 18112, FetchBytes: 72448, BypassBytes: 0, WriteBackBytes: 100608, FlushWriteBacks: 15724},
+	"eqntott":  {Accesses: 198566, Reads: 184432, Writes: 14134, Hits: 158611, Misses: 39955, Bypasses: 5810, Fetches: 27227, FetchBytes: 108908, BypassBytes: 23240, WriteBackBytes: 34676, FlushWriteBacks: 2228},
+	"espresso": {Accesses: 90076, Reads: 79598, Writes: 10478, Hits: 81884, Misses: 8192, Bypasses: 0, Fetches: 8192, FetchBytes: 32768, BypassBytes: 0, WriteBackBytes: 2048, FlushWriteBacks: 472},
+	"su2cor":   {Accesses: 245760, Reads: 196608, Writes: 49152, Hits: 196096, Misses: 49664, Bypasses: 0, Fetches: 37376, FetchBytes: 149504, BypassBytes: 0, WriteBackBytes: 49152, FlushWriteBacks: 3971},
+	"swm":      {Accesses: 220224, Reads: 165168, Writes: 55056, Hits: 125360, Misses: 94864, Bypasses: 20309, Fetches: 27230, FetchBytes: 108920, BypassBytes: 81236, WriteBackBytes: 189300, FlushWriteBacks: 7531},
+	"tomcatv":  {Accesses: 200772, Reads: 164268, Writes: 36504, Hits: 104840, Misses: 95932, Bypasses: 46083, Fetches: 22452, FetchBytes: 89808, BypassBytes: 184332, WriteBackBytes: 109588, FlushWriteBacks: 4511},
+}
+
+func TestGoldenTable9ReferenceMTC(t *testing.T) {
+	for name, want := range goldenTable9RefMTC {
+		p, err := workload.Generate(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := 64 << 10
+		if name == "espresso" {
+			size = 16 << 10
+		}
+		got, err := mtc.Simulate(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, p.MemRefs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("Table 9 reference MTC %s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }

@@ -19,9 +19,6 @@ import (
 	"memwall/internal/trace"
 )
 
-// noNext marks "no future reference" in the dense next-use array.
-const noNext int32 = -1
-
 // Future is the interned future-knowledge table for one reference trace at
 // one block granularity. It is immutable after construction: MTC replay
 // only reads it, so a single Future may back many concurrent simulations.
@@ -32,7 +29,7 @@ type Future struct {
 	// blockOf[t] is the interned block ID of the reference at position t.
 	blockOf []int32
 	// next[t] is the position of the next reference (after t) to the same
-	// block, or noNext.
+	// block, or never: the MIN simulator's next-use key, read as is.
 	next []int32
 }
 
@@ -44,15 +41,6 @@ func (f *Future) Blocks() int { return f.numBlocks }
 
 // Len returns the number of trace positions covered.
 func (f *Future) Len() int { return len(f.blockOf) }
-
-// nextUse converts the dense entry at position t to the MIN simulator's
-// int64 next-use time (never when the block is not referenced again).
-func (f *Future) nextUse(t int) int64 {
-	if n := f.next[t]; n >= 0 {
-		return int64(n)
-	}
-	return never
-}
 
 // validateBlockSize checks the power-of-two >= word-size constraint shared
 // by Config.Validate, so a Future cannot be built at a granularity no MTC
@@ -139,7 +127,7 @@ func (f *Future) finish(numBlocks int) {
 	f.next = make([]int32, len(f.blockOf))
 	last := make([]int32, numBlocks)
 	for i := range last {
-		last[i] = noNext
+		last[i] = never
 	}
 	for t := len(f.blockOf) - 1; t >= 0; t-- {
 		id := f.blockOf[t]

@@ -27,10 +27,10 @@ func TestFutureNextUse(t *testing.T) {
 	if f.Len() != 6 || f.Blocks() != 3 || f.BlockSize() != 4 {
 		t.Fatalf("Len=%d Blocks=%d BlockSize=%d", f.Len(), f.Blocks(), f.BlockSize())
 	}
-	want := []int64{2, 4, 5, never, never, never}
+	want := []int32{2, 4, 5, never, never, never}
 	for i, w := range want {
-		if got := f.nextUse(i); got != w {
-			t.Errorf("nextUse(%d) = %d, want %d", i, got, w)
+		if got := f.next[i]; got != w {
+			t.Errorf("next[%d] = %d, want %d", i, got, w)
 		}
 	}
 }
@@ -45,10 +45,10 @@ func TestFutureBlockGranularity(t *testing.T) {
 	if f.Blocks() != 2 {
 		t.Fatalf("Blocks = %d, want 2", f.Blocks())
 	}
-	want := []int64{1, 4, 3, never, never}
+	want := []int32{1, 4, 3, never, never}
 	for i, w := range want {
-		if got := f.nextUse(i); got != w {
-			t.Errorf("nextUse(%d) = %d, want %d", i, got, w)
+		if got := f.next[i]; got != w {
+			t.Errorf("next[%d] = %d, want %d", i, got, w)
 		}
 	}
 }
@@ -106,14 +106,14 @@ func TestNextUseMatchesScan(t *testing.T) {
 			return false
 		}
 		for t0 := range refs {
-			want := int64(never)
+			want := int32(never)
 			for u := t0 + 1; u < len(refs); u++ {
 				if refs[u].Addr>>fut.shift == refs[t0].Addr>>fut.shift {
-					want = int64(u)
+					want = int32(u)
 					break
 				}
 			}
-			if fut.nextUse(t0) != want {
+			if fut.next[t0] != want {
 				return false
 			}
 		}

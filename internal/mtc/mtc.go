@@ -38,8 +38,10 @@ import (
 	"memwall/internal/units"
 )
 
-// never is the next-use time of a block with no future reference.
-const never = math.MaxInt64
+// never is the next-use position of a block with no future reference. A
+// Future covers at most math.MaxInt32 references, so every real position
+// lies below it.
+const never = math.MaxInt32
 
 // AllocPolicy selects store-miss behaviour.
 type AllocPolicy uint8
@@ -73,12 +75,6 @@ type Config struct {
 	// NoBypass disables cache bypassing (bypassing is on by default, as
 	// in the paper's MTC definition).
 	NoBypass bool
-	// PreferCleanVictims breaks next-use ties in favour of evicting
-	// clean blocks, avoiding their write-backs — a cheap approximation
-	// of the write-conscious optimal policy of Horwitz et al. that the
-	// paper chose not to implement, believing "the disparity between the
-	// two is small". The ablation benchmarks quantify that belief.
-	PreferCleanVictims bool
 }
 
 // String renders the configuration, e.g. "64KB MIN/4B write-validate".
@@ -152,12 +148,12 @@ func entryPos(e uint32) int { return int(e >> 1) }
 
 func packEntry(pos int, dirty uint32) uint32 { return uint32(pos)<<1 | dirty }
 
-// heapElem is one resident block in the eviction heap. The next-use key
-// lives inline so heap compares and swaps touch one contiguous array —
-// no pointer chase, no write barriers, no per-miss allocation.
+// heapElem is one resident block in the eviction heap: 8 bytes, with the
+// next-use key inline so a comparison reads one contiguous array — no
+// pointer chase, no write barriers, no per-miss allocation.
 type heapElem struct {
-	nextUse int64
-	id      int32
+	next int32 // position of the block's next reference, or never
+	id   int32
 }
 
 // MTC is the minimal-traffic cache simulator. Because MIN requires future
@@ -166,6 +162,10 @@ type heapElem struct {
 type MTC struct {
 	cfg      Config
 	capacity int
+	// ordered is false when every block the trace touches fits at once:
+	// nothing is ever evicted or bypassed, so no decision reads the heap
+	// order and replay skips maintaining it.
+	ordered bool
 
 	// fut is the trace's future-knowledge table, shared read-only with any
 	// other MTC built over the same trace at the same block size.
@@ -174,7 +174,7 @@ type MTC struct {
 	// entries is indexed by interned block ID; a block is resident iff its
 	// packed position field is non-zero.
 	entries []uint32
-	heap    []heapElem // max-heap on nextUse
+	heap    []heapElem // max-heap on next
 
 	stats Stats
 }
@@ -216,16 +216,13 @@ func NewWithFuture(cfg Config, f *Future) (*MTC, error) {
 		return nil, fmt.Errorf("mtc: future table built for %dB blocks, config wants %dB", f.blockSize, cfg.BlockSize)
 	}
 	capacity := cfg.Size / max(1, cfg.BlockSize) // Validate rejected nonpositive block sizes above
-	heapCap := capacity
-	if f.numBlocks < heapCap {
-		heapCap = f.numBlocks
-	}
 	return &MTC{
 		cfg:      cfg,
 		capacity: capacity,
+		ordered:  f.numBlocks > capacity,
 		fut:      f,
 		entries:  make([]uint32, f.numBlocks),
-		heap:     make([]heapElem, 0, heapCap),
+		heap:     make([]heapElem, 0, min(capacity, f.numBlocks)),
 	}, nil
 }
 
@@ -242,115 +239,95 @@ func (m *MTC) Future() *Future { return m.fut }
 // Resident returns the number of currently resident blocks.
 func (m *MTC) Resident() int { return len(m.heap) }
 
-// --- indexed max-heap on nextUse ---
+// --- indexed max-heap on next ---
+//
+// The sifts move a hole: each block that moves is written to its new
+// slot, and its entries position updated, once. The heap's layout is
+// observable, so it must stay that of a binary heap that evicts by
+// removing the top and then pushes the new block. Blocks never referenced
+// again all hold the key never; the one on top is evicted first, and
+// that decides whether a dirty one is written back now or at the final
+// Flush (Stats.FlushWriteBacks). A d-ary heap, or an eviction that
+// replaces the top, would change Stats; TestReplayMatchesSwapHeap holds
+// the layout to a swapping binary heap's.
 
-func (m *MTC) heapLess(i, j int) bool {
-	a, b := m.heap[i], m.heap[j]
-	if a.nextUse != b.nextUse {
-		return a.nextUse > b.nextUse
-	}
-	if m.cfg.PreferCleanVictims {
-		ad, bd := m.entries[a.id]&entryDirty != 0, m.entries[b.id]&entryDirty != 0
-		if ad != bd {
-			// Prefer evicting the clean block on a tie: rank it "larger".
-			return !ad && bd
-		}
-	}
-	return false
+// place writes x into slot i and records i in x's entry.
+func (m *MTC) place(i int, x heapElem) {
+	m.heap[i] = x
+	m.entries[x.id] = packEntry(i+1, m.entries[x.id]&entryDirty)
 }
 
-func (m *MTC) heapSwap(i, j int) {
-	m.heap[i], m.heap[j] = m.heap[j], m.heap[i]
-	m.entries[m.heap[i].id] = packEntry(i+1, m.entries[m.heap[i].id]&entryDirty)
-	m.entries[m.heap[j].id] = packEntry(j+1, m.entries[m.heap[j].id]&entryDirty)
-}
-
-func (m *MTC) heapUp(i int) {
+// heapUp sifts x up from the hole at slot i.
+func (m *MTC) heapUp(i int, x heapElem) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !m.heapLess(i, parent) {
+		p := m.heap[parent]
+		if x.next <= p.next {
 			break
 		}
-		m.heapSwap(i, parent)
+		m.place(i, p)
 		i = parent
 	}
+	m.place(i, x)
 }
 
-func (m *MTC) heapDown(i int) {
-	n := len(m.heap)
+// heapDown sifts x down from the hole at slot i.
+func (m *MTC) heapDown(i int, x heapElem) {
+	h := m.heap
+	n := len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && m.heapLess(l, largest) {
-			largest = l
-		}
-		if r < n && m.heapLess(r, largest) {
-			largest = r
+		largest, key := i, x.next
+		if l := 2*i + 1; l < n {
+			if h[l].next > key {
+				largest, key = l, h[l].next
+			}
+			if r := l + 1; r < n && h[r].next > key {
+				largest = r
+			}
 		}
 		if largest == i {
-			return
+			break
 		}
-		m.heapSwap(i, largest)
+		m.place(i, h[largest])
 		i = largest
 	}
+	m.place(i, x)
 }
 
-func (m *MTC) heapPush(id int32, nextUse int64) {
+// push adds block id, whose entry already holds its dirty bit.
+func (m *MTC) push(id, next int32) {
 	// Extend within the preallocated backing array instead of append:
 	// NewWithFuture sizes cap(m.heap) to min(capacity, numBlocks), and
 	// residency never exceeds either bound, so this is allocation-free on
 	// the replay hot path.
 	i := len(m.heap)
 	m.heap = m.heap[: i+1 : cap(m.heap)]
-	m.heap[i] = heapElem{nextUse: nextUse, id: id}
-	m.entries[id] = packEntry(i+1, m.entries[id]&entryDirty)
-	m.heapUp(i)
-}
-
-func (m *MTC) heapFix(i int) {
-	id := m.heap[i].id
-	m.heapUp(i)
-	if entryPos(m.entries[id])-1 == i {
-		m.heapDown(i)
+	if m.ordered {
+		m.heapUp(i, heapElem{next: next, id: id})
+	} else {
+		m.place(i, heapElem{next: next, id: id})
 	}
 }
 
-func (m *MTC) heapRemove(i int) {
-	last := len(m.heap) - 1
-	m.heapSwap(i, last)
-	m.heap = m.heap[:last]
-	if i < last {
-		m.heapDown(i)
-		m.heapUp(i)
-	}
-}
-
-func (m *MTC) evict(id int32, flush bool) {
-	e := m.entries[id]
-	if e&entryDirty != 0 {
+// evictTop removes the block with the furthest next use, writing it back
+// if dirty.
+func (m *MTC) evictTop() {
+	top := m.heap[0].id
+	if m.entries[top]&entryDirty != 0 {
 		m.stats.WriteBackBytes += units.Bytes(m.cfg.BlockSize)
-		if flush {
-			m.stats.FlushWriteBacks++
-		}
 	}
-	m.heapRemove(entryPos(e) - 1)
-	m.entries[id] = 0
-}
-
-func (m *MTC) allocate(id int32, nextUse int64, dirty bool, fetch bool) {
-	if dirty {
-		m.entries[id] = entryDirty // position filled in by heapPush
-	}
-	m.heapPush(id, nextUse)
-	if fetch {
-		m.stats.Fetches++
-		m.stats.FetchBytes += units.Bytes(m.cfg.BlockSize)
+	m.entries[top] = 0
+	last := len(m.heap) - 1
+	x := m.heap[last]
+	m.heap = m.heap[:last]
+	if last > 0 {
+		m.heapDown(0, x)
 	}
 }
 
 // access simulates the reference at position t. The block identity and
-// next-use time are both array loads from the shared future table — no map
-// lookups on the replay path.
+// next-use position are both array loads from the shared future table —
+// no map lookups on the replay path.
 func (m *MTC) access(isWrite bool, t int) {
 	m.stats.Accesses++
 	if isWrite {
@@ -359,16 +336,19 @@ func (m *MTC) access(isWrite bool, t int) {
 		m.stats.Reads++
 	}
 	id := m.fut.blockOf[t]
-	nextUse := m.fut.nextUse(t)
+	next := m.fut.next[t]
 
 	if e := m.entries[id]; e>>1 != 0 {
 		m.stats.Hits++
-		i := entryPos(e) - 1
-		m.heap[i].nextUse = nextUse
 		if isWrite {
 			m.entries[id] = e | entryDirty
 		}
-		m.heapFix(i)
+		// The block's key was t, below every other resident's, so it sits
+		// in a leaf; its new key is larger, so it can only rise. Without
+		// ordering the key is left stale: nothing reads it.
+		if m.ordered {
+			m.heapUp(entryPos(e)-1, heapElem{next: next, id: id})
+		}
 		return
 	}
 
@@ -379,8 +359,7 @@ func (m *MTC) access(isWrite bool, t int) {
 	// the cache", Section 5.2); stores always allocate, which is what
 	// makes the write-validate-vs-write-allocate factor visible.
 	if len(m.heap) >= m.capacity {
-		top := m.heap[0]
-		if !m.cfg.NoBypass && !isWrite && nextUse >= top.nextUse {
+		if !m.cfg.NoBypass && !isWrite && next >= m.heap[0].next {
 			// The incoming block is (re)used no sooner than everything
 			// resident: bypass. The requested word still crosses the
 			// boundary to the processor.
@@ -388,18 +367,19 @@ func (m *MTC) access(isWrite bool, t int) {
 			m.stats.BypassBytes += trace.WordSize
 			return
 		}
-		m.evict(top.id, false)
+		m.evictTop()
 	}
 
-	switch {
-	case !isWrite:
-		m.allocate(id, nextUse, false, true)
-	case m.cfg.Alloc == WriteValidate:
-		// Allocate by overwriting with the store data: no fetch.
-		m.allocate(id, nextUse, true, false)
-	default: // write-allocate
-		m.allocate(id, nextUse, true, true)
+	// Loads and write-allocate stores fetch the block; write-validate
+	// stores allocate by overwriting it with the store data.
+	if isWrite {
+		m.entries[id] = entryDirty
 	}
+	if !isWrite || m.cfg.Alloc != WriteValidate {
+		m.stats.Fetches++
+		m.stats.FetchBytes += units.Bytes(m.cfg.BlockSize)
+	}
+	m.push(id, next)
 }
 
 // checkLen panics when the replayed trace is longer than the one the future
@@ -422,10 +402,16 @@ func panicLenMismatch(t, n int) {
 }
 
 // Flush writes back all dirty resident blocks, as at program completion.
+// The order of write-backs does not matter, so one pass counts them.
 func (m *MTC) Flush() {
-	for len(m.heap) > 0 {
-		m.evict(m.heap[0].id, true)
+	var dirty int64
+	for _, x := range m.heap {
+		dirty += int64(m.entries[x.id] & entryDirty)
+		m.entries[x.id] = 0
 	}
+	m.heap = m.heap[:0]
+	m.stats.FlushWriteBacks += dirty
+	m.stats.WriteBackBytes += units.Bytes(dirty * int64(m.cfg.BlockSize))
 }
 
 // Run replays the full trace (the same one passed to New), flushes, resets

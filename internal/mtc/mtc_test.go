@@ -355,47 +355,30 @@ func TestConfigString(t *testing.T) {
 	}
 }
 
-func TestPreferCleanVictims(t *testing.T) {
-	// Two blocks with equal (never) next use, one dirty, one clean;
-	// capacity 2, then a new block forces an eviction.
-	refs := []trace.Ref{
-		write(0), // dirty, never reused
-		read(4),  // clean, never reused
-		write(8), // forces an eviction (no bypass so it allocates)
-	}
-	base := simulate(t, Config{Size: 8, BlockSize: 4, Alloc: WriteValidate, NoBypass: true}, refs)
-	clean := simulate(t, Config{Size: 8, BlockSize: 4, Alloc: WriteValidate, NoBypass: true, PreferCleanVictims: true}, refs)
-	// The clean-preferring policy must never write back MORE than plain
-	// MIN on this pattern.
-	if clean.WriteBackBytes > base.WriteBackBytes {
-		t.Errorf("clean-preference wrote back more: %d > %d", clean.WriteBackBytes, base.WriteBackBytes)
-	}
-}
-
-func TestPreferCleanVictimsNeverWorseOnRandom(t *testing.T) {
-	rng := stats.NewRNG(404)
-	var refs []trace.Ref
-	for i := 0; i < 30000; i++ {
+// TestReplayAllocatesNothing pins the replay loop allocation-free: every
+// array it touches is sized by NewWithFuture. Each RunRefs ends in a
+// Flush that empties the MTC, so it can replay the trace again.
+func TestReplayAllocatesNothing(t *testing.T) {
+	rng := stats.NewRNG(9)
+	refs := make([]trace.Ref, 20000)
+	for i := range refs {
 		k := trace.Read
 		if rng.Intn(3) == 0 {
 			k = trace.Write
 		}
-		refs = append(refs, trace.Ref{Kind: k, Addr: uint64(rng.Intn(4096)) * 4})
+		refs[i] = trace.Ref{Kind: k, Addr: uint64(rng.Intn(4096)) * 4}
 	}
-	base := simulate(t, Config{Size: 2048, BlockSize: 4, Alloc: WriteValidate}, refs)
-	clean := simulate(t, Config{Size: 2048, BlockSize: 4, Alloc: WriteValidate, PreferCleanVictims: true}, refs)
-	// Hits are identical (tie-breaking never changes MIN's hit count on
-	// distinct next-use times; ties only involve equal-priority blocks).
-	if clean.Hits < base.Hits*99/100 {
-		t.Errorf("clean-preference lost hits: %d vs %d", clean.Hits, base.Hits)
+	fut, err := FutureOfRefs(refs, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The paper's belief: the disparity is small. Allow 10%.
-	d := clean.TrafficBytes() - base.TrafficBytes()
-	if d < 0 {
-		d = -d
-	}
-	if d*10 > base.TrafficBytes() {
-		t.Errorf("write-conscious tie-breaking moved traffic by >10%%: %d vs %d",
-			clean.TrafficBytes(), base.TrafficBytes())
+	for _, size := range []int{1024, 1 << 20} { // heap ordered, then not
+		m, err := NewWithFuture(Config{Size: size, BlockSize: 4, Alloc: WriteValidate}, fut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(3, func() { m.RunRefs(refs) }); n != 0 {
+			t.Errorf("%dB: RunRefs allocated %.1f times per replay, want 0", size, n)
+		}
 	}
 }
