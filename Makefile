@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check vet fmt lint memlint lint-baseline figures paper selfcheck selfcheck-par profile race chaos serve-smoke clean
+.PHONY: all build test bench bench-check vet fmt lint memlint lint-baseline figures paper selfcheck selfcheck-par profile race chaos serve-smoke dinero-smoke clean
 
 all: build test
 
@@ -111,6 +111,22 @@ chaos:
 serve-smoke:
 	$(GO) run ./cmd/memwall serve -smoke 2>/dev/null | diff - examples/serve_smoke_golden.json
 	@echo "serve-smoke: output matches examples/serve_smoke_golden.json"
+
+# Replay check of the standalone simulator: emit compress as a compact
+# trace, replay it through dinero's default 64KB direct-mapped cache and
+# the same-size MTC, and require the R and G of Table 7's and Table 8's
+# 64KB compress cells (printed there as 1.35 and 5.8).
+dinero-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/dinero" ./cmd/dinero && \
+	"$$tmp/dinero" -emit compress -format compact > "$$tmp/compress.mwt" && \
+	"$$tmp/dinero" -mtc "$$tmp/compress.mwt" > "$$tmp/out.txt" || exit 1; \
+	for want in 'traffic ratio R = 1.345' 'traffic inefficiency G = 5.83'; do \
+		if ! grep -qF "$$want" "$$tmp/out.txt"; then \
+			cat "$$tmp/out.txt" >&2; echo "dinero-smoke: output lacks \"$$want\"" >&2; exit 1; \
+		fi; \
+	done; \
+	echo "dinero-smoke: compress replays to R = 1.345 and G = 5.83"
 
 clean:
 	rm -rf figures test_output.txt bench_output.txt profile_baseline.txt

@@ -13,6 +13,7 @@ import (
 	"memwall/internal/cpu"
 	"memwall/internal/isa"
 	"memwall/internal/mem"
+	"memwall/internal/trace"
 	"memwall/internal/units"
 	"memwall/internal/workload"
 )
@@ -20,7 +21,7 @@ import (
 // BenchmarkAblationSectorCache measures how much 4-byte sector transfers
 // cut a probe-dominated workload's traffic versus whole-block fills.
 func BenchmarkAblationSectorCache(b *testing.B) {
-	p := mustGen(b, "compress")
+	refs := trace.Collect(mustGen(b, "compress").MemRefs())
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +30,7 @@ func BenchmarkAblationSectorCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return c.Run(p.MemRefs()).TrafficBytes()
+			return c.RunRefs(refs).TrafficBytes()
 		}
 		ratio = float64(run(0)) / float64(run(4))
 	}
@@ -39,7 +40,7 @@ func BenchmarkAblationSectorCache(b *testing.B) {
 // BenchmarkAblationWriteValidate measures the write-validate policy's
 // traffic saving on the store-heavy eqntott surrogate.
 func BenchmarkAblationWriteValidate(b *testing.B) {
-	p := mustGen(b, "eqntott")
+	refs := trace.Collect(mustGen(b, "eqntott").MemRefs())
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,7 +50,7 @@ func BenchmarkAblationWriteValidate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return c.Run(p.MemRefs()).TrafficBytes()
+			return c.RunRefs(refs).TrafficBytes()
 		}
 		ratio = float64(run(cache.WriteAllocate)) / float64(run(cache.WriteValidate))
 	}

@@ -151,18 +151,19 @@ func BenchmarkTable6StallReversal(b *testing.B) {
 
 func BenchmarkTable7TrafficRatios(b *testing.B) {
 	progs := map[string]*workload.Program{}
+	traces := map[string]core.RefTrace{}
 	for _, n := range workload.SuiteNames(workload.SPEC92) {
 		progs[n] = mustGen(b, n)
+		traces[n] = core.TraceOfRefs(trace.Collect(progs[n].MemRefs()))
 	}
 	sizes := []int{1 << 10, 8 << 10, 64 << 10, 256 << 10}
 	b.ResetTimer()
 	var r64 float64
 	for i := 0; i < b.N; i++ {
 		for _, n := range workload.SuiteNames(workload.SPEC92) {
-			p := progs[n]
 			for _, sz := range sizes {
 				cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-				res, err := core.MeasureRatio(cfg, p.MemRefs(), p.RefCount(), p.DataSetBytes)
+				res, err := core.MeasureRatioRefs(cfg, traces[n], progs[n].DataSetBytes)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -179,11 +180,12 @@ func BenchmarkTable7TrafficRatios(b *testing.B) {
 
 func BenchmarkTable8Inefficiency(b *testing.B) {
 	p := mustGen(b, "compress")
+	tr := core.TraceOfRefs(trace.Collect(p.MemRefs()))
 	b.ResetTimer()
 	var g float64
 	for i := 0; i < b.N; i++ {
 		cfg := cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: 1}
-		res, err := core.MeasureInefficiency(cfg, p.MemRefs(), p.DataSetBytes)
+		res, err := core.MeasureInefficiencyRefs(cfg, tr, p.DataSetBytes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +197,7 @@ func BenchmarkTable8Inefficiency(b *testing.B) {
 // --- Figure 4: traffic vs cache and MTC size ---
 
 func BenchmarkFigure4TrafficCurves(b *testing.B) {
-	p := mustGen(b, "eqntott")
+	refs := trace.Collect(mustGen(b, "eqntott").MemRefs())
 	blockSizes := []int{4, 32, 128}
 	sizes := []int{4 << 10, 64 << 10}
 	b.ResetTimer()
@@ -206,11 +208,15 @@ func BenchmarkFigure4TrafficCurves(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				c.Run(p.MemRefs())
+				c.RunRefs(refs)
 			}
 		}
+		fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, sz := range sizes {
-			if _, err := mtc.Simulate(mtc.Config{Size: sz, BlockSize: 4, Alloc: mtc.WriteValidate}, p.MemRefs()); err != nil {
+			if _, err := mtc.SimulateRefs(mtc.Config{Size: sz, BlockSize: 4, Alloc: mtc.WriteValidate}, fut, refs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -220,21 +226,16 @@ func BenchmarkFigure4TrafficCurves(b *testing.B) {
 // --- Tables 9-10: factor isolation ---
 
 func BenchmarkTable9Factors(b *testing.B) {
-	p := mustGen(b, "eqntott")
-	size := 64 << 10
-	ref, err := mtc.Simulate(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, p.MemRefs())
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := core.TraceOfRefs(trace.Collect(mustGen(b, "eqntott").MemRefs()))
 	b.ResetTimer()
 	var wv float64
 	for i := 0; i < b.N; i++ {
-		for _, spec := range core.Factors(size) {
-			res, err := core.MeasureFactor(spec, p.MemRefs(), ref.TrafficBytes())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if spec.Name == "Write validate" {
+		_, results, err := core.MeasureFactorColumn(tr, 64<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
+			if res.Spec.Name == "Write validate" {
 				wv = res.DeltaG
 			}
 		}
@@ -281,8 +282,11 @@ func BenchmarkMTCSimulate(b *testing.B) {
 	refs := trace.Collect(p.MemRefs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mtc.Simulate(mtc.Config{Size: 16 << 10, BlockSize: 4, Alloc: mtc.WriteValidate},
-			trace.NewSliceStream(refs)); err != nil {
+		fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mtc.SimulateRefs(mtc.Config{Size: 16 << 10, BlockSize: 4, Alloc: mtc.WriteValidate}, fut, refs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	st := c.Run(trace.NewSliceStream(refs))
+	st := c.RunRefs(refs)
 	refsN := int64(len(refs))
 	fmt.Printf("trace: %d data refs (%d ifetch records skipped)\n", refsN, ifetches)
 	fmt.Printf("cache: %s\n", cfg)
@@ -158,12 +158,16 @@ func run() error {
 	fmt.Printf("  total traffic %12d bytes, traffic ratio R = %.3f\n", st.TrafficBytes(), r)
 
 	if *withMTC {
-		mst, err := mtc.Simulate(mtc.Config{Size: bytes, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate},
-			trace.NewSliceStream(refs))
+		mcfg := mtc.Config{Size: bytes, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
+		fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("MTC (%s):\n", mtc.Config{Size: bytes, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate})
+		mst, err := mtc.SimulateRefs(mcfg, fut, refs)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("MTC (%s):\n", mcfg)
 		fmt.Printf("  total traffic %12d bytes\n", mst.TrafficBytes())
 		fmt.Printf("  traffic inefficiency G = %.2f\n", core.Inefficiency(st.TrafficBytes(), mst.TrafficBytes()))
 	}

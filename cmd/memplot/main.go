@@ -113,6 +113,11 @@ func plotFig4(dir string, scale int) error {
 		if err != nil {
 			return err
 		}
+		refs := trace.Collect(p.MemRefs())
+		fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
+		if err != nil {
+			return err
+		}
 		ch := svgplot.Chart{
 			Title:  fmt.Sprintf("Figure 4 (%s): total traffic vs cache and MTC size", name),
 			XLabel: "cache size (bytes)", YLabel: "traffic (KB)",
@@ -128,7 +133,7 @@ func plotFig4(dir string, scale int) error {
 				if err != nil {
 					return err
 				}
-				st := c.Run(p.MemRefs())
+				st := c.RunRefs(refs)
 				xs = append(xs, float64(sz))
 				ys = append(ys, float64(st.TrafficBytes())/1024)
 			}
@@ -140,7 +145,7 @@ func plotFig4(dir string, scale int) error {
 		}{{"MTC (write-allocate)", mtc.WriteAllocate}, {"MTC (write-validate)", mtc.WriteValidate}} {
 			var xs, ys []float64
 			for _, sz := range sizes {
-				st, err := mtc.Simulate(mtc.Config{Size: sz, BlockSize: trace.WordSize, Alloc: m.alloc}, p.MemRefs())
+				st, err := mtc.SimulateRefs(mtc.Config{Size: sz, BlockSize: trace.WordSize, Alloc: m.alloc}, fut, refs)
 				if err != nil {
 					return err
 				}

@@ -36,7 +36,6 @@ func runExport(args []string) error {
 		Scale:      *scale,
 		CacheScale: *cacheScale,
 		SkipTiming: *skipTiming,
-		Workers:    *workers,
 		Pool:       &pool,
 		Corpus:     activeCorpus(),
 	})

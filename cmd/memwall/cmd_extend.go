@@ -46,7 +46,6 @@ func runCMP(args []string) error {
 	t := tablefmt.New(fmt.Sprintf("Single-chip multiprocessor scaling on %s (machine F)", *bench),
 		"cores", "cycles", "aggregate IPC", "per-core slowdown", "mem traffic MB", "traffic/core MB")
 	var baseCycles int64
-	var baseIPC float64
 	for n := 1; n <= *maxCores; n *= 2 {
 		streams := make([]isa.Stream, n)
 		for i := 0; i < n; i++ {
@@ -72,9 +71,7 @@ func runCMP(args []string) error {
 		}
 		if n == 1 {
 			baseCycles = res.Cycles
-			baseIPC = res.Throughput()
 		}
-		_ = baseIPC
 		if baseCycles < 1 {
 			baseCycles = 1 // the n==1 pass ran first and any run takes >= 1 cycle
 		}
@@ -112,7 +109,10 @@ func runAblate(args []string) error {
 		if err != nil {
 			return err
 		}
-		meta, _ := e.Meta()
+		meta, err := e.Meta()
+		if err != nil {
+			return err
+		}
 		refBytes := units.Words(meta.RefCount).Bytes(trace.WordSize)
 		row := []string{name}
 		for _, cfg := range []cache.Config{
@@ -157,21 +157,27 @@ func runAblate(args []string) error {
 		if err != nil {
 			return err
 		}
-		run := func(entries int) (int64, int64) {
+		run := func(entries int) (cycles, hits int64, err error) {
 			cfg := m.Mem
 			cfg.VictimCache = mem.VictimCacheConfig{Entries: entries}
 			h, err := mem.New(cfg)
 			if err != nil {
-				return 0, 0
+				return 0, 0, err
 			}
 			r, err := cpu.Run(m.CPU, h, p.Stream(), nil)
 			if err != nil {
-				return 0, 0
+				return 0, 0, err
 			}
-			return r.Cycles, h.Stats().VictimHits
+			return r.Cycles, h.Stats().VictimHits, nil
 		}
-		base, _ := run(0)
-		with, hits := run(4)
+		base, _, err := run(0)
+		if err != nil {
+			return err
+		}
+		with, hits, err := run(4)
+		if err != nil {
+			return err
+		}
 		if with < 1 {
 			with = 1 // a run takes at least one cycle
 		}

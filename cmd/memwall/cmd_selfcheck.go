@@ -21,6 +21,7 @@ import (
 	"memwall/internal/mtc"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
+	"memwall/internal/trace"
 	"memwall/internal/units"
 	"memwall/internal/workload"
 )
@@ -240,11 +241,15 @@ func runSelfcheck(args []string) error {
 		if len(a.Insts) != len(progs[name].Insts) {
 			return name + ": generation differs", nil
 		}
-		run := func(p *workload.Program) units.Bytes {
-			c, _ := cache.New(cache.Config{Size: 8 << 10, BlockSize: 32, Assoc: 1})
-			return c.Run(p.MemRefs()).TrafficBytes()
+		var traffic [2]units.Bytes
+		for j, p := range []*workload.Program{a, progs[name]} {
+			c, err := cache.New(cache.Config{Size: 8 << 10, BlockSize: 32, Assoc: 1})
+			if err != nil {
+				return "", err
+			}
+			traffic[j] = c.RunRefs(trace.Collect(p.MemRefs())).TrafficBytes()
 		}
-		if run(a) != run(progs[name]) {
+		if traffic[0] != traffic[1] {
 			return name + ": simulation differs", nil
 		}
 		return "", nil

@@ -35,12 +35,6 @@ func init() {
 	register("epin", "Equations 5 & 7: effective pin bandwidth and its bound", runEpin)
 }
 
-// cacheSizes are the column sizes of Tables 7 and 8.
-var cacheSizes = []int{
-	1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10,
-	64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20,
-}
-
 func runTable3(args []string) error {
 	fs := flag.NewFlagSet("table3", flag.ContinueOnError)
 	scale := scaleFlag(fs)
@@ -78,7 +72,7 @@ func spec92Traces(scale int) (map[string]*corpus.Entry, error) {
 	return entries, nil
 }
 
-// ladderRow is one table row: a trace measured at every cacheSizes
+// ladderRow is one table row: a trace measured at every core.TrafficSizes
 // column. Exported field: the row must survive the ledger's JSON
 // round-trip.
 type ladderRow[T any] struct {
@@ -99,7 +93,7 @@ func sizeLadders[T any](workers int, table string, names []string, entries map[s
 			return ladderRow[T]{}, err
 		}
 		var row ladderRow[T]
-		for _, sz := range cacheSizes {
+		for _, sz := range core.TrafficSizes() {
 			res, err := measure(cache.Config{Size: sz, BlockSize: 32, Assoc: 1}, e, meta.DataSetBytes)
 			if err != nil {
 				return ladderRow[T]{}, err
@@ -121,8 +115,9 @@ func runTable7(args []string) error {
 	if err != nil {
 		return err
 	}
+	sizes := core.TrafficSizes()
 	header := []string{"Trace"}
-	for _, sz := range cacheSizes {
+	for _, sz := range sizes {
 		header = append(header, tablefmt.Bytes(int64(sz)))
 	}
 	t := tablefmt.New("Table 7: traffic ratios for 32-byte block, direct-mapped caches", header...)
@@ -140,7 +135,7 @@ func runTable7(args []string) error {
 		row := []string{name}
 		for j, res := range rows[i].Cells {
 			res.Stats.Publish(observation().Metrics,
-				fmt.Sprintf("cache.%s.%s", name, tablefmt.Bytes(int64(cacheSizes[j]))))
+				fmt.Sprintf("cache.%s.%s", name, tablefmt.Bytes(int64(sizes[j]))))
 			results[name] = append(results[name], res)
 			if res.FitsDataSet {
 				row = append(row, "<<<")
@@ -163,7 +158,7 @@ func runTable7(args []string) error {
 		if err != nil {
 			return err
 		}
-		for i, sz := range cacheSizes {
+		for i, sz := range sizes {
 			if sz < 64<<10 || int64(sz) >= meta.DataSetBytes {
 				continue
 			}
@@ -190,7 +185,7 @@ func runTable8(args []string) error {
 		return err
 	}
 	header := []string{"Trace"}
-	for _, sz := range cacheSizes {
+	for _, sz := range core.TrafficSizes() {
 		header = append(header, tablefmt.Bytes(int64(sz)))
 	}
 	t := tablefmt.New("Table 8: traffic inefficiencies for 32-byte block, direct-mapped caches", header...)
@@ -223,6 +218,7 @@ func runFig4(args []string) error {
 		return err
 	}
 	blockSizes := []int{4, 8, 16, 32, 64, 128}
+	sizes := core.TrafficSizes()
 	for _, name := range strings.Split(*benchList, ",") {
 		name = strings.TrimSpace(name)
 		e := corpusEntry(name, *scale)
@@ -231,7 +227,7 @@ func runFig4(args []string) error {
 			return err
 		}
 		header := []string{"config"}
-		for _, sz := range cacheSizes {
+		for _, sz := range sizes {
 			header = append(header, tablefmt.Bytes(int64(sz)))
 		}
 		t := tablefmt.New(fmt.Sprintf("Figure 4 (%s): total traffic (KB) by cache/MTC size", name), header...)
@@ -242,7 +238,7 @@ func runFig4(args []string) error {
 		for _, bs := range blockSizes {
 			row := []string{fmt.Sprintf("4-way %dB blocks", bs)}
 			var xs, ys []float64
-			for _, sz := range cacheSizes {
+			for _, sz := range sizes {
 				if sz < bs*8 {
 					row = append(row, "-")
 					continue
@@ -275,7 +271,7 @@ func runFig4(args []string) error {
 			if err != nil {
 				return err
 			}
-			for _, sz := range cacheSizes {
+			for _, sz := range sizes {
 				st, err := mtc.SimulateRefs(mtc.Config{Size: sz, BlockSize: trace.WordSize, Alloc: m.alloc}, fut, refs)
 				if err != nil {
 					return err
@@ -319,37 +315,20 @@ func runTable9(args []string) error {
 	}
 	fmt.Println(legend)
 
-	// One task per benchmark: its column of the table, the reference MTC
-	// and then ΔG for each factor pair, in core.Factors order.
+	// One task per benchmark: its column of the table, ΔG for each factor
+	// pair in core.Factors order.
 	type factorColumn struct {
 		DeltaG []float64
 	}
 	cols, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
 		return "table9:" + names[i]
 	}), len(names), func(_ context.Context, i int, _ *telemetry.Tracer) (factorColumn, error) {
-		e := entries[names[i]]
-		refs, err := e.Refs()
-		if err != nil {
-			return factorColumn{}, err
-		}
-		fut, err := e.Future(trace.WordSize)
-		if err != nil {
-			return factorColumn{}, err
-		}
-		size := 64 << 10
-		if names[i] == "espresso" {
-			size = 16 << 10 // the paper shrinks espresso's cache to fit its data set
-		}
-		ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+		_, results, err := core.MeasureFactorColumn(entries[names[i]], core.FactorSize(names[i]))
 		if err != nil {
 			return factorColumn{}, err
 		}
 		var col factorColumn
-		for _, spec := range core.Factors(size) {
-			res, err := core.MeasureFactorRefs(spec, e, ref.TrafficBytes())
-			if err != nil {
-				return factorColumn{}, err
-			}
+		for _, res := range results {
 			col.DeltaG = append(col.DeltaG, res.DeltaG)
 		}
 		return col, nil
@@ -412,11 +391,11 @@ func runEpin(args []string) error {
 			if err != nil {
 				return err
 			}
-			s, err := e.Stream()
+			refs, err := e.Refs()
 			if err != nil {
 				return err
 			}
-			ratios = hier.Run(s)
+			ratios = hier.Run(refs)
 		}
 		epin := core.EffectivePinBandwidth(*pinBW, ratios...)
 		oepin := core.OptimalEffectivePinBandwidth(*pinBW, []float64{ir.G}, []float64{rr.R})

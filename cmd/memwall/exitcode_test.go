@@ -34,11 +34,11 @@ func TestExitStatusTaxonomy(t *testing.T) {
 
 // A malformed -fault-schedule is a usage error (2), not a run failure.
 func TestBadFaultScheduleIsUsageError(t *testing.T) {
-	_, err := runObservedCapture(t, globalOpts{corpus: true, faultSchedule: "nonsense@x"}, "table3")
+	_, err := runObservedCapture(t, globalOpts{faultSchedule: "nonsense@x"}, "table3")
 	if got := exitStatus(err); got != 2 {
 		t.Errorf("malformed -fault-schedule: exit status %d (err %v), want 2", got, err)
 	}
-	_, err = runObservedCapture(t, globalOpts{corpus: true, resume: true}, "table3")
+	_, err = runObservedCapture(t, globalOpts{resume: true}, "table3")
 	if got := exitStatus(err); got != 2 {
 		t.Errorf("-resume without -checkpoint-dir: exit status %d (err %v), want 2", got, err)
 	}
@@ -46,7 +46,7 @@ func TestBadFaultScheduleIsUsageError(t *testing.T) {
 
 // A subcommand flag typo classifies as usage, via parseFlags.
 func TestBadSubcommandFlagIsUsageError(t *testing.T) {
-	_, err := runObservedCapture(t, globalOpts{corpus: true}, "table7", "-no-such-flag")
+	_, err := runObservedCapture(t, globalOpts{}, "table7", "-no-such-flag")
 	if got := exitStatus(err); got != 2 {
 		t.Errorf("unknown subcommand flag: exit status %d (err %v), want 2", got, err)
 	}
@@ -56,7 +56,7 @@ func TestBadSubcommandFlagIsUsageError(t *testing.T) {
 // output — but the run must exit 3 so someone looks at the disk.
 func TestCorruptLedgerExitsThree(t *testing.T) {
 	dir := t.TempDir()
-	want, err := runObservedCapture(t, globalOpts{corpus: true, checkpointDir: dir}, "table7")
+	want, err := runObservedCapture(t, globalOpts{checkpointDir: dir}, "table7")
 	if err != nil {
 		t.Fatalf("checkpointed table7 run failed: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestCorruptLedgerExitsThree(t *testing.T) {
 	if err := os.WriteFile(ledgers[0], []byte("{definitely not a ledger"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := runObservedCapture(t, globalOpts{corpus: true, checkpointDir: dir, resume: true}, "table7")
+	got, err := runObservedCapture(t, globalOpts{checkpointDir: dir, resume: true}, "table7")
 	if status := exitStatus(err); status != 3 {
 		t.Errorf("corrupt-ledger resume: exit status %d (err %v), want 3", status, err)
 	}

@@ -5,11 +5,8 @@
 //	-cpuprofile <file>      write a pprof CPU profile
 //	-memprofile <file>      write a pprof heap profile at exit
 //	-progress               print a sim-cycles/sec heartbeat to stderr
-//	-corpus                 share one trace materialization per benchmark
-//	                        across the whole run (default true; =false to
-//	                        regenerate per grid cell, for debugging)
-//	-corpus-dir <dir>       also persist traces to dir (compact encoding),
-//	                        so later runs skip workload execution
+//	-corpus-dir <dir>       persist the run's shared traces to dir (compact
+//	                        encoding), so later runs skip workload execution
 //	-checkpoint-dir <dir>   journal each completed grid cell to a per-run
 //	                        ledger keyed by the manifest fingerprint
 //	-resume                 serve completed cells from the ledger instead
@@ -22,11 +19,11 @@
 // peels the telemetry flags off and hands the rest to the command.
 //
 // The corpus, checkpoint, and fault flags deliberately stay out of the
-// fingerprinted manifest args: corpus on/off (at any -j) is byte-identical
-// by construction, a resumed run must map to the same ledger as the run it
-// resumes, and an injected fault changes how a run fails, never what a
-// successful run computes — all execution mechanics, not configuration,
-// exactly like -j itself.
+// fingerprinted manifest args: a disk-backed corpus (at any -j) is
+// byte-identical to an in-memory one by construction, a resumed run must
+// map to the same ledger as the run it resumes, and an injected fault
+// changes how a run fails, never what a successful run computes — all
+// execution mechanics, not configuration, exactly like -j itself.
 package main
 
 import (
@@ -52,7 +49,6 @@ type globalOpts struct {
 	cpuProfile    string
 	memProfile    string
 	progress      bool
-	corpus        bool
 	corpusDir     string
 	checkpointDir string
 	resume        bool
@@ -66,7 +62,6 @@ var globalFlagNames = map[string]bool{
 	"cpuprofile":     true,
 	"memprofile":     true,
 	"progress":       false,
-	"corpus":         false,
 	"corpus-dir":     true,
 	"checkpoint-dir": true,
 	"resume":         false,
@@ -78,7 +73,7 @@ var globalFlagNames = map[string]bool{
 // FlagSet. Both "-flag value" and "-flag=value" spellings are accepted,
 // with one or two dashes.
 func splitGlobalFlags(args []string) (globalOpts, []string, error) {
-	opts := globalOpts{corpus: true}
+	var opts globalOpts
 	var rest []string
 	for i := 0; i < len(args); i++ {
 		a := args[i]
@@ -119,15 +114,6 @@ func splitGlobalFlags(args []string) (globalOpts, []string, error) {
 				}
 				opts.progress = b
 			}
-		case "corpus":
-			opts.corpus = true
-			if hasValue {
-				b, err := strconv.ParseBool(value)
-				if err != nil {
-					return opts, nil, fmt.Errorf("flag -corpus: %v", err)
-				}
-				opts.corpus = b
-			}
 		case "corpus-dir":
 			opts.corpusDir = value
 		case "checkpoint-dir":
@@ -156,15 +142,16 @@ var currentObs telemetry.Observation
 // observation returns the telemetry hooks for the current invocation.
 func observation() telemetry.Observation { return currentObs }
 
-// currentCorpus is the run-wide trace corpus, set up by runObserved. Nil
-// when -corpus=false: the nil corpus materializes a private entry per Get
-// through the identical code path, so output never depends on the flag.
+// currentCorpus is the run-wide trace corpus, set up by runObserved. It is
+// nil outside a run (tests install their own): the nil corpus materializes
+// a private entry per Get through the identical code path, so output never
+// depends on whether traces are shared.
 var currentCorpus *corpus.Corpus
 
 // activeCorpus returns the invocation's trace corpus (possibly nil).
 func activeCorpus() *corpus.Corpus { return currentCorpus }
 
-// corpusEntry returns the shared (or, corpus disabled, private) trace
+// corpusEntry returns the shared (or, with a nil corpus, private) trace
 // entry for a benchmark at a scale.
 func corpusEntry(name string, scale int) *corpus.Entry {
 	return activeCorpus().Get(name, scale)
@@ -367,10 +354,7 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 		ledger = l
 	}
 
-	var corp *corpus.Corpus
-	if opts.corpus {
-		corp = corpus.New(corpus.Options{Dir: opts.corpusDir, Metrics: obs.Metrics, FS: fsys})
-	}
+	corp := corpus.New(corpus.Options{Dir: opts.corpusDir, Metrics: obs.Metrics, FS: fsys})
 
 	currentObs = obs
 	currentCorpus = corp

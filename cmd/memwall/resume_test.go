@@ -50,7 +50,7 @@ func runObservedCapture(t *testing.T, opts globalOpts, name string, args ...stri
 func testKillAndResume(t *testing.T, name string, args []string, kill string) {
 	t.Helper()
 	dir := t.TempDir()
-	base := globalOpts{corpus: true}
+	base := globalOpts{}
 
 	want, err := runObservedCapture(t, base, name, append(args, "-j", "2")...)
 	if err != nil {

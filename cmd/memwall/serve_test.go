@@ -25,7 +25,7 @@ func TestServeSmokeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	got, err := runObservedCapture(t, globalOpts{corpus: true}, "serve", "-smoke")
+	got, err := runObservedCapture(t, globalOpts{}, "serve", "-smoke")
 	if err != nil {
 		t.Fatalf("serve -smoke failed: %v", err)
 	}
@@ -55,7 +55,7 @@ func countFDs(t *testing.T) int {
 // reproduces the uninterrupted output byte-for-byte.
 func TestCancelThenResume(t *testing.T) {
 	dir := t.TempDir()
-	base := globalOpts{corpus: true}
+	base := globalOpts{}
 
 	want, err := runObservedCapture(t, base, "table7", "-j", "2")
 	if err != nil {
@@ -141,7 +141,7 @@ func TestServeSmokeWithFaultSchedule(t *testing.T) {
 		t.Skip("timing simulation")
 	}
 	dir := t.TempDir()
-	opts := globalOpts{corpus: true, checkpointDir: dir, faultSchedule: "slowwrite@1"}
+	opts := globalOpts{checkpointDir: dir, faultSchedule: "slowwrite@1"}
 	got, err := runObservedCapture(t, opts, "serve", "-smoke")
 	if err != nil {
 		t.Fatalf("serve -smoke under slowwrite failed: %v", err)

@@ -21,21 +21,22 @@ import (
 
 // mtcGridSizes is the multi-configuration MTC sweep: one trace, the
 // paper's twelve Figure 4 capacities, all at word-grain blocks.
-var mtcGridSizes = []int{
-	1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10,
-	64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20,
-}
+var mtcGridSizes = core.TrafficSizes()
 
 // BenchmarkMTCGridNoCorpus is the pre-corpus path: generate the trace,
-// then rebuild the future table for every capacity, as mtc.Simulate on a
-// raw stream must. Generation sits inside the timed loop on both sides
-// of the pair, so the comparison is end to end.
+// then rebuild the future table for every capacity. Generation sits
+// inside the timed loop on both sides of the pair, so the comparison is
+// end to end.
 func BenchmarkMTCGridNoCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := mustGen(b, "eqntott")
+		refs := trace.Collect(mustGen(b, "eqntott").MemRefs())
 		for _, sz := range mtcGridSizes {
+			fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
+			if err != nil {
+				b.Fatal(err)
+			}
 			cfg := mtc.Config{Size: sz, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
-			if _, err := mtc.Simulate(cfg, p.MemRefs()); err != nil {
+			if _, err := mtc.SimulateRefs(cfg, fut, refs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,23 +78,25 @@ var (
 
 // BenchmarkTable7GridNoCorpus is the pre-corpus path: each pass generates
 // its own programs, and every inefficiency cell's MTC run rebuilds the
-// future table.
+// future table (core.TraceOfRefs shares none).
 func BenchmarkTable7GridNoCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range trafficGridBenches {
 			p := mustGen(b, name)
+			tr := core.TraceOfRefs(trace.Collect(p.MemRefs()))
 			for _, sz := range trafficGridSizes {
 				cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-				if _, err := core.MeasureRatio(cfg, p.MemRefs(), p.RefCount(), p.DataSetBytes); err != nil {
+				if _, err := core.MeasureRatioRefs(cfg, tr, p.DataSetBytes); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 		for _, name := range trafficGridBenches {
 			p := mustGen(b, name)
+			tr := core.TraceOfRefs(trace.Collect(p.MemRefs()))
 			for _, sz := range trafficGridSizes {
 				cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-				if _, err := core.MeasureInefficiency(cfg, p.MemRefs(), p.DataSetBytes); err != nil {
+				if _, err := core.MeasureInefficiencyRefs(cfg, tr, p.DataSetBytes); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,13 +30,10 @@ var goldenTable7 = map[string]map[int]string{
 
 func TestGoldenTable7(t *testing.T) {
 	for name, cells := range goldenTable7 {
-		p, err := workload.Generate(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := traceOf(t, name)
 		for size, want := range cells {
 			cfg := cache.Config{Size: size, BlockSize: 32, Assoc: 1}
-			res, err := core.MeasureRatio(cfg, p.MemRefs(), p.RefCount(), 0)
+			res, err := core.MeasureRatioRefs(cfg, tr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,16 +57,8 @@ var goldenTable8 = map[string]string{
 
 func TestGoldenTable8(t *testing.T) {
 	for name, want := range goldenTable8 {
-		p, err := workload.Generate(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		size := 64 << 10
-		if name == "espresso" {
-			size = 16 << 10
-		}
-		cfg := cache.Config{Size: size, BlockSize: 32, Assoc: 1}
-		res, err := core.MeasureInefficiency(cfg, p.MemRefs(), 0)
+		cfg := cache.Config{Size: core.FactorSize(name), BlockSize: 32, Assoc: 1}
+		res, err := core.MeasureInefficiencyRefs(cfg, traceOf(t, name), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,15 +84,16 @@ var goldenTable9RefMTC = map[string]mtc.Stats{
 
 func TestGoldenTable9ReferenceMTC(t *testing.T) {
 	for name, want := range goldenTable9RefMTC {
-		p, err := workload.Generate(name, 1)
+		refs, err := traceOf(t, name).Refs()
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := 64 << 10
-		if name == "espresso" {
-			size = 16 << 10
+		fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, err := mtc.Simulate(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, p.MemRefs())
+		cfg := mtc.Config{Size: core.FactorSize(name), BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
+		got, err := mtc.SimulateRefs(cfg, fut, refs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,6 +101,46 @@ func TestGoldenTable9ReferenceMTC(t *testing.T) {
 			t.Errorf("Table 9 reference MTC %s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
+}
+
+// goldenTable9 records the 35 ΔG cells `memwall table9` prints (1 decimal
+// place), per trace in core.Factors order: associativity, replacement,
+// block size (cache), block size (MTC), write validate.
+var goldenTable9 = map[string][5]string{
+	"compress": {"1.4", "1.6", "4.4", "1.7", "0.2"},
+	"dnasa2":   {"-0.1", "0.3", "0.5", "0.4", "0.2"},
+	"eqntott":  {"0.6", "1.2", "1.8", "0.5", "0.2"},
+	"espresso": {"2.6", "0.0", "1.9", "0.0", "0.0"}, // 16KB
+	"su2cor":   {"15.7", "0.0", "14.1", "0.0", "0.2"},
+	"swm":      {"0.0", "0.3", "0.0", "0.0", "0.5"},
+	"tomcatv":  {"0.0", "0.4", "0.0", "0.0", "0.3"},
+}
+
+func TestGoldenTable9(t *testing.T) {
+	for name, want := range goldenTable9 {
+		_, results, err := core.MeasureFactorColumn(traceOf(t, name), core.FactorSize(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(want) {
+			t.Fatalf("Table 9 %s: %d factors, golden %d", name, len(results), len(want))
+		}
+		for i, res := range results {
+			if got := fmt.Sprintf("%.1f", res.DeltaG); got != want[i] {
+				t.Errorf("Table 9 %s/%s: ΔG = %s, golden %s", name, res.Spec.Name, got, want[i])
+			}
+		}
+	}
+}
+
+// traceOf materializes a SPEC92 surrogate's reference trace at scale 1.
+func traceOf(t *testing.T, name string) core.RefTrace {
+	t.Helper()
+	p, err := workload.Generate(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.TraceOfRefs(trace.Collect(p.MemRefs()))
 }
 
 // goldenWorkloads pins the generated program sizes: any change to a

@@ -537,24 +537,8 @@ func (c *Cache) fetchSub(l *line, bit uint64) {
 	c.stats.FetchBytes += units.Bytes(c.subSize)
 }
 
-// Run replays an entire stream through the cache, flushes it, and resets
-// the stream. It returns the final statistics.
-func (c *Cache) Run(s trace.Stream) Stats {
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		c.Access(r)
-	}
-	c.Flush()
-	s.Reset()
-	return c.stats
-}
-
 // RunRefs replays a materialized trace, flushes, and returns the final
-// statistics. It is the slice fast path of Run: iterating a shared
-// corpus-backed []trace.Ref avoids two interface calls per reference.
+// statistics.
 func (c *Cache) RunRefs(refs []trace.Ref) Stats {
 	for _, r := range refs {
 		c.Access(r)

@@ -199,15 +199,10 @@ func TestFlushWritesDirtyOnly(t *testing.T) {
 
 func TestRunIncludesFlush(t *testing.T) {
 	c := mustNew(t, Config{Size: 1024, BlockSize: 32, Assoc: 1})
-	s := trace.NewSliceStream([]trace.Ref{write(0x0), write(0x40)})
-	st := c.Run(s)
+	st := c.RunRefs([]trace.Ref{write(0x0), write(0x40)})
 	// Two fetches (write-allocate) and two flush write-backs.
 	if st.FetchBytes != 64 || st.WriteBackBytes != 64 {
 		t.Errorf("run traffic = %+v", st)
-	}
-	// The stream must have been reset.
-	if _, ok := s.Next(); !ok {
-		t.Error("Run did not reset the stream")
 	}
 }
 
@@ -395,7 +390,7 @@ func TestStatsPublish(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		refs = append(refs, trace.Ref{Kind: trace.Read, Addr: uint64(i * 64)})
 	}
-	st := c.Run(trace.NewSliceStream(refs))
+	st := c.RunRefs(refs)
 	reg := telemetry.NewRegistry()
 	st.Publish(reg, "cache.t")
 	snap := reg.Snapshot()

@@ -95,22 +95,15 @@ func (h *Hierarchy) access(levelIdx int, r trace.Ref) {
 	}
 }
 
-// Run replays a stream through the hierarchy, flushes every level (upper
-// levels' dirty data cascading downward), resets the stream, and returns
-// the per-level traffic ratios.
-func (h *Hierarchy) Run(s trace.Stream) []float64 {
-	var refs int64
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		refs++
+// Run replays a materialized trace through the hierarchy, flushes every
+// level (upper levels' dirty data cascading downward), and returns the
+// per-level traffic ratios.
+func (h *Hierarchy) Run(refs []trace.Ref) []float64 {
+	for _, r := range refs {
 		h.Access(r)
 	}
 	h.FlushAll()
-	s.Reset()
-	return h.Ratios(refs)
+	return h.Ratios(int64(len(refs)))
 }
 
 // FlushAll flushes the levels from the processor outward, cascading each

@@ -70,7 +70,7 @@ func TestHierarchyRatiosMultiply(t *testing.T) {
 		}
 		refs = append(refs, trace.Ref{Kind: k, Addr: uint64(rng.Intn(1<<17)) &^ 3})
 	}
-	ratios := h.Run(trace.NewSliceStream(refs))
+	ratios := h.Run(refs)
 	if len(ratios) != 2 {
 		t.Fatalf("ratios = %v", ratios)
 	}
@@ -107,8 +107,8 @@ func TestHierarchySingleLevelMatchesCache(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		refs = append(refs, trace.Ref{Kind: trace.Read, Addr: uint64(rng.Intn(1<<15)) &^ 3})
 	}
-	hr := h.Run(trace.NewSliceStream(refs))
-	ss := solo.Run(trace.NewSliceStream(refs))
+	hr := h.Run(refs)
+	ss := solo.RunRefs(refs)
 	if h.Level(0).Stats().TrafficBytes() != ss.TrafficBytes() {
 		t.Errorf("single-level hierarchy traffic %d != plain cache %d",
 			h.Level(0).Stats().TrafficBytes(), ss.TrafficBytes())
@@ -128,7 +128,7 @@ func TestHierarchyBigL2FiltersHeavily(t *testing.T) {
 			refs = append(refs, trace.Ref{Kind: trace.Read, Addr: uint64(w) * 4})
 		}
 	}
-	ratios := h.Run(trace.NewSliceStream(refs))
+	ratios := h.Run(refs)
 	if ratios[1] > 0.1 {
 		t.Errorf("L2 ratio %v should be tiny for an L2-resident loop", ratios[1])
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"memwall/internal/cache"
-	"memwall/internal/mtc"
 	"memwall/internal/trace"
 	"memwall/internal/workload"
 )
@@ -88,7 +87,7 @@ func TestMeasureRatioSequentialStream(t *testing.T) {
 		refs = append(refs, trace.Ref{Kind: trace.Read, Addr: uint64(i) * 4})
 	}
 	cfg := cache.Config{Size: 1 << 10, BlockSize: 32, Assoc: 1}
-	res, err := MeasureRatio(cfg, trace.NewSliceStream(refs), int64(len(refs)), 0)
+	res, err := MeasureRatioRefs(cfg, TraceOfRefs(refs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestMeasureRatioSequentialStream(t *testing.T) {
 func TestMeasureRatioFitsDataSet(t *testing.T) {
 	refs := []trace.Ref{{Kind: trace.Read, Addr: 4}}
 	cfg := cache.Config{Size: 1 << 20, BlockSize: 32, Assoc: 1}
-	res, err := MeasureRatio(cfg, trace.NewSliceStream(refs), 1, 1024)
+	res, err := MeasureRatioRefs(cfg, TraceOfRefs(refs), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestMeasureInefficiencyGEOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cache.Config{Size: 16 << 10, BlockSize: 32, Assoc: 1}
-	res, err := MeasureInefficiency(cfg, p.MemRefs(), p.DataSetBytes)
+	res, err := MeasureInefficiencyRefs(cfg, TraceOfRefs(trace.Collect(p.MemRefs())), p.DataSetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,25 +160,46 @@ func TestMeasureFactorDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := 16 << 10
-	ref, err := mtc.Simulate(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, p.MemRefs())
+	ref, results, err := MeasureFactorColumn(TraceOfRefs(trace.Collect(p.MemRefs())), 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range Factors(size) {
-		res, err := MeasureFactor(spec, p.MemRefs(), ref.TrafficBytes())
-		if err != nil {
-			t.Fatal(err)
+	if ref.TrafficBytes() == 0 {
+		t.Fatal("reference MTC moved no traffic")
+	}
+	specs := Factors(16 << 10)
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d factors", len(results), len(specs))
+	}
+	for i, res := range results {
+		if res.Spec.Name != specs[i].Name {
+			t.Errorf("result %d is %s, want %s (Factors order)", i, res.Spec.Name, specs[i].Name)
 		}
 		if res.DeltaG < -0.5 {
-			t.Errorf("factor %s strongly negative (%.2f): exp2 should not be much worse", spec.Name, res.DeltaG)
+			t.Errorf("factor %s strongly negative (%.2f): exp2 should not be much worse", res.Spec.Name, res.DeltaG)
 		}
+	}
+}
+
+func TestTrafficSizesFresh(t *testing.T) {
+	sizes := TrafficSizes()
+	if len(sizes) != 12 || sizes[0] != 1<<10 || sizes[11] != 2<<20 {
+		t.Fatalf("sizes = %v, want 1KB..2MB", sizes)
+	}
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i] != 2*sizes[i-1] {
+			t.Errorf("sizes[%d] = %d, want %d", i, sizes[i], 2*sizes[i-1])
+		}
+	}
+	sizes[0] = 0
+	if TrafficSizes()[0] != 1<<10 {
+		t.Error("TrafficSizes returned a shared slice")
 	}
 }
 
 func TestFactorConfigErrors(t *testing.T) {
 	var fc FactorConfig
-	if _, err := fc.traffic(trace.NewSliceStream(nil)); err == nil {
+	if _, err := fc.trafficRefs(TraceOfRefs(nil)); err == nil {
 		t.Error("empty factor config accepted")
 	}
 }

@@ -11,6 +11,16 @@ import (
 	"memwall/internal/units"
 )
 
+// TrafficSizes returns the cache sizes of Tables 7 and 8's columns, 1 KB
+// to 2 MB in powers of two. Each call returns a fresh slice, so a caller
+// may keep or change it.
+func TrafficSizes() []int {
+	return []int{
+		1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10,
+		64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20,
+	}
+}
+
 // TrafficRatio computes R_i = D_i / D_{i-1} (Equation 4): the traffic
 // below a cache divided by the traffic above it. For a first-level cache
 // the traffic above is refs × word size.
@@ -30,24 +40,6 @@ type RatioResult struct {
 	// program's data set — the paper marks this region "<<<" since R
 	// trivially approaches 0 there.
 	FitsDataSet bool
-}
-
-// MeasureRatio runs the trace through a cache of the given configuration
-// and computes its traffic ratio. dataSetBytes (if > 0) flags oversized
-// caches.
-func MeasureRatio(cfg cache.Config, s trace.Stream, refs int64, dataSetBytes int64) (RatioResult, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return RatioResult{}, err
-	}
-	st := c.Run(s)
-	return RatioResult{
-		Config:      cfg,
-		Stats:       st,
-		Refs:        refs,
-		R:           TrafficRatio(st.TrafficBytes(), units.Words(refs).Bytes(trace.WordSize)),
-		FitsDataSet: dataSetBytes > 0 && int64(cfg.Size) >= dataSetBytes,
-	}, nil
 }
 
 // RefTrace is a materialized, shareable reference trace: the zero-copy
@@ -73,10 +65,9 @@ func (s sliceTrace) Future(blockSize int) (*mtc.Future, error) {
 // TraceOfRefs wraps a materialized reference slice as a RefTrace.
 func TraceOfRefs(refs []trace.Ref) RefTrace { return sliceTrace(refs) }
 
-// MeasureRatioRefs is MeasureRatio over a shared materialized trace: the
-// cache replays the slice directly (no per-reference interface dispatch)
-// and the reference count comes from the trace itself. Byte-identical to
-// MeasureRatio over the same trace.
+// MeasureRatioRefs runs the trace through a cache of the given
+// configuration and computes its traffic ratio over the trace's own
+// reference count. dataSetBytes (if > 0) flags oversized caches.
 func MeasureRatioRefs(cfg cache.Config, tr RefTrace, dataSetBytes int64) (RatioResult, error) {
 	refs, err := tr.Refs()
 	if err != nil {
@@ -148,34 +139,11 @@ type InefficiencyResult struct {
 	FitsDataSet  bool
 }
 
-// MeasureInefficiency computes G for a cache configuration against the
+// MeasureInefficiencyRefs computes G for a cache configuration against the
 // canonical MTC of the same size (fully associative, word blocks, MIN,
-// bypass, write-validate — Section 5.2).
-func MeasureInefficiency(cfg cache.Config, s trace.Stream, dataSetBytes int64) (InefficiencyResult, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return InefficiencyResult{}, err
-	}
-	cst := c.Run(s)
-	mcfg := mtc.Config{Size: cfg.Size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
-	mst, err := mtc.Simulate(mcfg, s)
-	if err != nil {
-		return InefficiencyResult{}, err
-	}
-	return InefficiencyResult{
-		CacheConfig:  cfg,
-		MTCConfig:    mcfg,
-		CacheTraffic: cst.TrafficBytes(),
-		MTCTraffic:   mst.TrafficBytes(),
-		G:            Inefficiency(cst.TrafficBytes(), mst.TrafficBytes()),
-		FitsDataSet:  dataSetBytes > 0 && int64(cfg.Size) >= dataSetBytes,
-	}, nil
-}
-
-// MeasureInefficiencyRefs is MeasureInefficiency over a shared
-// materialized trace. The canonical MTC replays against the trace's shared
-// word-grain future table instead of rebuilding future knowledge per call.
-// Byte-identical to MeasureInefficiency over the same trace.
+// bypass, write-validate — Section 5.2). The MTC replays against the
+// trace's word-grain future table, which a corpus entry builds once and
+// shares.
 func MeasureInefficiencyRefs(cfg cache.Config, tr RefTrace, dataSetBytes int64) (InefficiencyResult, error) {
 	refs, err := tr.Refs()
 	if err != nil {
@@ -224,28 +192,9 @@ type FactorConfig struct {
 	Label string
 }
 
-// traffic runs the configured simulation and returns total traffic bytes.
-func (fc FactorConfig) traffic(s trace.Stream) (units.Bytes, error) {
-	switch {
-	case fc.Cache != nil:
-		c, err := cache.New(*fc.Cache)
-		if err != nil {
-			return 0, err
-		}
-		return c.Run(s).TrafficBytes(), nil
-	case fc.MTC != nil:
-		st, err := mtc.Simulate(*fc.MTC, s)
-		if err != nil {
-			return 0, err
-		}
-		return st.TrafficBytes(), nil
-	default:
-		return 0, fmt.Errorf("core: factor config %q selects no simulator", fc.Label)
-	}
-}
-
-// trafficRefs is traffic over a shared materialized trace, using the
-// slice fast paths and the trace's shared future table for MTC runs.
+// trafficRefs runs the configured simulation over the trace and returns
+// its total traffic bytes. MTC runs replay against the trace's future
+// table.
 func (fc FactorConfig) trafficRefs(tr RefTrace) (units.Bytes, error) {
 	refs, err := tr.Refs()
 	if err != nil {
@@ -322,27 +271,10 @@ func Factors(size int) []FactorSpec {
 	}
 }
 
-// MeasureFactor runs one factor pair over a trace. The reference traffic
-// refMTC (the canonical write-validate MTC's traffic) converts the two
-// absolute traffic values into the change of G that the factor explains.
-func MeasureFactor(spec FactorSpec, s trace.Stream, refMTC units.Bytes) (FactorResult, error) {
-	t1, err := spec.Exp1.traffic(s)
-	if err != nil {
-		return FactorResult{}, fmt.Errorf("core: factor %s exp1: %w", spec.Name, err)
-	}
-	t2, err := spec.Exp2.traffic(s)
-	if err != nil {
-		return FactorResult{}, fmt.Errorf("core: factor %s exp2: %w", spec.Name, err)
-	}
-	r := FactorResult{Spec: spec, Traffic1: t1, Traffic2: t2}
-	if refMTC > 0 {
-		r.DeltaG = float64(t1-t2) / float64(refMTC)
-	}
-	return r, nil
-}
-
-// MeasureFactorRefs is MeasureFactor over a shared materialized trace.
-// Byte-identical to MeasureFactor over the same trace.
+// MeasureFactorRefs runs one factor pair over a trace. The reference
+// traffic refMTC (the canonical write-validate MTC's traffic) converts the
+// two absolute traffic values into the change of G that the factor
+// explains.
 func MeasureFactorRefs(spec FactorSpec, tr RefTrace, refMTC units.Bytes) (FactorResult, error) {
 	t1, err := spec.Exp1.trafficRefs(tr)
 	if err != nil {
@@ -357,4 +289,42 @@ func MeasureFactorRefs(spec FactorSpec, tr RefTrace, refMTC units.Bytes) (Factor
 		r.DeltaG = float64(t1-t2) / float64(refMTC)
 	}
 	return r, nil
+}
+
+// FactorSize returns the cache size of a trace's Table 9 column: 64 KB,
+// except 16 KB for espresso, whose data set fits in 64 KB (Table 7 marks
+// that cell "<<<"), as in the paper's Table 9.
+func FactorSize(name string) int {
+	if name == "espresso" {
+		return 16 << 10
+	}
+	return 64 << 10
+}
+
+// MeasureFactorColumn runs one trace's column of Table 9 at a cache size:
+// the reference MTC (word blocks, write-validate, bypass), then each
+// factor pair of Factors(size) against its traffic. It returns the
+// reference MTC's statistics and the results in Factors order.
+func MeasureFactorColumn(tr RefTrace, size int) (mtc.Stats, []FactorResult, error) {
+	refs, err := tr.Refs()
+	if err != nil {
+		return mtc.Stats{}, nil, err
+	}
+	fut, err := tr.Future(trace.WordSize)
+	if err != nil {
+		return mtc.Stats{}, nil, err
+	}
+	ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+	if err != nil {
+		return mtc.Stats{}, nil, err
+	}
+	var col []FactorResult
+	for _, spec := range Factors(size) {
+		res, err := MeasureFactorRefs(spec, tr, ref.TrafficBytes())
+		if err != nil {
+			return mtc.Stats{}, nil, err
+		}
+		col = append(col, res)
+	}
+	return ref, col, nil
 }

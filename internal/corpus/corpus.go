@@ -11,7 +11,7 @@
 //
 //  1. In memory: one sync.Once-guarded materialization per (benchmark,
 //     scale) key. Every caller — across goroutines — shares the same
-//     backing []trace.Ref; Stream() hands each a fresh cursor over it.
+//     backing []trace.Ref and replays it by ranging over the slice.
 //  2. On disk (optional, -corpus-dir): materialized traces persist in the
 //     compact delta encoding (internal/trace/compact.go) keyed by the
 //     telemetry fingerprint, so repeated CLI runs skip VM execution
@@ -233,17 +233,6 @@ func (e *Entry) Refs() ([]trace.Ref, error) {
 func (e *Entry) Meta() (Meta, error) {
 	e.refsOnce.Do(e.materializeRefs)
 	return e.meta, e.refsErr
-}
-
-// Stream returns a fresh read cursor over the shared trace. Each caller
-// gets its own cursor (PR 3's stream-ownership rule: streams are owned by
-// exactly one consumer); the backing array is shared and read-only.
-func (e *Entry) Stream() (*trace.SliceStream, error) {
-	refs, err := e.Refs()
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewSliceStream(refs), nil
 }
 
 // Future returns the shared MIN future-knowledge table for the trace at

@@ -80,22 +80,6 @@ func TestRefsAreAppendSafe(t *testing.T) {
 	}
 }
 
-func TestStreamsAreIndependentCursors(t *testing.T) {
-	c := New(Options{})
-	e := c.Get("li", 1)
-	s1, err := e.Stream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := e.Stream()
-	a, _ := s1.Next()
-	b, _ := s1.Next()
-	got, _ := s2.Next()
-	if got != a || got == b {
-		t.Fatal("streams share a cursor")
-	}
-}
-
 func TestDisabledCorpusSameResults(t *testing.T) {
 	var disabled *Corpus
 	e1, e2 := disabled.Get("espresso", 1), disabled.Get("espresso", 1)
@@ -169,7 +153,11 @@ func TestFutureSharedPerBlockSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := mtc.Simulate(cfg, trace.NewSliceStream(refs))
+	private, err := mtc.FutureOfRefs(refs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := mtc.SimulateRefs(cfg, private, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +314,7 @@ func TestConcurrentGetHammer(t *testing.T) {
 	type view struct {
 		first *trace.Ref
 		fut   *mtc.Future
-		n     int
+		sum   uint64
 	}
 	views := make([]view, workers)
 	var wg sync.WaitGroup
@@ -346,22 +334,18 @@ func TestConcurrentGetHammer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// Replay a private cursor over the shared array.
-			s, _ := e.Stream()
-			n := 0
-			for {
-				if _, ok := s.Next(); !ok {
-					break
-				}
-				n++
+			// Replay the shared array.
+			var sum uint64
+			for _, r := range refs {
+				sum += r.Addr
 			}
-			views[w] = view{first: &refs[0], fut: fut, n: n}
+			views[w] = view{first: &refs[0], fut: fut, sum: sum}
 		}(w)
 	}
 	wg.Wait()
 	for w := range views {
 		base := views[w%len(names)]
-		if views[w].first != base.first || views[w].fut != base.fut || views[w].n != base.n {
+		if views[w].first != base.first || views[w].fut != base.fut || views[w].sum != base.sum {
 			t.Fatalf("worker %d saw a different view", w)
 		}
 	}

@@ -61,30 +61,6 @@ func blockShift(blockSize int) uint {
 	return s
 }
 
-// NewFuture consumes the stream once, builds the future table, and resets
-// the stream. Use FutureOfRefs when the trace is already materialized (it
-// pre-sizes every array in one shot).
-func NewFuture(s trace.Stream, blockSize int) (*Future, error) {
-	if err := validateBlockSize(blockSize); err != nil {
-		return nil, err
-	}
-	f := &Future{blockSize: blockSize, shift: blockShift(blockSize)}
-	ids := make(map[uint64]int32)
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		if len(f.blockOf) >= math.MaxInt32 {
-			return nil, fmt.Errorf("mtc: trace exceeds %d references", math.MaxInt32)
-		}
-		f.blockOf = append(f.blockOf, internBlock(ids, r.Addr>>f.shift))
-	}
-	s.Reset()
-	f.finish(len(ids))
-	return f, nil
-}
-
 // FutureOfRefs builds the future table over a materialized trace with one
 // allocation per array (the interning map grows once per distinct block,
 // not per reference — the fix for the legacy per-append growth).

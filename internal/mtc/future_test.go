@@ -61,37 +61,6 @@ func TestFutureRejectsBadBlockSize(t *testing.T) {
 	}
 }
 
-// TestFutureStreamMatchesRefs checks the streaming and materialized
-// constructors agree, and that NewFuture resets the stream.
-func TestFutureStreamMatchesRefs(t *testing.T) {
-	rng := stats.NewRNG(7)
-	var refs []trace.Ref
-	for i := 0; i < 4096; i++ {
-		refs = append(refs, trace.Ref{Kind: trace.Read, Addr: uint64(rng.Intn(512)) * trace.WordSize})
-	}
-	s := trace.NewSliceStream(refs)
-	fs, err := NewFuture(s, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Next(); !ok {
-		t.Fatal("NewFuture did not reset the stream")
-	}
-	fr, err := FutureOfRefs(refs, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Len() != fr.Len() || fs.Blocks() != fr.Blocks() {
-		t.Fatalf("stream (%d,%d) vs refs (%d,%d)", fs.Len(), fs.Blocks(), fr.Len(), fr.Blocks())
-	}
-	for i := range refs {
-		if fs.blockOf[i] != fr.blockOf[i] || fs.next[i] != fr.next[i] {
-			t.Fatalf("position %d: stream (%d,%d) vs refs (%d,%d)",
-				i, fs.blockOf[i], fs.next[i], fr.blockOf[i], fr.next[i])
-		}
-	}
-}
-
 // TestNextUseMatchesScan property-checks the backward pass against a
 // quadratic forward scan.
 func TestNextUseMatchesScan(t *testing.T) {
@@ -125,7 +94,7 @@ func TestNextUseMatchesScan(t *testing.T) {
 }
 
 // TestSharedFutureAcrossConfigs verifies one table drives many configs and
-// that the shared-table path agrees exactly with the self-contained path.
+// that a shared table replays exactly like one built for a single config.
 func TestSharedFutureAcrossConfigs(t *testing.T) {
 	rng := stats.NewRNG(11)
 	var refs []trace.Ref
@@ -147,7 +116,7 @@ func TestSharedFutureAcrossConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			solo, err := Simulate(cfg, trace.NewSliceStream(refs))
+			solo, err := replay(cfg, refs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -157,8 +157,9 @@ type heapElem struct {
 }
 
 // MTC is the minimal-traffic cache simulator. Because MIN requires future
-// knowledge, an MTC is built for one specific trace via Simulate or New +
-// Run; it cannot be driven incrementally by unseen references.
+// knowledge, an MTC is built for one specific trace via SimulateRefs, or
+// NewWithFuture + RunRefs, over that trace's Future; it cannot be driven
+// incrementally by unseen references.
 type MTC struct {
 	cfg      Config
 	capacity int
@@ -179,24 +180,9 @@ type MTC struct {
 	stats Stats
 }
 
-// New builds an MTC for cfg over the given trace stream. The stream is
-// consumed once to build the future-knowledge table and then reset. When
-// several configurations share one trace, build the table once with
-// NewFuture (or FutureOfRefs) and use NewWithFuture instead.
-func New(cfg Config, s trace.Stream) (*MTC, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := NewFuture(s, cfg.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithFuture(cfg, f)
-}
-
 // NewWithFuture builds an MTC for cfg over a precomputed future table. The
 // table must have been built at cfg.BlockSize over exactly the trace that
-// will later be replayed through Run/RunRefs. The table is only read, so
+// will later be replayed through RunRefs. The table is only read, so
 // the same Future may back any number of MTCs, concurrently.
 //
 // Construction runs once per simulated configuration, not once per
@@ -398,7 +384,7 @@ func (m *MTC) checkLen(t int) {
 //
 //memwall:cold
 func panicLenMismatch(t, n int) {
-	panic(fmt.Sprintf("mtc: invariant violated: replaying reference %d of a trace but the future table was built over only %d references; Run must replay the exact trace passed to New/NewFuture", t, n))
+	panic(fmt.Sprintf("mtc: invariant violated: replaying reference %d of a trace but the future table was built over only %d references; RunRefs must replay the exact trace the future table was built over", t, n))
 }
 
 // Flush writes back all dirty resident blocks, as at program completion.
@@ -414,27 +400,8 @@ func (m *MTC) Flush() {
 	m.stats.WriteBackBytes += units.Bytes(dirty * int64(m.cfg.BlockSize))
 }
 
-// Run replays the full trace (the same one passed to New), flushes, resets
-// the stream, and returns the statistics. Run may be called once.
-func (m *MTC) Run(s trace.Stream) Stats {
-	t := 0
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		m.checkLen(t)
-		m.access(r.Kind == trace.Write, t)
-		t++
-	}
-	m.Flush()
-	s.Reset()
-	return m.stats
-}
-
 // RunRefs replays a materialized trace (the same one the future table was
-// built over), flushes, and returns the statistics. It is the slice fast
-// path of Run: no stream interface dispatch per reference.
+// built over), flushes, and returns the statistics.
 func (m *MTC) RunRefs(refs []trace.Ref) Stats {
 	if len(refs) > 0 {
 		m.checkLen(len(refs) - 1)
@@ -446,19 +413,9 @@ func (m *MTC) RunRefs(refs []trace.Ref) Stats {
 	return m.stats
 }
 
-// Simulate is the one-shot convenience API: build an MTC for cfg over s,
-// run the trace, and return the statistics.
-func Simulate(cfg Config, s trace.Stream) (Stats, error) {
-	m, err := New(cfg, s)
-	if err != nil {
-		return Stats{}, err
-	}
-	return m.Run(s), nil
-}
-
-// SimulateRefs runs cfg over a materialized trace using a shared future
-// table (built by FutureOfRefs/NewFuture at cfg.BlockSize over exactly
-// refs). This is the grid-sweep fast path: the table is built once and
+// SimulateRefs runs cfg over a materialized trace using a future table
+// built by FutureOfRefs at cfg.BlockSize over exactly refs. One table
+// may back any number of configurations: a grid sweep builds it once and
 // every configuration replays against it.
 //
 //memwall:hot

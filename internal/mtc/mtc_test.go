@@ -13,11 +13,21 @@ import (
 func read(a uint64) trace.Ref  { return trace.Ref{Kind: trace.Read, Addr: a} }
 func write(a uint64) trace.Ref { return trace.Ref{Kind: trace.Write, Addr: a} }
 
+// replay builds refs' future table at cfg's block size and replays refs
+// through cfg against it.
+func replay(cfg Config, refs []trace.Ref) (Stats, error) {
+	fut, err := FutureOfRefs(refs, cfg.BlockSize)
+	if err != nil {
+		return Stats{}, err
+	}
+	return SimulateRefs(cfg, fut, refs)
+}
+
 func simulate(t *testing.T, cfg Config, refs []trace.Ref) Stats {
 	t.Helper()
-	st, err := Simulate(cfg, trace.NewSliceStream(refs))
+	st, err := replay(cfg, refs)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("SimulateRefs: %v", err)
 	}
 	return st
 }
@@ -91,7 +101,7 @@ func TestMINBeatsLRUOnLoopingPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lruStats := lru.Run(trace.NewSliceStream(refs))
+	lruStats := lru.RunRefs(refs)
 	if min.TrafficBytes() >= lruStats.TrafficBytes() {
 		t.Errorf("MIN traffic %d should beat LRU traffic %d on cyclic pattern",
 			min.TrafficBytes(), lruStats.TrafficBytes())
@@ -150,11 +160,11 @@ func TestWriteValidateNeverMoreTrafficThanWriteAllocate(t *testing.T) {
 			}
 			refs = append(refs, trace.Ref{Kind: k, Addr: uint64(rng.Intn(512)) * 4})
 		}
-		wa, err := Simulate(Config{Size: 256, BlockSize: 4, Alloc: WriteAllocate}, trace.NewSliceStream(refs))
+		wa, err := replay(Config{Size: 256, BlockSize: 4, Alloc: WriteAllocate}, refs)
 		if err != nil {
 			return false
 		}
-		wv, err := Simulate(Config{Size: 256, BlockSize: 4, Alloc: WriteValidate}, trace.NewSliceStream(refs))
+		wv, err := replay(Config{Size: 256, BlockSize: 4, Alloc: WriteValidate}, refs)
 		if err != nil {
 			return false
 		}
@@ -217,7 +227,11 @@ func TestResidencyNeverExceedsCapacity(t *testing.T) {
 		for i := 0; i < int(n)+1; i++ {
 			refs = append(refs, read(uint64(rng.Intn(4096))*4))
 		}
-		m, err := New(Config{Size: 128, BlockSize: 4}, trace.NewSliceStream(refs))
+		fut, err := FutureOfRefs(refs, 4)
+		if err != nil {
+			return false
+		}
+		m, err := NewWithFuture(Config{Size: 128, BlockSize: 4}, fut)
 		if err != nil {
 			return false
 		}
@@ -244,7 +258,7 @@ func TestMINOptimalityVsLRUProperty(t *testing.T) {
 		for i := 0; i < int(n)+1; i++ {
 			refs = append(refs, read(uint64(rng.Intn(256))*4))
 		}
-		min, err := Simulate(Config{Size: 128, BlockSize: 4}, trace.NewSliceStream(refs))
+		min, err := replay(Config{Size: 128, BlockSize: 4}, refs)
 		if err != nil {
 			return false
 		}
@@ -252,7 +266,7 @@ func TestMINOptimalityVsLRUProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lruStats := lru.Run(trace.NewSliceStream(refs))
+		lruStats := lru.RunRefs(refs)
 		return min.TrafficBytes() <= lruStats.TrafficBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -218,8 +218,8 @@ func diffTrace(seed uint64, n, footprint int, writeFrac float64) []trace.Ref {
 }
 
 // TestReplayMatchesSwapHeap replays seeded random traces through the
-// swap-based reference and through Run and SimulateRefs, and requires
-// every Stats field to agree. For every capacity below the trace's block
+// swap-based reference and through SimulateRefs, and requires every
+// Stats field to agree. For every capacity below the trace's block
 // count, where the heap order decides evictions, it also requires the two
 // heaps to hold the same arrangement before the final Flush.
 func TestReplayMatchesSwapHeap(t *testing.T) {
@@ -274,14 +274,6 @@ func TestReplayMatchesSwapHeap(t *testing.T) {
 						}
 						if got != want {
 							t.Errorf("%s: SimulateRefs\n got %+v\nwant %+v", name, got, want)
-						}
-						s := trace.NewSliceStream(refs)
-						mr, err := New(cfg, s)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := mr.Run(s); got != want {
-							t.Errorf("%s: Run\n got %+v\nwant %+v", name, got, want)
 						}
 					}
 				}

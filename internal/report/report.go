@@ -14,9 +14,7 @@ import (
 	"memwall/internal/core"
 	"memwall/internal/corpus"
 	"memwall/internal/iocomplexity"
-	"memwall/internal/mtc"
 	"memwall/internal/runner"
-	"memwall/internal/trace"
 	"memwall/internal/trends"
 	"memwall/internal/workload"
 )
@@ -30,14 +28,11 @@ type Options struct {
 	CacheScale int
 	// SkipTiming omits the (slower) Figure 3 decomposition runs.
 	SkipTiming bool
-	// Workers shards the Figure 3 (benchmark × experiment) grid over a
-	// worker pool (see internal/runner). Values < 1 default to 1, the
-	// serial sweep; results are identical for any worker count.
-	Workers int `json:"-"`
-	// Pool, when non-nil, supplies the full worker-pool configuration for
-	// the Figure 3 grid — telemetry hooks plus the Flight and fault
-	// injector of a crash-safe CLI run (cmd/memwall's
-	// -checkpoint-dir / -fault-schedule). It overrides Workers.
+	// Pool, when non-nil, supplies the worker-pool configuration for the
+	// Figure 3 (benchmark × experiment) grid — worker count, telemetry
+	// hooks, and the Flight and fault injector of a crash-safe CLI run
+	// (cmd/memwall's -j, -checkpoint-dir and -fault-schedule). Nil runs
+	// the grid serially; results are identical for any worker count.
 	Pool *runner.Config `json:"-"`
 	// Sizes are the cache sizes for the traffic tables (defaults to the
 	// paper's 1KB-2MB columns).
@@ -56,14 +51,8 @@ func (o *Options) defaults() {
 	if o.CacheScale < 1 {
 		o.CacheScale = 16
 	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	if len(o.Sizes) == 0 {
-		o.Sizes = []int{
-			1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10,
-			64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20,
-		}
+		o.Sizes = core.TrafficSizes()
 	}
 }
 
@@ -222,30 +211,14 @@ func Collect(opts Options) (*Report, error) {
 	// Tables 9-10. The word-grain future tables built for Table 8's MTC
 	// runs are reused here via the corpus.
 	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := corp.Get(name, opts.Scale)
-		refs, err := e.Refs()
-		if err != nil {
-			return nil, err
-		}
-		fut, err := e.Future(trace.WordSize)
-		if err != nil {
-			return nil, err
-		}
-		size := 64 << 10
-		if name == "espresso" {
-			size = 16 << 10
-		}
-		ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+		size := core.FactorSize(name)
+		_, results, err := core.MeasureFactorColumn(corp.Get(name, opts.Scale), size)
 		if err != nil {
 			return nil, err
 		}
 		fr := FactorRow{Benchmark: name, SizeBytes: size, DeltaG: map[string]float64{}}
-		for _, spec := range core.Factors(size) {
-			res, err := core.MeasureFactorRefs(spec, e, ref.TrafficBytes())
-			if err != nil {
-				return nil, err
-			}
-			fr.DeltaG[spec.Name] = res.DeltaG
+		for _, res := range results {
+			fr.DeltaG[res.Spec.Name] = res.DeltaG
 		}
 		r.Factors = append(r.Factors, fr)
 	}
@@ -257,7 +230,7 @@ func Collect(opts Options) (*Report, error) {
 			for _, name := range core.Figure3Benchmarks(suite) {
 				list = append(list, progs[name])
 			}
-			pool := runner.Config{Workers: opts.Workers}
+			pool := runner.Config{Workers: 1}
 			if opts.Pool != nil {
 				pool = *opts.Pool
 			}

@@ -140,53 +140,3 @@ func Measure(s Stream) Stats {
 	s.Reset()
 	return st
 }
-
-// Limit wraps a stream, truncating it after n references.
-type Limit struct {
-	inner Stream
-	n     int64
-	done  int64
-}
-
-// NewLimit returns a stream yielding at most n references from inner.
-func NewLimit(inner Stream, n int64) *Limit {
-	return &Limit{inner: inner, n: n}
-}
-
-// Next implements Stream.
-func (l *Limit) Next() (Ref, bool) {
-	if l.done >= l.n {
-		return Ref{}, false
-	}
-	r, ok := l.inner.Next()
-	if !ok {
-		return Ref{}, false
-	}
-	l.done++
-	return r, true
-}
-
-// Reset implements Stream.
-func (l *Limit) Reset() {
-	l.inner.Reset()
-	l.done = 0
-}
-
-// FuncStream adapts a generator function to Stream. The make function is
-// invoked on construction and on every Reset, and must return a fresh
-// iterator closure that yields successive references until ok=false.
-type FuncStream struct {
-	make func() func() (Ref, bool)
-	next func() (Ref, bool)
-}
-
-// NewFuncStream returns a restartable stream backed by generator factories.
-func NewFuncStream(make func() func() (Ref, bool)) *FuncStream {
-	return &FuncStream{make: make, next: make()}
-}
-
-// Next implements Stream.
-func (f *FuncStream) Next() (Ref, bool) { return f.next() }
-
-// Reset implements Stream.
-func (f *FuncStream) Reset() { f.next = f.make() }

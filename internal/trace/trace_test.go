@@ -93,55 +93,6 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	inner := NewSliceStream([]Ref{{Read, 0}, {Read, 4}, {Read, 8}, {Read, 12}})
-	l := NewLimit(inner, 2)
-	if st := Measure(l); st.Refs != 2 {
-		t.Errorf("limited refs = %d, want 2", st.Refs)
-	}
-	// Limit longer than the stream passes everything through.
-	l2 := NewLimit(NewSliceStream([]Ref{{Read, 0}}), 10)
-	if st := Measure(l2); st.Refs != 1 {
-		t.Errorf("over-limit refs = %d, want 1", st.Refs)
-	}
-}
-
-func TestLimitReset(t *testing.T) {
-	l := NewLimit(NewSliceStream([]Ref{{Read, 0}, {Read, 4}}), 1)
-	if _, ok := l.Next(); !ok {
-		t.Fatal("first Next failed")
-	}
-	if _, ok := l.Next(); ok {
-		t.Fatal("limit not enforced")
-	}
-	l.Reset()
-	if _, ok := l.Next(); !ok {
-		t.Error("Reset did not restore the limit")
-	}
-}
-
-func TestFuncStream(t *testing.T) {
-	mk := func() func() (Ref, bool) {
-		i := 0
-		return func() (Ref, bool) {
-			if i >= 3 {
-				return Ref{}, false
-			}
-			r := Ref{Read, uint64(i * 4)}
-			i++
-			return r, true
-		}
-	}
-	f := NewFuncStream(mk)
-	if st := Measure(f); st.Refs != 3 {
-		t.Errorf("refs = %d", st.Refs)
-	}
-	// Restartable via Reset (Measure resets).
-	if st := Measure(f); st.Refs != 3 {
-		t.Errorf("restarted refs = %d", st.Refs)
-	}
-}
-
 func TestMeasureMatchesCollectProperty(t *testing.T) {
 	f := func(addrs []uint32, kinds []bool) bool {
 		var refs []Ref

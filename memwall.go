@@ -86,22 +86,26 @@ func MeasureTraffic(p *Program, cacheBytes int) (TrafficResult, error) {
 // MeasureTrafficConfig is MeasureTraffic with a caller-supplied cache
 // configuration.
 func MeasureTrafficConfig(p *Program, cfg cache.Config) (TrafficResult, error) {
+	refs := trace.Collect(p.MemRefs())
 	c, err := cache.New(cfg)
 	if err != nil {
 		return TrafficResult{}, err
 	}
-	cst := c.Run(p.MemRefs())
-	mst, err := mtc.Simulate(mtc.Config{
-		Size: cfg.Size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate,
-	}, p.MemRefs())
+	cst := c.RunRefs(refs)
+	fut, err := mtc.FutureOfRefs(refs, trace.WordSize)
 	if err != nil {
 		return TrafficResult{}, err
 	}
-	refs := p.RefCount()
+	mst, err := mtc.SimulateRefs(mtc.Config{
+		Size: cfg.Size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate,
+	}, fut, refs)
+	if err != nil {
+		return TrafficResult{}, err
+	}
 	return TrafficResult{
 		CacheBytes:   cst.TrafficBytes(),
 		MTCBytes:     mst.TrafficBytes(),
-		TrafficRatio: core.TrafficRatio(cst.TrafficBytes(), units.Words(refs).Bytes(trace.WordSize)),
+		TrafficRatio: core.TrafficRatio(cst.TrafficBytes(), units.Words(len(refs)).Bytes(trace.WordSize)),
 		Inefficiency: core.Inefficiency(cst.TrafficBytes(), mst.TrafficBytes()),
 		MissRate:     cst.MissRate(),
 	}, nil

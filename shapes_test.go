@@ -9,6 +9,7 @@ import (
 
 	"memwall/internal/cache"
 	"memwall/internal/core"
+	"memwall/internal/trace"
 	"memwall/internal/trends"
 	"memwall/internal/workload"
 )
@@ -16,7 +17,7 @@ import (
 func ratioAt(t *testing.T, p *workload.Program, size int) float64 {
 	t.Helper()
 	cfg := cache.Config{Size: size, BlockSize: 32, Assoc: 1}
-	res, err := core.MeasureRatio(cfg, p.MemRefs(), p.RefCount(), 0)
+	res, err := core.MeasureRatioRefs(cfg, core.TraceOfRefs(trace.Collect(p.MemRefs())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,8 @@ func TestShapeTwoInefficiencyClasses(t *testing.T) {
 	// The scientific streaming codes' G sits well below the
 	// probe/conflict codes' G at 64KB.
 	g := func(name string) float64 {
-		p, err := workload.Generate(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: 1}
-		res, err := core.MeasureInefficiency(cfg, p.MemRefs(), 0)
+		res, err := core.MeasureInefficiencyRefs(cfg, traceOf(t, name), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,6 +127,60 @@ func TestShapeTwoInefficiencyClasses(t *testing.T) {
 	}
 	if minProbe <= maxStream {
 		t.Errorf("inefficiency classes overlap: probing min %.1f <= streaming max %.1f", minProbe, maxStream)
+	}
+}
+
+// Table 9 shapes.
+func TestShapeTable9Factors(t *testing.T) {
+	// Each SPEC92 column of Table 9 at 64KB (16KB espresso), in
+	// core.Factors order.
+	cols := map[string][]core.FactorResult{}
+	for _, name := range workload.SuiteNames(workload.SPEC92) {
+		_, col, err := core.MeasureFactorColumn(traceOf(t, name), core.FactorSize(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[name] = col
+	}
+	largest := func(name string) core.FactorResult {
+		best := cols[name][0]
+		for _, res := range cols[name][1:] {
+			if res.DeltaG > best.DeltaG {
+				best = res
+			}
+		}
+		return best
+	}
+	cell := func(name, factor string) float64 {
+		for _, res := range cols[name] {
+			if res.Spec.Name == factor {
+				return res.DeltaG
+			}
+		}
+		t.Fatalf("%s: no %s factor", name, factor)
+		return 0
+	}
+	// Block size is the largest factor for 3 of the 7 traces...
+	for _, name := range []string{"compress", "dnasa2", "eqntott"} {
+		if got := largest(name); got.Spec.Name != "Blocksize (cache)" {
+			t.Errorf("%s: largest factor is %s (%.2f), want Blocksize (cache)", name, got.Spec.Name, got.DeltaG)
+		}
+	}
+	// ...and associativity where conflicts dominate.
+	for _, name := range []string{"espresso", "su2cor"} {
+		if got := largest(name); got.Spec.Name != "Associativity" {
+			t.Errorf("%s: largest factor is %s (%.2f), want Associativity", name, got.Spec.Name, got.DeltaG)
+		}
+	}
+	// Replacement (LRU vs MIN) stays small everywhere.
+	for _, name := range workload.SuiteNames(workload.SPEC92) {
+		if dg := cell(name, "Replacement"); dg >= 2 {
+			t.Errorf("%s: replacement ΔG = %.2f, want < 2", name, dg)
+		}
+	}
+	// Full associativity costs dnasa2 traffic: its cell is negative.
+	if dg := cell("dnasa2", "Associativity"); dg >= 0 {
+		t.Errorf("dnasa2: associativity ΔG = %.2f, want < 0", dg)
 	}
 }
 
