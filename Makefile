@@ -113,20 +113,23 @@ serve-smoke:
 	@echo "serve-smoke: output matches examples/serve_smoke_golden.json"
 
 # Replay check of the standalone simulator: emit compress as a compact
-# trace, replay it through dinero's default 64KB direct-mapped cache and
-# the same-size MTC, and require the R and G of Table 7's and Table 8's
-# 64KB compress cells (printed there as 1.35 and 5.8).
+# and as a din trace, replay each through dinero's default 64KB
+# direct-mapped cache and the same-size MTC, and require the R and G of
+# Table 7's and Table 8's 64KB compress cells (printed there as 1.35 and
+# 5.8) from both encoders.
 dinero-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/dinero" ./cmd/dinero && \
-	"$$tmp/dinero" -emit compress -format compact > "$$tmp/compress.mwt" && \
-	"$$tmp/dinero" -mtc "$$tmp/compress.mwt" > "$$tmp/out.txt" || exit 1; \
-	for want in 'traffic ratio R = 1.345' 'traffic inefficiency G = 5.83'; do \
-		if ! grep -qF "$$want" "$$tmp/out.txt"; then \
-			cat "$$tmp/out.txt" >&2; echo "dinero-smoke: output lacks \"$$want\"" >&2; exit 1; \
-		fi; \
+	$(GO) build -o "$$tmp/dinero" ./cmd/dinero || exit 1; \
+	for f in compact din; do \
+		"$$tmp/dinero" -emit compress -format $$f > "$$tmp/compress.$$f" && \
+		"$$tmp/dinero" -mtc "$$tmp/compress.$$f" > "$$tmp/out.txt" || exit 1; \
+		for want in 'traffic ratio R = 1.345' 'traffic inefficiency G = 5.83'; do \
+			if ! grep -qF "$$want" "$$tmp/out.txt"; then \
+				cat "$$tmp/out.txt" >&2; echo "dinero-smoke: $$f trace output lacks \"$$want\"" >&2; exit 1; \
+			fi; \
+		done; \
 	done; \
-	echo "dinero-smoke: compress replays to R = 1.345 and G = 5.83"
+	echo "dinero-smoke: compress replays to R = 1.345 and G = 5.83 from compact and din traces"
 
 clean:
 	rm -rf figures test_output.txt bench_output.txt profile_baseline.txt

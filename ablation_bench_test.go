@@ -76,7 +76,7 @@ func BenchmarkAblationStreamBuffers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := cpu.Run(base.CPU, h, p.Stream(), nil)
+			r, err := cpu.Run(base.CPU, h, p.Insts, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -103,14 +103,14 @@ func BenchmarkAblationBusWidth(b *testing.B) {
 	var dfb float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		narrow, err := core.Decompose(base, p.Stream())
+		narrow, err := core.Decompose(base, p.Insts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		wide := base
 		wide.Mem.L1L2Bus.WidthBytes *= 2
 		wide.Mem.MemBus.WidthBytes *= 2
-		w, err := core.Decompose(wide, p.Stream())
+		w, err := core.Decompose(wide, p.Insts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,8 +127,8 @@ func BenchmarkCMPScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mkStreams := func(n int) []isa.Stream {
-		streams := make([]isa.Stream, n)
+	mkProgs := func(n int) [][]isa.Inst {
+		progs := make([][]isa.Inst, n)
 		for i := 0; i < n; i++ {
 			insts := make([]isa.Inst, len(p.Insts))
 			copy(insts, p.Insts)
@@ -137,9 +137,9 @@ func BenchmarkCMPScaling(b *testing.B) {
 					insts[j].Addr += uint64(i) << 30
 				}
 			}
-			streams[i] = isa.NewSliceStream(insts)
+			progs[i] = insts
 		}
-		return streams
+		return progs
 	}
 	var slowdown float64
 	b.ResetTimer()
@@ -149,7 +149,7 @@ func BenchmarkCMPScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := cpu.RunMulti(m.CPU, hs, mkStreams(n))
+			res, err := cpu.RunMulti(m.CPU, hs, mkProgs(n))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ra, err := core.Decompose(a, p.Stream())
+		ra, err := core.Decompose(a, p.Insts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rb, err := core.Decompose(bb, p.Stream())
+		rb, err := core.Decompose(bb, p.Insts)
 		if err != nil {
 			b.Fatal(err)
 		}

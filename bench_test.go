@@ -135,7 +135,7 @@ func BenchmarkTable6StallReversal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Decompose(m, p.Stream())
+			res, err := core.Decompose(m, p.Insts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -328,7 +328,7 @@ func coreBench(b *testing.B, ooo bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cpu.Run(cfg, h, p.Stream(), nil); err != nil {
+		if _, err := cpu.Run(cfg, h, p.Insts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

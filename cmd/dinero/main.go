@@ -71,12 +71,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		refs := trace.Collect(p.MemRefs())
 		var n int64
 		switch *format {
 		case "din":
-			n, err = trace.WriteDin(os.Stdout, p.MemRefs())
+			n, err = trace.WriteDin(os.Stdout, refs)
 		case "compact":
-			n, err = trace.WriteCompact(os.Stdout, p.MemRefs())
+			n, err = trace.WriteCompact(os.Stdout, refs)
 		default:
 			return fmt.Errorf("unknown format %q", *format)
 		}

@@ -48,7 +48,7 @@ func TestReadTraceAutoDetectDin(t *testing.T) {
 func TestReadTraceAutoDetectCompact(t *testing.T) {
 	orig := []trace.Ref{{Kind: trace.Read, Addr: 0x40}, {Kind: trace.Write, Addr: 0x44}}
 	var buf bytes.Buffer
-	if _, err := trace.WriteCompact(&buf, trace.NewSliceStream(orig)); err != nil {
+	if _, err := trace.WriteCompact(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	refs, _, err := readTrace(&buf)

@@ -35,7 +35,7 @@ func runBuses(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.DecomposeBuses(m, p.Stream())
+		res, err := core.DecomposeBuses(m, p.Insts)
 		if err != nil {
 			return err
 		}

@@ -79,7 +79,7 @@ func runFuture(args []string) error {
 		"generation", "clock x", "f_P", "f_L", "f_B")
 	m := base
 	for g := 0; g <= *gens; g++ {
-		res, err := core.Decompose(m, p.Stream())
+		res, err := core.Decompose(m, p.Insts)
 		if err != nil {
 			return err
 		}
@@ -101,7 +101,7 @@ func runFuture(args []string) error {
 		"generation", "clock x", "L1", "L2", "f_P", "f_L", "f_B")
 	m = base
 	for g := 0; g <= *gens; g++ {
-		res, err := core.Decompose(m, p.Stream())
+		res, err := core.Decompose(m, p.Insts)
 		if err != nil {
 			return err
 		}

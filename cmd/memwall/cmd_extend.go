@@ -47,7 +47,7 @@ func runCMP(args []string) error {
 		"cores", "cycles", "aggregate IPC", "per-core slowdown", "mem traffic MB", "traffic/core MB")
 	var baseCycles int64
 	for n := 1; n <= *maxCores; n *= 2 {
-		streams := make([]isa.Stream, n)
+		progs := make([][]isa.Inst, n)
 		for i := 0; i < n; i++ {
 			// Each core gets a private copy of the kernel shifted to a
 			// disjoint address region: pure bandwidth/capacity
@@ -59,13 +59,13 @@ func runCMP(args []string) error {
 					insts[j].Addr += uint64(i) << 30
 				}
 			}
-			streams[i] = isa.NewSliceStream(insts)
+			progs[i] = insts
 		}
 		hs, err := mem.NewCluster(m.Mem, n)
 		if err != nil {
 			return err
 		}
-		res, err := cpu.RunMulti(m.CPU, hs, streams)
+		res, err := cpu.RunMulti(m.CPU, hs, progs)
 		if err != nil {
 			return err
 		}
@@ -164,7 +164,7 @@ func runAblate(args []string) error {
 			if err != nil {
 				return 0, 0, err
 			}
-			r, err := cpu.Run(m.CPU, h, p.Stream(), nil)
+			r, err := cpu.Run(m.CPU, h, p.Insts, nil)
 			if err != nil {
 				return 0, 0, err
 			}

@@ -54,11 +54,7 @@ func runProfile(args []string) error {
 		"exp", "insts/run", "T cycles", "wall ms", "sim-cycles/s", "sim-MIPS", "mem-refs/s")
 	for _, m := range core.MachinesScaled(suite, *cacheScale) {
 		m.Obs = observation()
-		// One stream per Decompose call (the ownership rule on
-		// core.Decompose): sharing a single stream across machines was
-		// correct only because cpu.Run resets it, and became a latent
-		// data race the moment sweeps learned to run cells concurrently.
-		res, err := core.Decompose(m, p.Stream())
+		res, err := core.Decompose(m, p.Insts)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", m.Name, err)
 		}

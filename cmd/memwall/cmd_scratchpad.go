@@ -39,7 +39,7 @@ func runScratchpad(args []string) error {
 	if err != nil {
 		return err
 	}
-	base, err := core.Decompose(m, p.Stream())
+	base, err := core.Decompose(m, p.Insts)
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func runScratchpad(args []string) error {
 		}
 		mm := m
 		mm.Mem.Scratchpad = mem.ScratchpadConfig{Base: region.Base, Size: region.Size}
-		res, err := core.Decompose(mm, p.Stream())
+		res, err := core.Decompose(mm, p.Insts)
 		if err != nil {
 			return err
 		}

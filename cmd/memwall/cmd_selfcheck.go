@@ -4,9 +4,8 @@
 // calibration difference.
 //
 // The check grids shard over the -j worker pool (see internal/runner):
-// each task owns its own streams and simulators, failures are collected
-// in task order, and the emitted report is byte-identical for any worker
-// count.
+// each task owns its own simulators, failures are collected in task
+// order, and the emitted report is byte-identical for any worker count.
 package main
 
 import (
@@ -282,8 +281,7 @@ func runSelfcheck(args []string) error {
 				return "", err
 			}
 			m.Obs = taskObservation(tracer)
-			// Per-task stream: see the core.Decompose ownership rule.
-			res, err := core.Decompose(m, p.Stream())
+			res, err := core.Decompose(m, p.Insts)
 			if err != nil {
 				return "", err
 			}
@@ -311,14 +309,14 @@ func runSelfcheck(args []string) error {
 				return "", err
 			}
 			m.Obs = taskObservation(tracer)
-			base, err := core.Decompose(m, p.Stream())
+			base, err := core.Decompose(m, p.Insts)
 			if err != nil {
 				return "", err
 			}
 			wide := m
 			wide.Mem.L1L2Bus.WidthBytes *= 2
 			wide.Mem.MemBus.WidthBytes *= 2
-			w, err := core.Decompose(wide, p.Stream())
+			w, err := core.Decompose(wide, p.Insts)
 			if err != nil {
 				return "", err
 			}
@@ -373,7 +371,7 @@ func runSelfcheck(args []string) error {
 				m.Mem.VictimCache = mem.VictimCacheConfig{Entries: 4}
 			}
 			m.Obs = taskObservation(tracer)
-			res, err := core.Decompose(m, p.Stream())
+			res, err := core.Decompose(m, p.Insts)
 			if err != nil {
 				return "", err
 			}

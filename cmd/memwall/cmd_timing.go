@@ -177,7 +177,7 @@ func runTable1(args []string) error {
 		return err
 	}
 	base.Obs = observation()
-	baseRes, err := core.Decompose(base, p.Stream())
+	baseRes, err := core.Decompose(base, p.Insts)
 	if err != nil {
 		return err
 	}
@@ -242,8 +242,7 @@ func runTable1(args []string) error {
 		m := base
 		v.mut(&m)
 		m.Obs = taskObservation(tracer)
-		// Per-task stream: see the core.Decompose ownership rule.
-		res, err := core.Decompose(m, p.Stream())
+		res, err := core.Decompose(m, p.Insts)
 		if err != nil {
 			return core.Decomposition{}, fmt.Errorf("%s: %w", v.name, err)
 		}

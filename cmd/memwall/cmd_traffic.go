@@ -362,7 +362,6 @@ func runEpin(args []string) error {
 	}
 	t := tablefmt.New(fmt.Sprintf("Effective pin bandwidth, %dKB on-chip cache, B_pin=%.0f MB/s", *size, *pinBW),
 		"Benchmark", "R", "E_pin (MB/s)", "G", "OE_pin (MB/s)")
-	var rs, gs []float64
 	for _, name := range workload.SuiteNames(workload.SPEC92) {
 		e := entries[name]
 		meta, err := e.Meta()
@@ -398,17 +397,22 @@ func runEpin(args []string) error {
 			ratios = hier.Run(refs)
 		}
 		epin := core.EffectivePinBandwidth(*pinBW, ratios...)
-		oepin := core.OptimalEffectivePinBandwidth(*pinBW, []float64{ir.G}, []float64{rr.R})
+		// With -l2kb this is Equation 7 with G2 = 1: G2 >= 1, so it is no
+		// larger than the true bound, and G1 >= 1 keeps it above E_pin.
+		oepin := core.OptimalEffectivePinBandwidth(*pinBW, []float64{ir.G}, ratios)
 		t.AddRow(name,
 			fmt.Sprintf("%.2f", rr.R),
 			fmt.Sprintf("%.0f", epin),
 			fmt.Sprintf("%.1f", ir.G),
 			fmt.Sprintf("%.0f", oepin))
-		rs = append(rs, rr.R)
-		gs = append(gs, ir.G)
 	}
 	fmt.Println(t)
-	fmt.Println("E_pin = B_pin / R (Eq. 5); OE_pin = B_pin * G / R (Eq. 7).")
+	if *l2kb > 0 {
+		fmt.Printf("E_pin = B_pin / (R1*R2) (Eq. 5), R2 from a %dKB L2; R and G are level 1's.\n", *l2kb)
+		fmt.Println("OE_pin = B_pin * G / (R1*R2) (Eq. 7 with G2 = 1, no larger than the true bound).")
+	} else {
+		fmt.Println("E_pin = B_pin / R (Eq. 5); OE_pin = B_pin * G / R (Eq. 7).")
+	}
 	fmt.Println()
 	return nil
 }

@@ -29,7 +29,7 @@ func TestExperimentADeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func() string {
-		res, err := core.Decompose(m, p.Stream())
+		res, err := core.Decompose(m, p.Insts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -125,6 +126,34 @@ func TestEpinOutput(t *testing.T) {
 	out := capture(t, func() error { return runEpin(nil) })
 	if !strings.Contains(out, "E_pin") || !strings.Contains(out, "OE_pin") {
 		t.Error("epin output incomplete")
+	}
+}
+
+// With an L2, OE_pin is Equation 7 with G2 = 1 over the same R1*R2 as
+// E_pin, so the bound holds on every row.
+func TestEpinL2BoundHoldsEveryRow(t *testing.T) {
+	out := capture(t, func() error { return runEpin([]string{"-l2kb", "256"}) })
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 5 {
+			continue
+		}
+		epin, err1 := strconv.ParseFloat(f[2], 64)
+		oepin, err2 := strconv.ParseFloat(f[4], 64)
+		if err1 != nil || err2 != nil {
+			continue
+		}
+		rows++
+		if oepin < epin {
+			t.Errorf("%s: OE_pin %v below E_pin %v", f[0], oepin, epin)
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("no numeric rows in epin output:\n%s", out)
+	}
+	if !strings.Contains(out, "R1*R2") {
+		t.Error("epin -l2kb footer does not name the R1*R2 product")
 	}
 }
 

@@ -107,7 +107,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Decompose(mach, m.Stream())
+		res, err := core.Decompose(mach, m.Trace())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func main() {
 	}
 	r, err := cpu.Run(cpu.Config{IssueWidth: 4, LSUnits: 2, OutOfOrder: true,
 		RUUSlots: 64, LSQEntries: 32, PredictorEntries: 8192, MispredictPenalty: 7},
-		h, m.Stream(), nil)
+		h, m.Trace(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestGoldenDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(m, p.Stream())
+	res, err := core.Decompose(m, p.Insts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
-// Package streamlint enforces the stream-ownership rule that makes the
-// parallel experiment runner safe: an instruction or reference stream
-// (any value whose method set has the cursor pair Next() (T, bool) and
-// Reset()) carries mutable iteration state, so a single stream must never
-// be visible to two goroutines. Each core.Decompose call — and each
-// runner.Map task — must build its own stream (Program.Stream(),
-// Program.MemRefs()) inside the goroutine that consumes it.
+// Package streamlint enforces the cursor rule that keeps the parallel
+// experiment runner safe: a stream (any value whose method set has the
+// cursor pair Next() (T, bool) and Reset()) carries mutable iteration
+// state, so a single stream must never be visible to two goroutines.
+// Instruction and reference slices need no such rule: the timing cores
+// and trace simulators only read them, so concurrent runs share one
+// Program.Insts. The one cursor left, *isa.MemRefs, is consumed in place
+// by trace.Collect; a goroutine that needs a trace builds its own
+// (trace.Collect(p.MemRefs())) rather than sharing a cursor.
 //
 // Two leak patterns are flagged:
 //
@@ -62,7 +64,7 @@ import (
 // Analyzer is the streamlint pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "streamlint",
-	Doc:  "forbid sharing a mutable instruction/reference stream across goroutines (one stream per Decompose call)",
+	Doc:  "forbid sharing a mutable stream cursor (Next/Reset) across goroutines",
 	Run:  run,
 }
 
@@ -228,9 +230,8 @@ func reportCaptures(pass *analysis.Pass, lit *ast.FuncLit, where string) {
 //	Next() (T, bool)
 //	Reset()
 //
-// This matches isa.Stream, *isa.SliceStream, trace.Stream, and *isa.MemRefs
-// without importing them, so fixture and future stream types are covered by
-// shape, not by name.
+// This matches trace.Stream and *isa.MemRefs without importing them, so
+// fixture and future stream types are covered by shape, not by name.
 func isStream(t types.Type) bool {
 	if t == nil {
 		return false

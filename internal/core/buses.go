@@ -44,10 +44,10 @@ func (b BusDecomposition) FBInteraction() float64 {
 	return b.FB() - b.FBMemBus() - b.FBL12Bus()
 }
 
-// DecomposeBuses measures the five-simulation decomposition for program s
-// on machine m.
-func DecomposeBuses(m Machine, s isa.Stream) (BusDecomposition, error) {
-	base, err := Decompose(m, s)
+// DecomposeBuses measures the five-simulation decomposition for the
+// instruction slice insts on machine m.
+func DecomposeBuses(m Machine, insts []isa.Inst) (BusDecomposition, error) {
+	base, err := Decompose(m, insts)
 	if err != nil {
 		return BusDecomposition{}, err
 	}
@@ -61,7 +61,7 @@ func DecomposeBuses(m Machine, s isa.Stream) (BusDecomposition, error) {
 		if err != nil {
 			return 0, fmt.Errorf("machine %s: %w", m.Name, err)
 		}
-		res, err := cpu.Run(m.CPU, h, s, nil)
+		res, err := cpu.Run(m.CPU, h, insts, nil)
 		if err != nil {
 			return 0, err
 		}

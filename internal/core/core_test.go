@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memwall/internal/cache"
+	"memwall/internal/mtc"
 	"memwall/internal/trace"
 	"memwall/internal/workload"
 )
@@ -181,6 +182,47 @@ func TestMeasureFactorDirections(t *testing.T) {
 	}
 }
 
+// countingTrace counts the MIN future tables a column asks for.
+type countingTrace struct {
+	RefTrace
+	futures int
+}
+
+func (c *countingTrace) Future(blockSize int) (*mtc.Future, error) {
+	c.futures++
+	return c.RefTrace.Future(blockSize)
+}
+
+// TestMeasureFactorColumnRunsEachConfigOnce: a column simulates each
+// distinct configuration once, so it builds three future tables (the
+// reference MTC, min32 and min4) over a trace that shares none, and its
+// results equal MeasureFactorRefs run pair by pair.
+func TestMeasureFactorColumnRunsEachConfigOnce(t *testing.T) {
+	p, err := workload.Generate("compress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &countingTrace{RefTrace: TraceOfRefs(trace.Collect(p.MemRefs()))}
+	ref, col, err := MeasureFactorColumn(tr, 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.futures != 3 {
+		t.Errorf("column built %d future tables, want 3", tr.futures)
+	}
+	for i, spec := range Factors(16 << 10) {
+		want, err := MeasureFactorRefs(spec, tr.RefTrace, ref.TrafficBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := col[i]
+		if got.Spec.Name != spec.Name || got.Traffic1 != want.Traffic1 || got.Traffic2 != want.Traffic2 || got.DeltaG != want.DeltaG {
+			t.Errorf("%s: column %v/%v ΔG %v, pair by pair %v/%v ΔG %v", spec.Name,
+				got.Traffic1, got.Traffic2, got.DeltaG, want.Traffic1, want.Traffic2, want.DeltaG)
+		}
+	}
+}
+
 func TestTrafficSizesFresh(t *testing.T) {
 	sizes := TrafficSizes()
 	if len(sizes) != 12 || sizes[0] != 1<<10 || sizes[11] != 2<<20 {
@@ -319,7 +361,7 @@ func TestDecomposeInvariants(t *testing.T) {
 	}
 	for _, suite := range []workload.Suite{workload.SPEC92} {
 		for _, m := range MachinesScaled(suite, 16) {
-			res, err := Decompose(m, p.Stream())
+			res, err := Decompose(m, p.Insts)
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name, err)
 			}
@@ -392,7 +434,7 @@ func TestDecomposeBuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DecomposeBuses(m, p.Stream())
+	res, err := DecomposeBuses(m, p.Insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +471,7 @@ func TestDecomposeBusesStreamingIsMemBusBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DecomposeBuses(m, p.Stream())
+	res, err := DecomposeBuses(m, p.Insts)
 	if err != nil {
 		t.Fatal(err)
 	}

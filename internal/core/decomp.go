@@ -133,23 +133,18 @@ type DecomposeResult struct {
 	Attr *attr.RunRecord
 }
 
-// Decompose measures T_P, T_I, and T for program s on machine m by running
-// the three simulations of Section 3.1, and returns the decomposition.
-//
-// Stream ownership: Decompose owns s for the whole call — all three
-// simulations replay it via Reset, mutating its cursor. A stream must
-// therefore never be shared between concurrent Decompose calls (or any
-// other concurrent consumer): give every call its own stream, typically a
-// fresh Program.Stream() per (benchmark, experiment) task. The streamlint
-// analyzer flags streams that cross goroutine boundaries.
+// Decompose measures T_P, T_I, and T for the instruction slice insts on
+// machine m by running the three simulations of Section 3.1, and returns
+// the decomposition. The three runs only read insts, so concurrent
+// Decompose calls may share one Program.Insts.
 //
 // If m.Obs is populated, each simulation is traced as a span named
 // "sim:<mode>", the progress heartbeat runs throughout, and the counters
 // of the full-system run (only — the perfect and infinite-bandwidth runs
 // are methodological scaffolding, and publishing them would triple-count
 // every event) are folded into the metrics registry.
-func Decompose(m Machine, s isa.Stream) (DecomposeResult, error) {
-	return decompose(m, s, nil)
+func Decompose(m Machine, insts []isa.Inst) (DecomposeResult, error) {
+	return decompose(m, insts, nil)
 }
 
 // PerfectTime measures T_P alone: the perfect-memory simulation of
@@ -160,7 +155,7 @@ func Decompose(m Machine, s isa.Stream) (DecomposeResult, error) {
 // sweeps compute it once (see ResolveFigure3). It is observed exactly as
 // Decompose's perfect run is: one "sim:perfect" span and the progress
 // heartbeat, no metrics.
-func PerfectTime(m Machine, s isa.Stream) (units.Cycles, error) {
+func PerfectTime(m Machine, insts []isa.Inst) (units.Cycles, error) {
 	cfg := m.Mem
 	cfg.Mode = mem.Perfect
 	h, err := mem.New(cfg)
@@ -168,7 +163,7 @@ func PerfectTime(m Machine, s isa.Stream) (units.Cycles, error) {
 		return 0, fmt.Errorf("machine %s: %w", m.Name, err)
 	}
 	sp := m.Obs.Tracer.StartSpan("sim:"+mem.Perfect.String(), map[string]any{"machine": m.Name})
-	res, err := cpu.Run(m.CPU, h, s, &cpu.Probe{Progress: m.Obs.Progress})
+	res, err := cpu.Run(m.CPU, h, insts, &cpu.Probe{Progress: m.Obs.Progress})
 	sp.End()
 	if err != nil {
 		return 0, err
@@ -180,11 +175,11 @@ func PerfectTime(m Machine, s isa.Stream) (units.Cycles, error) {
 // supplied by the caller (from PerfectTime on a machine with an identical
 // core). Only the infinite-bandwidth and full simulations run; Wall.Perfect
 // is zero since no perfect simulation happened in this call.
-func DecomposeWithTP(m Machine, s isa.Stream, tp units.Cycles) (DecomposeResult, error) {
-	return decompose(m, s, &tp)
+func DecomposeWithTP(m Machine, insts []isa.Inst, tp units.Cycles) (DecomposeResult, error) {
+	return decompose(m, insts, &tp)
 }
 
-func decompose(m Machine, s isa.Stream, sharedTP *units.Cycles) (DecomposeResult, error) {
+func decompose(m Machine, insts []isa.Inst, sharedTP *units.Cycles) (DecomposeResult, error) {
 	var out DecomposeResult
 	var col *attr.Collector
 	if m.Attr != nil {
@@ -205,7 +200,7 @@ func decompose(m Machine, s isa.Stream, sharedTP *units.Cycles) (DecomposeResult
 			map[string]any{"machine": m.Name})
 		//memlint:allow detlint phase wall time measures the simulator itself, not simulated time
 		start := time.Now()
-		res, err := cpu.Run(m.CPU, h, s, probe)
+		res, err := cpu.Run(m.CPU, h, insts, probe)
 		wall := time.Since(start) //memlint:allow detlint simulator throughput, feeds `memwall profile`
 		sp.End()
 		return res, wall, err

@@ -240,18 +240,16 @@ func ResolveFigure3(ctx context.Context, cells []Figure3Cell, pool runner.Config
 			// Metrics and Progress are shared, concurrency-safe hooks; the
 			// tracer is re-based onto this worker's track.
 			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
-			// Each cell owns a fresh stream, and so does the shared perfect
-			// run: see the Decompose ownership rule.
 			e := tpCache[perfectKey{c.Program.Name, m.CPU}]
 			e.once.Do(func() {
 				// Stands if PerfectTime panics, so the cells waiting on
 				// this Once fail instead of decomposing against T_P = 0.
 				e.err = fmt.Errorf("shared perfect run on machine %s did not complete", m.Name)
-				e.tp, e.err = PerfectTime(m, c.Program.Stream())
+				e.tp, e.err = PerfectTime(m, c.Program.Insts)
 			})
 			res, err := DecomposeResult{}, e.err
 			if err == nil {
-				res, err = DecomposeWithTP(m, c.Program.Stream(), e.tp)
+				res, err = DecomposeWithTP(m, c.Program.Insts, e.tp)
 			}
 			if err != nil {
 				return DecomposeResult{}, fmt.Errorf("%s/%s: %w", c.Program.Name, m.Name, err)

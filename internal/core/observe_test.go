@@ -34,7 +34,7 @@ func TestDecomposeObserved(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m.Obs = telemetry.Observation{Metrics: reg, Tracer: telemetry.NewTracer(sink)}
 
-	res, err := Decompose(m, prog.Stream())
+	res, err := Decompose(m, prog.Insts)
 	if err != nil {
 		t.Fatal(err)
 	}

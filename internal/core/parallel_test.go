@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +41,30 @@ func TestFigure3ParallelMatchesSerial(t *testing.T) {
 	serial, parallel := render(1), render(8)
 	if serial != parallel {
 		t.Errorf("parallel Figure 3 differs from serial:\n serial:\n%s\n parallel:\n%s", serial, parallel)
+	}
+}
+
+// TestResolveFigure3LeavesInstsUnchanged: an A–F panel's cells, and the
+// shared perfect runs, all read one Program.Insts from two workers, so
+// every run must leave the slice as it found it.
+func TestResolveFigure3LeavesInstsUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
+	}
+	p, err := workload.Generate("compress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(p.Insts)
+	var cells []Figure3Cell
+	for _, m := range MachinesScaled(workload.SPEC92, 16) {
+		cells = append(cells, Figure3Cell{Suite: workload.SPEC92, Program: p, Machine: m})
+	}
+	if _, err := ResolveFigure3(context.Background(), cells, runner.Config{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.Insts, want) {
+		t.Error("an A-F panel changed the program's instruction slice")
 	}
 }
 

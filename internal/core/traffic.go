@@ -276,11 +276,19 @@ func Factors(size int) []FactorSpec {
 // two absolute traffic values into the change of G that the factor
 // explains.
 func MeasureFactorRefs(spec FactorSpec, tr RefTrace, refMTC units.Bytes) (FactorResult, error) {
-	t1, err := spec.Exp1.trafficRefs(tr)
+	return measureFactor(spec, refMTC, func(fc FactorConfig) (units.Bytes, error) {
+		return fc.trafficRefs(tr)
+	})
+}
+
+// measureFactor runs one factor pair through traffic and converts the
+// two values into the change of G against the reference traffic refMTC.
+func measureFactor(spec FactorSpec, refMTC units.Bytes, traffic func(FactorConfig) (units.Bytes, error)) (FactorResult, error) {
+	t1, err := traffic(spec.Exp1)
 	if err != nil {
 		return FactorResult{}, fmt.Errorf("core: factor %s exp1: %w", spec.Name, err)
 	}
-	t2, err := spec.Exp2.trafficRefs(tr)
+	t2, err := traffic(spec.Exp2)
 	if err != nil {
 		return FactorResult{}, fmt.Errorf("core: factor %s exp2: %w", spec.Name, err)
 	}
@@ -303,8 +311,11 @@ func FactorSize(name string) int {
 
 // MeasureFactorColumn runs one trace's column of Table 9 at a cache size:
 // the reference MTC (word blocks, write-validate, bypass), then each
-// factor pair of Factors(size) against its traffic. It returns the
-// reference MTC's statistics and the results in Factors order.
+// factor pair of Factors(size) against its traffic. Each distinct
+// configuration is simulated once: dm32, fa32, min32 and min4 each sit in
+// two pairs, and min4wv is the reference MTC, so a column runs 6
+// simulations, not 11. It returns the reference MTC's statistics and the
+// results in Factors order.
 func MeasureFactorColumn(tr RefTrace, size int) (mtc.Stats, []FactorResult, error) {
 	refs, err := tr.Refs()
 	if err != nil {
@@ -314,13 +325,36 @@ func MeasureFactorColumn(tr RefTrace, size int) (mtc.Stats, []FactorResult, erro
 	if err != nil {
 		return mtc.Stats{}, nil, err
 	}
-	ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+	refCfg := mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
+	ref, err := mtc.SimulateRefs(refCfg, fut, refs)
 	if err != nil {
 		return mtc.Stats{}, nil, err
 	}
+	type simKey struct {
+		cache cache.Config
+		mtc   mtc.Config
+	}
+	seen := map[simKey]units.Bytes{{mtc: refCfg}: ref.TrafficBytes()}
+	traffic := func(fc FactorConfig) (units.Bytes, error) {
+		var k simKey
+		if fc.Cache != nil {
+			k.cache = *fc.Cache
+		}
+		if fc.MTC != nil {
+			k.mtc = *fc.MTC
+		}
+		if t, ok := seen[k]; ok {
+			return t, nil
+		}
+		t, err := fc.trafficRefs(tr)
+		if err == nil {
+			seen[k] = t
+		}
+		return t, err
+	}
 	var col []FactorResult
 	for _, spec := range Factors(size) {
-		res, err := MeasureFactorRefs(spec, tr, ref.TrafficBytes())
+		res, err := measureFactor(spec, ref.TrafficBytes(), traffic)
 		if err != nil {
 			return mtc.Stats{}, nil, err
 		}

@@ -144,7 +144,7 @@ func (c *Corpus) storeDisk(key Key, refs []trace.Ref, meta Meta) {
 	}
 	hasher := sha256.New()
 	n, err := faultinject.WriteAtomic(c.fsys, tracePath(c.dir, key), func(w io.Writer) error {
-		_, err := trace.WriteCompact(io.MultiWriter(w, hasher), trace.NewSliceStream(refs))
+		_, err := trace.WriteCompact(io.MultiWriter(w, hasher), refs)
 		return err
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func attrHierarchy(t *testing.T, mode mem.Mode, mshrs int) *mem.Hierarchy {
 func attrRun(t *testing.T, cfg Config, h *mem.Hierarchy, insts []isa.Inst) (Result, *attr.RunRecord) {
 	t.Helper()
 	col := attr.New(attr.Options{Interval: 64})
-	r, err := Run(cfg, h, isa.NewSliceStream(insts), &Probe{Attr: col})
+	r, err := Run(cfg, h, insts, &Probe{Attr: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestAttrDoesNotChangeResults(t *testing.T) {
 		cfg  Config
 	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			base, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Stream(), nil)
+			base, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Insts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			withAttr, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Stream(),
+			withAttr, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Insts,
 				&Probe{Attr: attr.New(attr.Options{Interval: 256})})
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func TestAttrRecordDeterministic(t *testing.T) {
 	}
 	build := func() []byte {
 		col := attr.New(attr.Options{Interval: 512})
-		if _, err := Run(oooCfg(), attrHierarchy(t, mem.Full, 4), prog.Stream(), &Probe{Attr: col}); err != nil {
+		if _, err := Run(oooCfg(), attrHierarchy(t, mem.Full, 4), prog.Insts, &Probe{Attr: col}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := json.Marshal(col.Record())
@@ -212,7 +212,7 @@ func benchAttr(b *testing.B, enabled bool) {
 		if enabled {
 			probe = &Probe{Attr: attr.New(attr.Options{})}
 		}
-		if _, err := Run(cfg, h, prog.Stream(), probe); err != nil {
+		if _, err := Run(cfg, h, prog.Insts, probe); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@
 // Section 3 experiments: a four-way superscalar in-order core with two
 // load/store units (experiments A–C) and an out-of-order core organised
 // around a Register Update Unit with speculative loads and a load/store
-// queue (experiments D–F), both driven by dynamic instruction streams
+// queue (experiments D–F), both driven by dynamic instruction slices
 // (internal/isa) against a timing memory hierarchy (internal/mem).
 package cpu
 
@@ -154,11 +154,11 @@ func (r Result) CPI() float64 {
 	return float64(r.Cycles) / float64(r.Insts)
 }
 
-// Run simulates the instruction stream on a core configured by cfg against
-// hierarchy h, resets the stream, and returns the result. probe, when
-// non-nil, instruments the run (see Probe); a nil probe costs the
-// simulation loop nothing.
-func Run(cfg Config, h *mem.Hierarchy, s isa.Stream, probe *Probe) (Result, error) {
+// Run simulates insts on a core configured by cfg against hierarchy h and
+// returns the result. Run only reads insts, so concurrent runs may share
+// one slice. probe, when non-nil, instruments the run (see Probe); a nil
+// probe costs the simulation loop nothing.
+func Run(cfg Config, h *mem.Hierarchy, insts []isa.Inst, probe *Probe) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -175,58 +175,36 @@ func Run(cfg Config, h *mem.Hierarchy, s isa.Stream, probe *Probe) (Result, erro
 	}
 	var r Result
 	if cfg.OutOfOrder {
-		r = runOutOfOrder(cfg, h, s, hb, ap)
+		r = runOutOfOrder(cfg, h, insts, hb, ap)
 	} else {
-		r = runInOrder(cfg, h, s, hb, ap)
+		r = runInOrder(cfg, h, insts, hb, ap)
 	}
 	if hb != nil {
 		hb.beat(r.Insts, r.Cycles)
 	}
 	r.Mem = h.Stats()
 	publishResult(reg, r)
-	s.Reset()
 	return r, nil
 }
 
 // The two run loops are duplicated per engine type rather than unified
 // over the engine interface: the dynamic dispatch defeats escape analysis
-// of &res and costs several percent on the simulator's hottest loop. Each
-// additionally recognises the ubiquitous *isa.SliceStream and ranges over
-// its backing slice directly (Drain), removing the per-instruction
-// interface call to Next; any other Stream takes the generic path.
+// of &res and costs several percent on the simulator's hottest loop.
 
-func runInOrder(cfg Config, h *mem.Hierarchy, s isa.Stream, hb *heartbeat, probe *attrProbe) Result {
+func runInOrder(cfg Config, h *mem.Hierarchy, insts []isa.Inst, hb *heartbeat, probe *attrProbe) Result {
 	p := newInOrder(cfg, h)
 	p.probe = probe
 	var res Result
-	if ss, ok := s.(*isa.SliceStream); ok {
-		insts := ss.Drain()
-		if hb == nil && probe == nil {
-			// The benchmark/grid configuration: no heartbeat, no
-			// attribution probe. drain fuses the step loop with the issue
-			// state held in registers.
-			p.drain(insts, &res)
-			res.Insts = int64(len(insts))
-		} else {
-			for i := range insts {
-				res.Insts++
-				p.step(&insts[i], &res)
-				if hb != nil && res.Insts >= hb.next {
-					hb.beat(res.Insts, p.time())
-				}
-				if probe != nil && probe.sampler.Due(p.time()) {
-					probe.take(p.time(), res.Insts, 0)
-				}
-			}
-		}
+	if hb == nil && probe == nil {
+		// The benchmark/grid configuration: no heartbeat, no attribution
+		// probe. drain fuses the step loop with the issue state held in
+		// registers.
+		p.drain(insts, &res)
+		res.Insts = int64(len(insts))
 	} else {
-		for {
-			in, ok := s.Next()
-			if !ok {
-				break
-			}
+		for i := range insts {
 			res.Insts++
-			p.step(&in, &res)
+			p.step(&insts[i], &res)
 			if hb != nil && res.Insts >= hb.next {
 				hb.beat(res.Insts, p.time())
 			}
@@ -242,35 +220,17 @@ func runInOrder(cfg Config, h *mem.Hierarchy, s isa.Stream, hb *heartbeat, probe
 	return res
 }
 
-func runOutOfOrder(cfg Config, h *mem.Hierarchy, s isa.Stream, hb *heartbeat, probe *attrProbe) Result {
+func runOutOfOrder(cfg Config, h *mem.Hierarchy, insts []isa.Inst, hb *heartbeat, probe *attrProbe) Result {
 	p := newOutOfOrder(cfg, h)
 	p.probe = probe
 	var res Result
-	if ss, ok := s.(*isa.SliceStream); ok {
-		insts := ss.Drain()
-		if hb == nil && probe == nil {
-			p.drain(insts, &res)
-			res.Insts = int64(len(insts))
-		} else {
-			for i := range insts {
-				res.Insts++
-				p.step(&insts[i], &res)
-				if hb != nil && res.Insts >= hb.next {
-					hb.beat(res.Insts, p.time())
-				}
-				if probe != nil && probe.sampler.Due(p.time()) {
-					probe.take(p.time(), res.Insts, p.ruuFill(p.time()))
-				}
-			}
-		}
+	if hb == nil && probe == nil {
+		p.drain(insts, &res)
+		res.Insts = int64(len(insts))
 	} else {
-		for {
-			in, ok := s.Next()
-			if !ok {
-				break
-			}
+		for i := range insts {
 			res.Insts++
-			p.step(&in, &res)
+			p.step(&insts[i], &res)
 			if hb != nil && res.Insts >= hb.next {
 				hb.beat(res.Insts, p.time())
 			}

@@ -86,7 +86,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestRunRejectsInvalid(t *testing.T) {
 	h := perfectHierarchy(t)
-	if _, err := Run(Config{}, h, isa.NewSliceStream(nil), nil); err == nil {
+	if _, err := Run(Config{}, h, nil, nil); err == nil {
 		t.Error("invalid config accepted by Run")
 	}
 }
@@ -99,7 +99,7 @@ func TestIndependentOpsReachIssueWidth(t *testing.T) {
 		isa.Inst{Op: isa.IALU, Dst: 4},
 	)
 	for _, cfg := range []Config{inorderCfg(), oooCfg()} {
-		r, err := Run(cfg, perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+		r, err := Run(cfg, perfectHierarchy(t), insts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestIndependentOpsReachIssueWidth(t *testing.T) {
 func TestSerialChainLimitsToOnePerCycle(t *testing.T) {
 	insts := repeat(5000, isa.Inst{Op: isa.IALU, Dst: 1, Src1: 1})
 	for _, cfg := range []Config{inorderCfg(), oooCfg()} {
-		r, err := Run(cfg, perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+		r, err := Run(cfg, perfectHierarchy(t), insts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestSerialChainLimitsToOnePerCycle(t *testing.T) {
 func TestFPLatencyChain(t *testing.T) {
 	// A serial FDiv chain runs at 1/12 IPC.
 	insts := repeat(2000, isa.Inst{Op: isa.FDiv, Dst: 33, Src1: 33})
-	r, err := Run(oooCfg(), perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+	r, err := Run(oooCfg(), perfectHierarchy(t), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestOoOToleratesMissUnderILP(t *testing.T) {
 		}
 		insts = append(insts, isa.Inst{Op: isa.IALU, Dst: 2, Src1: 1}) // consume
 	}
-	rIn, err := Run(inorderCfg(), smallHierarchy(t, mem.Full, 8), isa.NewSliceStream(insts), nil)
+	rIn, err := Run(inorderCfg(), smallHierarchy(t, mem.Full, 8), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOoO, err := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), isa.NewSliceStream(insts), nil)
+	rOoO, err := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestLockupFreeHelpsInOrder(t *testing.T) {
 	}
 	// A final consumer of everything so latency matters.
 	insts = append(insts, isa.Inst{Op: isa.IALU, Dst: 9, Src1: 1, Src2: 2})
-	blocking, err := Run(inorderCfg(), smallHierarchy(t, mem.Full, 1), isa.NewSliceStream(insts), nil)
+	blocking, err := Run(inorderCfg(), smallHierarchy(t, mem.Full, 1), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lockup, err := Run(inorderCfg(), smallHierarchy(t, mem.Full, 8), isa.NewSliceStream(insts), nil)
+	lockup, err := Run(inorderCfg(), smallHierarchy(t, mem.Full, 8), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,19 +192,19 @@ func TestMispredictsSlowExecution(t *testing.T) {
 		}
 		return insts
 	}
-	biased, err := Run(oooCfg(), perfectHierarchy(t), isa.NewSliceStream(mk(func(int) bool { return true })), nil)
+	biased, err := Run(oooCfg(), perfectHierarchy(t), mk(func(int) bool { return true }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pseudo-random pattern (xor-shift parity) the 2-bit counters cannot
 	// learn.
 	x := uint32(12345)
-	random, err := Run(oooCfg(), perfectHierarchy(t), isa.NewSliceStream(mk(func(int) bool {
+	random, err := Run(oooCfg(), perfectHierarchy(t), mk(func(int) bool {
 		x ^= x << 13
 		x ^= x >> 17
 		x ^= x << 5
 		return x&1 == 1
-	})), nil)
+	}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestSmallerWindowIsSlower(t *testing.T) {
 	small := oooCfg()
 	small.RUUSlots = 4
 	big := oooCfg()
-	rs, err := Run(small, perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+	rs, err := Run(small, perfectHierarchy(t), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(big, perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+	rb, err := Run(big, perfectHierarchy(t), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestLSUnitsBound(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		insts = append(insts, isa.Inst{Op: isa.Load, Dst: isa.Reg(1 + i%16), Addr: uint64(i%64) * 4, PC: 4})
 	}
-	r, err := Run(oooCfg(), perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+	r, err := Run(oooCfg(), perfectHierarchy(t), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestResultCounts(t *testing.T) {
 		{Op: isa.Branch, Src1: 1, Taken: true, PC: 12},
 		{Op: isa.IALU, Dst: 2},
 	}
-	r, err := Run(inorderCfg(), perfectHierarchy(t), isa.NewSliceStream(insts), nil)
+	r, err := Run(inorderCfg(), perfectHierarchy(t), insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,16 +278,6 @@ func TestResultCounts(t *testing.T) {
 	}
 }
 
-func TestRunResetsStream(t *testing.T) {
-	s := isa.NewSliceStream(repeat(10, isa.Inst{Op: isa.IALU, Dst: 1}))
-	if _, err := Run(inorderCfg(), perfectHierarchy(t), s, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Next(); !ok {
-		t.Error("Run did not reset the stream")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	var insts []isa.Inst
 	for i := 0; i < 5000; i++ {
@@ -295,7 +285,7 @@ func TestDeterminism(t *testing.T) {
 		insts = append(insts, isa.Inst{Op: isa.Branch, Src1: 1, Taken: i%3 == 0, PC: 8})
 	}
 	run := func() Result {
-		r, _ := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), isa.NewSliceStream(insts), nil)
+		r, _ := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), insts, nil)
 		return r
 	}
 	if run() != run() {
@@ -304,7 +294,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	r, err := Run(oooCfg(), perfectHierarchy(t), isa.NewSliceStream(nil), nil)
+	r, err := Run(oooCfg(), perfectHierarchy(t), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +351,7 @@ func TestWiderIssueNeverSlower(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 8} {
 		cfg := oooCfg()
 		cfg.IssueWidth = width
-		r, err := Run(cfg, perfectHierarchy(t), p.Stream(), nil)
+		r, err := Run(cfg, perfectHierarchy(t), p.Insts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +372,7 @@ func TestLargerWindowNeverSlowerOnPerfectMemory(t *testing.T) {
 		cfg := oooCfg()
 		cfg.RUUSlots = ruu
 		cfg.LSQEntries = ruu / 2
-		r, err := Run(cfg, perfectHierarchy(t), p.Stream(), nil)
+		r, err := Run(cfg, perfectHierarchy(t), p.Insts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,21 +95,21 @@ func addStats(a, b mem.Stats) mem.Stats {
 	return a
 }
 
-// RunMulti simulates len(streams) identical cores (configured by cfg),
-// one instruction stream per core. hs supplies each core's memory-system
-// view: either a single shared hierarchy (every core drives the same
-// caches — the shared-L1 configuration) or one hierarchy per core,
-// typically from mem.NewCluster (private L1s over a shared L2 and shared
-// buses). Streams are reset on completion.
-func RunMulti(cfg Config, hs []*mem.Hierarchy, streams []isa.Stream) (MultiResult, error) {
+// RunMulti simulates len(progs) identical cores (configured by cfg), one
+// instruction slice per core, which it only reads. hs supplies each core's
+// memory-system view: either a single shared hierarchy (every core drives
+// the same caches — the shared-L1 configuration) or one hierarchy per
+// core, typically from mem.NewCluster (private L1s over a shared L2 and
+// shared buses).
+func RunMulti(cfg Config, hs []*mem.Hierarchy, progs [][]isa.Inst) (MultiResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MultiResult{}, err
 	}
-	if len(streams) == 0 {
-		return MultiResult{}, fmt.Errorf("cpu: RunMulti needs at least one stream")
+	if len(progs) == 0 {
+		return MultiResult{}, fmt.Errorf("cpu: RunMulti needs at least one instruction slice")
 	}
-	if len(hs) != 1 && len(hs) != len(streams) {
-		return MultiResult{}, fmt.Errorf("cpu: %d hierarchies for %d streams (want 1 or equal)", len(hs), len(streams))
+	if len(hs) != 1 && len(hs) != len(progs) {
+		return MultiResult{}, fmt.Errorf("cpu: %d hierarchies for %d instruction slices (want 1 or equal)", len(hs), len(progs))
 	}
 	hFor := func(i int) *mem.Hierarchy {
 		if len(hs) == 1 {
@@ -118,14 +118,14 @@ func RunMulti(cfg Config, hs []*mem.Hierarchy, streams []isa.Stream) (MultiResul
 		return hs[i]
 	}
 	type coreState struct {
-		eng  engine
-		s    isa.Stream
-		res  Result
-		done bool
+		eng   engine
+		insts []isa.Inst
+		res   Result
+		done  bool
 	}
-	cores := make([]coreState, len(streams))
+	cores := make([]coreState, len(progs))
 	for i := range cores {
-		cores[i] = coreState{eng: newEngine(cfg, hFor(i)), s: streams[i]}
+		cores[i] = coreState{eng: newEngine(cfg, hFor(i)), insts: progs[i]}
 	}
 	remaining := len(cores)
 	for remaining > 0 {
@@ -141,21 +141,20 @@ func RunMulti(cfg Config, hs []*mem.Hierarchy, streams []isa.Stream) (MultiResul
 			}
 		}
 		c := &cores[best]
-		in, ok := c.s.Next()
-		if !ok {
+		if c.res.Insts == int64(len(c.insts)) {
 			c.done = true
 			c.res.Cycles = c.eng.finish()
 			c.res.Mem = hFor(best).Stats()
 			remaining--
 			continue
 		}
+		c.eng.step(&c.insts[c.res.Insts], &c.res)
 		c.res.Insts++
-		c.eng.step(&in, &c.res)
 	}
 	// Aggregate memory statistics across the distinct hierarchies.
 	var agg mem.Stats
 	seen := map[*mem.Hierarchy]bool{}
-	for i := range streams {
+	for i := range progs {
 		h := hFor(i)
 		if !seen[h] {
 			seen[h] = true
@@ -168,7 +167,6 @@ func RunMulti(cfg Config, hs []*mem.Hierarchy, streams []isa.Stream) (MultiResul
 		if cores[i].res.Cycles > out.Cycles {
 			out.Cycles = cores[i].res.Cycles
 		}
-		streams[i].Reset()
 	}
 	return out, nil
 }

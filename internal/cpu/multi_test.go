@@ -10,7 +10,7 @@ import (
 
 func TestRunMultiValidation(t *testing.T) {
 	h := perfectHierarchy(t)
-	if _, err := RunMulti(Config{}, []*mem.Hierarchy{h}, []isa.Stream{isa.NewSliceStream(nil)}); err == nil {
+	if _, err := RunMulti(Config{}, []*mem.Hierarchy{h}, [][]isa.Inst{nil}); err == nil {
 		t.Error("invalid config accepted")
 	}
 	if _, err := RunMulti(inorderCfg(), []*mem.Hierarchy{h}, nil); err == nil {
@@ -23,11 +23,11 @@ func TestRunMultiSingleCoreMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), p.Stream(), nil)
+	single, err := Run(oooCfg(), smallHierarchy(t, mem.Full, 8), p.Insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti(oooCfg(), []*mem.Hierarchy{smallHierarchy(t, mem.Full, 8)}, []isa.Stream{p.Stream()})
+	multi, err := RunMulti(oooCfg(), []*mem.Hierarchy{smallHierarchy(t, mem.Full, 8)}, [][]isa.Inst{p.Insts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunMultiBandwidthInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := RunMulti(oooCfg(), []*mem.Hierarchy{smallHierarchy(t, mem.Full, 8)}, []isa.Stream{p.Stream()})
+	alone, err := RunMulti(oooCfg(), []*mem.Hierarchy{smallHierarchy(t, mem.Full, 8)}, [][]isa.Inst{p.Insts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunMultiBandwidthInterference(t *testing.T) {
 		}
 	}
 	pair, err := RunMulti(oooCfg(), []*mem.Hierarchy{smallHierarchy(t, mem.Full, 8)},
-		[]isa.Stream{p.Stream(), isa.NewSliceStream(shifted)})
+		[][]isa.Inst{p.Insts, shifted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,20 +83,10 @@ func TestRunMultiBandwidthInterference(t *testing.T) {
 	}
 }
 
-func TestRunMultiResetsStreams(t *testing.T) {
-	s := isa.NewSliceStream(repeat(10, isa.Inst{Op: isa.IALU, Dst: 1}))
-	if _, err := RunMulti(inorderCfg(), []*mem.Hierarchy{perfectHierarchy(t)}, []isa.Stream{s}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Next(); !ok {
-		t.Error("stream not reset")
-	}
-}
-
 func TestRunMultiCoreResults(t *testing.T) {
-	a := isa.NewSliceStream(repeat(100, isa.Inst{Op: isa.IALU, Dst: 1}))
-	bs := isa.NewSliceStream(repeat(200, isa.Inst{Op: isa.IALU, Dst: 2}))
-	res, err := RunMulti(inorderCfg(), []*mem.Hierarchy{perfectHierarchy(t)}, []isa.Stream{a, bs})
+	a := repeat(100, isa.Inst{Op: isa.IALU, Dst: 1})
+	bs := repeat(200, isa.Inst{Op: isa.IALU, Dst: 2})
+	res, err := RunMulti(inorderCfg(), []*mem.Hierarchy{perfectHierarchy(t)}, [][]isa.Inst{a, bs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ import (
 	"memwall/internal/mem"
 )
 
-// debugHook, when non-nil, receives per-instruction timing (tests only).
-var debugHook func(in isa.Inst, disp, exec, complete int64)
-
 type outOfOrder struct {
 	cfg Config
 	h   *mem.Hierarchy
@@ -327,9 +324,6 @@ func (p *outOfOrder) step(in *isa.Inst, res *Result) {
 		}
 	}
 
-	if debugHook != nil {
-		debugHook(*in, disp, exec, complete)
-	}
 	retire := p.retireAt(complete)
 	// Branchless-wrap ring advance: Config.Validate guarantees both rings
 	// are non-empty, and increment-then-wrap avoids an integer division
@@ -358,14 +352,6 @@ func (p *outOfOrder) step(in *isa.Inst, res *Result) {
 //
 //memwall:hot
 func (p *outOfOrder) drain(insts []isa.Inst, res *Result) {
-	if debugHook != nil {
-		// Per-instruction timing hook (tests only): take the unfused path
-		// so the hook check stays out of the hot loop.
-		for i := range insts {
-			p.step(&insts[i], res)
-		}
-		return
-	}
 	dispatchCycle, dispatched, fetchReady := p.dispatchCycle, p.dispatched, p.fetchReady
 	lastRetire, retireCycle, retiredInCyc := p.lastRetire, p.retireCycle, p.retiredInCyc
 	ruuHead, lsqHead := p.ruuHead, p.lsqHead

@@ -23,7 +23,7 @@ func TestInOrderOperandStalls(t *testing.T) {
 			prog[i].Addr = uint64(0x10000 + 64*i)
 		}
 	}
-	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog), nil)
+	res, err := Run(inorderCfg(), h, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestInOrderFetchStalls(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		prog = append(prog, isa.Inst{Op: isa.Branch, PC: 0x40, Taken: i%2 == 0})
 	}
-	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog), nil)
+	res, err := Run(inorderCfg(), h, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestInOrderLSStructuralStalls(t *testing.T) {
 	h := perfectHierarchy(t)
 	// Four independent stores per cycle against two LS units.
 	prog := repeat(128, isa.Inst{Op: isa.Store, Addr: 0x100})
-	res, err := Run(inorderCfg(), h, isa.NewSliceStream(prog), nil)
+	res, err := Run(inorderCfg(), h, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestOOOWindowStalls(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		prog = append(prog, isa.Inst{Op: isa.Load, Dst: 3, Addr: uint64(0x20000 + 64*i)})
 	}
-	res, err := Run(cfg, h, isa.NewSliceStream(prog), nil)
+	res, err := Run(cfg, h, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunPublishesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(inorderCfg(), h, prog.Stream(), &Probe{Metrics: reg})
+	res, err := Run(inorderCfg(), h, prog.Insts, &Probe{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +118,6 @@ func TestRunPublishesMetrics(t *testing.T) {
 	}
 }
 
-// aluStream yields n single-cycle ALU instructions without materializing
-// them, so a run can span several heartbeat periods cheaply.
-type aluStream struct{ n, pos int64 }
-
-func (s *aluStream) Next() (isa.Inst, bool) {
-	if s.pos == s.n {
-		return isa.Inst{}, false
-	}
-	s.pos++
-	return isa.Inst{Op: isa.IALU, Dst: 1}, true
-}
-
-func (s *aluStream) Reset() { s.pos = 0 }
-
 func TestRunHeartbeat(t *testing.T) {
 	var beats int
 	var totalInsts, totalCycles int64
@@ -143,8 +129,10 @@ func TestRunHeartbeat(t *testing.T) {
 			t.Errorf("negative progress delta: %d insts, %d cycles", insts, cycles)
 		}
 	}}
-	h := perfectHierarchy(t)
-	res, err := Run(inorderCfg(), h, &aluStream{n: 5 * ProgressEvery}, probe)
+	// A materialised slice spanning five heartbeat periods (about 126 MB),
+	// so beats fire inside the slice loop that serve and -progress take.
+	insts := repeat(5*ProgressEvery, isa.Inst{Op: isa.IALU, Dst: 1})
+	res, err := Run(inorderCfg(), perfectHierarchy(t), insts, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +157,6 @@ func benchmarkRun(b *testing.B, probe *Probe) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := prog.Stream()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := mem.New(mem.Config{
@@ -183,7 +170,7 @@ func benchmarkRun(b *testing.B, probe *Probe) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Run(inorderCfg(), h, s, probe); err != nil {
+		if _, err := Run(inorderCfg(), h, prog.Insts, probe); err != nil {
 			b.Fatal(err)
 		}
 	}

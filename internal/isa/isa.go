@@ -5,11 +5,12 @@
 // irrelevant to its measurements, which depend on microarchitectural
 // signal only: register dependences, operation latencies, data addresses,
 // and branch outcomes. An Inst carries exactly that signal. Workload
-// generators (internal/workload) emit streams of resolved dynamic
+// generators (internal/workload) emit sequences of resolved dynamic
 // instructions — the execution-driven semantics (address computation,
 // branch resolution) are baked into generation, and the timing cores
-// replay the stream with full dependence, structural, and memory-system
-// modelling.
+// replay the []Inst slice with full dependence, structural, and
+// memory-system modelling. A replay only reads the slice, so any number
+// of runs, on any number of goroutines, may share one.
 package isa
 
 import (
@@ -81,68 +82,23 @@ type Inst struct {
 	Taken bool
 }
 
-// Stream produces a sequence of dynamic instructions and must be
-// restartable, since the execution-time decomposition replays each
-// program three times (perfect / infinite-bandwidth / full memory).
-type Stream interface {
-	Next() (Inst, bool)
-	Reset()
-}
-
-// SliceStream adapts an in-memory []Inst to Stream.
-type SliceStream struct {
+// MemRefs derives the data-reference trace of an instruction slice — what
+// QPT produced for the paper's Dinero and MTC experiments ("data memory
+// references but no instructions"). It is a cursor over the slice, which
+// it only reads, so trace.Collect can consume it in place.
+type MemRefs struct {
 	insts []Inst
 	pos   int
 }
 
-// NewSliceStream returns a Stream over insts (not copied).
-func NewSliceStream(insts []Inst) *SliceStream { return &SliceStream{insts: insts} }
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	i := s.insts[s.pos]
-	s.pos++
-	return i, true
-}
-
-// Reset implements Stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Drain returns the instructions remaining at the cursor and advances the
-// cursor to the end, as if Next had been called to exhaustion. Consumers
-// that recognise a *SliceStream (the cpu run loops) range over the
-// returned slice directly, replacing two interface calls per instruction
-// with an indexed load; Reset still rewinds the stream afterwards.
-func (s *SliceStream) Drain() []Inst {
-	r := s.insts[s.pos:]
-	s.pos = len(s.insts)
-	return r
-}
-
-// Len returns the number of instructions.
-func (s *SliceStream) Len() int { return len(s.insts) }
-
-// MemRefs derives the data-reference trace of an instruction stream — what
-// QPT produced for the paper's Dinero and MTC experiments ("data memory
-// references but no instructions"). The returned stream resets the
-// underlying instruction stream independently.
-type MemRefs struct {
-	inner Stream
-}
-
-// NewMemRefs wraps an instruction stream as a data-reference trace.
-func NewMemRefs(inner Stream) *MemRefs { return &MemRefs{inner: inner} }
+// NewMemRefs returns a data-reference cursor over insts (not copied).
+func NewMemRefs(insts []Inst) *MemRefs { return &MemRefs{insts: insts} }
 
 // Next implements trace.Stream.
 func (m *MemRefs) Next() (trace.Ref, bool) {
-	for {
-		in, ok := m.inner.Next()
-		if !ok {
-			return trace.Ref{}, false
-		}
+	for m.pos < len(m.insts) {
+		in := &m.insts[m.pos]
+		m.pos++
 		switch in.Op {
 		case Load:
 			return trace.Ref{Kind: trace.Read, Addr: in.Addr}, true
@@ -150,10 +106,11 @@ func (m *MemRefs) Next() (trace.Ref, bool) {
 			return trace.Ref{Kind: trace.Write, Addr: in.Addr}, true
 		}
 	}
+	return trace.Ref{}, false
 }
 
 // Reset implements trace.Stream.
-func (m *MemRefs) Reset() { m.inner.Reset() }
+func (m *MemRefs) Reset() { m.pos = 0 }
 
 var _ trace.Stream = (*MemRefs)(nil)
 
@@ -218,9 +175,6 @@ func (b *Builder) Branch(site string, src1 Reg, taken bool) {
 
 // Insts returns the built instruction slice.
 func (b *Builder) Insts() []Inst { return b.insts }
-
-// Stream returns a restartable stream over the built instructions.
-func (b *Builder) Stream() *SliceStream { return NewSliceStream(b.insts) }
 
 // Len returns the number of instructions built so far.
 func (b *Builder) Len() int { return len(b.insts) }

@@ -31,29 +31,6 @@ func TestIsMem(t *testing.T) {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	insts := []Inst{{Op: IALU}, {Op: Load, Addr: 4}, {Op: Branch, Taken: true}}
-	s := NewSliceStream(insts)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	n := 0
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("drained %d", n)
-	}
-	s.Reset()
-	if in, ok := s.Next(); !ok || in.Op != IALU {
-		t.Error("Reset broken")
-	}
-}
-
 func TestMemRefsFiltersAndMaps(t *testing.T) {
 	insts := []Inst{
 		{Op: IALU, Dst: 1},
@@ -62,7 +39,7 @@ func TestMemRefsFiltersAndMaps(t *testing.T) {
 		{Op: Store, Addr: 0x204},
 		{Op: FMul},
 	}
-	m := NewMemRefs(NewSliceStream(insts))
+	m := NewMemRefs(insts)
 	refs := trace.Collect(m)
 	if len(refs) != 2 {
 		t.Fatalf("refs = %v", refs)
@@ -115,9 +92,6 @@ func TestBuilderEmitKinds(t *testing.T) {
 	}
 	if b.Len() != 2 {
 		t.Errorf("Len = %d", b.Len())
-	}
-	if b.Stream().Len() != 2 {
-		t.Error("Stream length mismatch")
 	}
 }
 

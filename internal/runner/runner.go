@@ -8,9 +8,9 @@
 //
 //   - results are collected into a slice indexed by task, so the caller
 //     sees them in task order regardless of which worker finished when;
-//   - each simulation task owns all of its mutable state (most
-//     importantly its instruction stream — see the ownership rule on
-//     core.Decompose), so tasks never race on shared model state;
+//   - each simulation task owns all of its mutable state (its cores and
+//     hierarchies) and only reads what tasks share, such as a program's
+//     instruction slice, so tasks never race on shared model state;
 //   - Workers == 1 executes tasks inline on the calling goroutine in
 //     index order, reproducing the historical serial path bit-for-bit.
 //

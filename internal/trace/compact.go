@@ -33,36 +33,20 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// WriteCompact encodes a stream in the compact binary format and resets
-// it, returning the number of references written.
-func WriteCompact(w io.Writer, s Stream) (int64, error) {
-	// First pass to count (streams are restartable by contract).
-	var count int64
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
-		}
-		count++
-	}
-	s.Reset()
-
+// WriteCompact encodes refs in the compact binary format, returning the
+// number of references written.
+func WriteCompact(w io.Writer, refs []Ref) (int64, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(compactMagic[:]); err != nil {
 		return 0, fmt.Errorf("trace: compact write: %w", err)
 	}
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(count))
+	n := binary.PutUvarint(buf[:], uint64(len(refs)))
 	if _, err := bw.Write(buf[:n]); err != nil {
 		return 0, fmt.Errorf("trace: compact write: %w", err)
 	}
 	var prev int64
-	var written int64
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
+	for i, r := range refs {
 		word := int64(r.Word() / WordSize)
 		delta := word - prev
 		prev = word
@@ -72,15 +56,13 @@ func WriteCompact(w io.Writer, s Stream) (int64, error) {
 		}
 		n := binary.PutUvarint(buf[:], tag)
 		if _, err := bw.Write(buf[:n]); err != nil {
-			return written, fmt.Errorf("trace: compact write: %w", err)
+			return int64(i), fmt.Errorf("trace: compact write: %w", err)
 		}
-		written++
 	}
-	s.Reset()
 	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("trace: compact flush: %w", err)
+		return int64(len(refs)), fmt.Errorf("trace: compact flush: %w", err)
 	}
-	return written, nil
+	return int64(len(refs)), nil
 }
 
 // ReadCompact decodes a compact-format trace.

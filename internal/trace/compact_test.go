@@ -14,7 +14,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		{Read, 0xFFFF_FF00}, {Write, 0x0},
 	}
 	var buf bytes.Buffer
-	n, err := WriteCompact(&buf, NewSliceStream(orig))
+	n, err := WriteCompact(&buf, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCompactRoundTripProperty(t *testing.T) {
 			refs = append(refs, Ref{Kind: k, Addr: addr &^ 3})
 		}
 		var buf bytes.Buffer
-		if _, err := WriteCompact(&buf, NewSliceStream(refs)); err != nil {
+		if _, err := WriteCompact(&buf, refs); err != nil {
 			return false
 		}
 		got, err := ReadCompact(&buf)
@@ -82,7 +82,7 @@ func TestCompactDensity(t *testing.T) {
 		refs = append(refs, Ref{Kind: Read, Addr: uint64(i) * 4})
 	}
 	var buf bytes.Buffer
-	if _, err := WriteCompact(&buf, NewSliceStream(refs)); err != nil {
+	if _, err := WriteCompact(&buf, refs); err != nil {
 		t.Fatal(err)
 	}
 	if perRef := float64(buf.Len()) / float64(len(refs)); perRef > 2 {
@@ -104,17 +104,6 @@ func TestCompactRejectsGarbage(t *testing.T) {
 	// Count claims records that are missing.
 	if _, err := ReadCompact(bytes.NewReader([]byte{'M', 'W', 'T', '1', 5})); err == nil {
 		t.Error("missing records accepted")
-	}
-}
-
-func TestCompactResetsStream(t *testing.T) {
-	s := NewSliceStream([]Ref{{Read, 4}, {Write, 8}})
-	var buf bytes.Buffer
-	if _, err := WriteCompact(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if st := Measure(s); st.Refs != 2 {
-		t.Error("stream not reset after WriteCompact")
 	}
 }
 
@@ -143,10 +132,10 @@ func TestCompactSmallerThanDin(t *testing.T) {
 		refs = append(refs, Ref{Kind: Read, Addr: addr})
 	}
 	var din, compact bytes.Buffer
-	if _, err := WriteDin(&din, NewSliceStream(refs)); err != nil {
+	if _, err := WriteDin(&din, refs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteCompact(&compact, NewSliceStream(refs)); err != nil {
+	if _, err := WriteCompact(&compact, refs); err != nil {
 		t.Fatal(err)
 	}
 	if compact.Len()*4 > din.Len() {

@@ -68,28 +68,21 @@ func ReadDin(r io.Reader) (refs []Ref, ifetches int64, err error) {
 	return refs, ifetches, nil
 }
 
-// WriteDin writes a stream in din format and resets it. It returns the
-// number of references written.
-func WriteDin(w io.Writer, s Stream) (int64, error) {
+// WriteDin writes refs in din format, returning the number of
+// references written.
+func WriteDin(w io.Writer, refs []Ref) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var n int64
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
+	for i, r := range refs {
 		label := DinRead
 		if r.Kind == Write {
 			label = DinWrite
 		}
 		if _, err := fmt.Fprintf(bw, "%d %x\n", label, r.Addr); err != nil {
-			return n, fmt.Errorf("din: write: %w", err)
+			return int64(i), fmt.Errorf("din: write: %w", err)
 		}
-		n++
 	}
-	s.Reset()
 	if err := bw.Flush(); err != nil {
-		return n, fmt.Errorf("din: flush: %w", err)
+		return int64(len(refs)), fmt.Errorf("din: flush: %w", err)
 	}
-	return n, nil
+	return int64(len(refs)), nil
 }

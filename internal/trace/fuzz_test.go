@@ -23,7 +23,7 @@ func FuzzReadDin(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if _, err := WriteDin(&buf, NewSliceStream(refs)); err != nil {
+		if _, err := WriteDin(&buf, refs); err != nil {
 			t.Fatalf("write after successful read: %v", err)
 		}
 		back, _, err := ReadDin(&buf)
@@ -37,7 +37,7 @@ func FuzzReadDin(f *testing.F) {
 // bytes.
 func FuzzReadCompact(f *testing.F) {
 	var buf bytes.Buffer
-	_, _ = WriteCompact(&buf, NewSliceStream([]Ref{{Read, 4}, {Write, 8}}))
+	_, _ = WriteCompact(&buf, []Ref{{Read, 4}, {Write, 8}})
 	f.Add(buf.Bytes())
 	f.Add([]byte("MWT1"))
 	f.Add([]byte{})

@@ -48,42 +48,15 @@ type Ref struct {
 // Word returns the word-aligned address of the reference.
 func (r Ref) Word() uint64 { return r.Addr &^ (WordSize - 1) }
 
-// Stream produces a sequence of references. Implementations must be
-// restartable via Reset so multi-pass algorithms (such as the two-pass MIN
-// simulation) and multi-configuration sweeps can replay the same trace.
+// Stream is a cursor over a sequence of references: the form in which
+// isa.MemRefs derives a trace from an instruction slice. Collect
+// materialises one; every simulator replays the resulting []Ref.
 type Stream interface {
 	// Next returns the next reference, or ok=false at end of trace.
 	Next() (ref Ref, ok bool)
 	// Reset rewinds the stream to the beginning.
 	Reset()
 }
-
-// SliceStream adapts an in-memory []Ref to the Stream interface.
-type SliceStream struct {
-	refs []Ref
-	pos  int
-}
-
-// NewSliceStream returns a Stream over refs. The slice is not copied.
-func NewSliceStream(refs []Ref) *SliceStream {
-	return &SliceStream{refs: refs}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Reset implements Stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the total number of references in the stream.
-func (s *SliceStream) Len() int { return len(s.refs) }
 
 // Collect drains a stream into a slice, then resets it.
 func Collect(s Stream) []Ref {
@@ -99,7 +72,7 @@ func Collect(s Stream) []Ref {
 	return refs
 }
 
-// Stats summarises a reference stream.
+// Stats summarises a reference trace.
 type Stats struct {
 	Refs   int64 // total references
 	Reads  int64
@@ -109,23 +82,18 @@ type Stats struct {
 	Footprint int64
 }
 
-// Bytes returns the total processor-side traffic implied by the stream:
+// Bytes returns the total processor-side traffic implied by the trace:
 // refs × word size. This is the denominator of the level-1 traffic ratio.
 func (st Stats) Bytes() int64 { return st.Refs * WordSize }
 
 // FootprintBytes returns the data-set size in bytes.
 func (st Stats) FootprintBytes() int64 { return st.Footprint * WordSize }
 
-// Measure scans a stream, computes its Stats, and resets it.
-func Measure(s Stream) Stats {
-	var st Stats
+// Measure scans a trace and computes its Stats.
+func Measure(refs []Ref) Stats {
+	st := Stats{Refs: int64(len(refs))}
 	seen := make(map[uint64]struct{})
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		st.Refs++
+	for _, r := range refs {
 		if r.Kind == Read {
 			st.Reads++
 		} else {
@@ -137,6 +105,5 @@ func Measure(s Stream) Stats {
 			st.Footprint++
 		}
 	}
-	s.Reset()
 	return st
 }

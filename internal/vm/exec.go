@@ -43,11 +43,9 @@ func (m *Machine) SetWord(addr uint64, v int64) { m.mem[addr&^3] = v }
 // Word reads a memory word.
 func (m *Machine) Word(addr uint64) int64 { return m.mem[addr&^3] }
 
-// Trace returns the retired dynamic instruction stream recorded so far.
+// Trace returns the retired dynamic instruction stream recorded so far,
+// which the timing cores (cpu.Run, core.Decompose) replay.
 func (m *Machine) Trace() []isa.Inst { return m.trace }
-
-// Stream returns the recorded trace as a restartable timing-core stream.
-func (m *Machine) Stream() *isa.SliceStream { return isa.NewSliceStream(m.trace) }
 
 // classOf maps VM opcodes to timing-model operation classes.
 func classOf(op Opcode) isa.Op {

@@ -146,7 +146,7 @@ func TestStreamKernelIsBandwidthBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := cpu.Run(cpu.Config{IssueWidth: 4, LSUnits: 2, OutOfOrder: true,
-			RUUSlots: 64, LSQEntries: 32, PredictorEntries: 4096, MispredictPenalty: 7}, h, m.Stream(), nil)
+			RUUSlots: 64, LSQEntries: 32, PredictorEntries: 4096, MispredictPenalty: 7}, h, m.Trace(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -260,7 +260,7 @@ func TestVMTraceDrivesTimingCores(t *testing.T) {
 			cfg.OutOfOrder = true
 			cfg.RUUSlots, cfg.LSQEntries, cfg.MispredictPenalty = 64, 32, 7
 		}
-		r, err := cpu.Run(cfg, h, m.Stream(), nil)
+		r, err := cpu.Run(cfg, h, m.Trace(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,8 @@ type Program struct {
 	Name string
 	// Suite is SPEC92 or SPEC95.
 	Suite Suite
-	// Insts is the dynamic instruction stream.
+	// Insts is the dynamic instruction stream. The timing runs and
+	// MemRefs only read it, so concurrent runs share one Program.
 	Insts []isa.Inst
 	// DataSetBytes is the nominal data footprint of the workload.
 	DataSetBytes int64
@@ -104,12 +105,10 @@ func (p *Program) Region(name string) (Region, bool) {
 	return Region{}, false
 }
 
-// Stream returns a restartable instruction stream.
-func (p *Program) Stream() *isa.SliceStream { return isa.NewSliceStream(p.Insts) }
-
-// MemRefs returns the program's data-reference trace (loads and stores
-// only), the input for the Dinero-style and MTC simulators.
-func (p *Program) MemRefs() *isa.MemRefs { return isa.NewMemRefs(p.Stream()) }
+// MemRefs returns a cursor over the program's data-reference trace (loads
+// and stores only), the input for the Dinero-style and MTC simulators;
+// trace.Collect materialises it.
+func (p *Program) MemRefs() *isa.MemRefs { return isa.NewMemRefs(p.Insts) }
 
 // RefCount returns the number of data references in the program.
 func (p *Program) RefCount() int64 {

@@ -145,7 +145,7 @@ func TestFootprintMatchesMeasurement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := trace.Measure(p.MemRefs())
+		st := trace.Measure(trace.Collect(p.MemRefs()))
 		if st.FootprintBytes() > p.DataSetBytes {
 			t.Errorf("%s: touched %d bytes exceeds nominal %d", name, st.FootprintBytes(), p.DataSetBytes)
 		}
@@ -161,35 +161,9 @@ func TestMemRefsMatchRefCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := trace.Measure(p.MemRefs())
+	st := trace.Measure(trace.Collect(p.MemRefs()))
 	if st.Refs != p.RefCount() {
 		t.Errorf("MemRefs yields %d, RefCount says %d", st.Refs, p.RefCount())
-	}
-}
-
-func TestStreamRestartable(t *testing.T) {
-	p, err := Generate("espresso", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Stream()
-	n1 := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n1++
-	}
-	s.Reset()
-	n2 := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n2++
-	}
-	if n1 != n2 || n1 != len(p.Insts) {
-		t.Errorf("stream counts %d/%d vs %d insts", n1, n2, len(p.Insts))
 	}
 }
 

@@ -137,7 +137,7 @@ func RunExperiment(experiment string, p *Program) (ExperimentResult, error) {
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	res, err := core.Decompose(m, p.Stream())
+	res, err := core.Decompose(m, p.Insts)
 	if err != nil {
 		return ExperimentResult{}, fmt.Errorf("memwall: %s on %s: %w", p.Name, experiment, err)
 	}

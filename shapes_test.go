@@ -221,7 +221,7 @@ func TestShapeTable6Reversal(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := core.Decompose(m, p.Stream())
+				res, err := core.Decompose(m, p.Insts)
 				if err != nil {
 					t.Fatal(err)
 				}
