@@ -74,6 +74,14 @@ func runTable2(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	for _, p := range []struct {
+		flag, name string
+		v, x       float64 // the flag's value and the formulas' argument
+	}{{"-n", "N", *n, *n}, {"-s", "S", *s, *s}, {"-k", "k·S", *k, *k * *s}} {
+		if !iocomplexity.InDomain(p.x) {
+			return usageErr(fmt.Errorf("%s %v: want 1 < %s <= %g", p.flag, p.v, p.name, iocomplexity.MaxArg))
+		}
+	}
 	t := tablefmt.New("Table 2: application growth rates",
 		"Algorithm", "Memory", "Comp. (C)", "Memory traffic (D)", "C/D growth",
 		fmt.Sprintf("measured C/D gain (N=%.0f,S=%.0f,k=%.0f)", *n, *s, *k))
@@ -96,6 +104,14 @@ func runFig2(args []string) error {
 	mem := fs.Float64("mem", 0.55, "on-chip memory growth per year")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	for _, g := range []struct {
+		flag string
+		v    float64
+	}{{"-proc", *proc}, {"-pin", *pin}, {"-mem", *mem}} {
+		if !iocomplexity.ValidGrowth(g.v) {
+			return usageErr(fmt.Errorf("%s %v: want a growth rate above -1 and at most %g", g.flag, g.v, iocomplexity.MaxGrowth))
+		}
 	}
 	pts := iocomplexity.Figure2(*proc, *pin, *mem)
 	t := tablefmt.New("Figure 2: processing vs bandwidth changes (normalised to 1984)",

@@ -83,6 +83,43 @@ func TestFig2Output(t *testing.T) {
 	}
 }
 
+// TestTrendFlagsOutsideDomain: table2 and fig2 refuse every flag value
+// at which a formula would divide by zero or take the log or square root
+// of a non-positive number, with a usage error that names the flag and
+// no output, where they used to print NaN or ±Inf and exit 0.
+func TestTrendFlagsOutsideDomain(t *testing.T) {
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		flag string
+	}{
+		{"table2", []string{"-s", "0"}, "-s"},
+		{"table2", []string{"-s", "-4"}, "-s"},
+		{"table2", []string{"-s", "1"}, "-s"},
+		{"table2", []string{"-n", "0"}, "-n"},
+		{"table2", []string{"-n", "1"}, "-n"},
+		{"table2", []string{"-n", "1e200"}, "-n"},
+		{"table2", []string{"-k", "0"}, "-k"},
+		{"table2", []string{"-s", "4", "-k", "0.25"}, "-k"},
+		{"table2", []string{"-s", "NaN"}, "-s"},
+		{"fig2", []string{"-mem", "-1"}, "-mem"},
+		{"fig2", []string{"-pin", "-1"}, "-pin"},
+		{"fig2", []string{"-proc", "Inf"}, "-proc"},
+	} {
+		out, err := runObservedCapture(t, globalOpts{}, c.cmd, c.args...)
+		if got := exitStatus(err); got != 2 {
+			t.Errorf("%s %v: exit status %d (err %v), want 2", c.cmd, c.args, got, err)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%s %v: error %q does not name %s", c.cmd, c.args, err, c.flag)
+		}
+		if out != "" {
+			t.Errorf("%s %v printed %q", c.cmd, c.args, out)
+		}
+	}
+}
+
 func TestTable3Output(t *testing.T) {
 	out := capture(t, func() error { return runTable3(nil) })
 	for _, want := range []string{"compress", "vortex", "SPEC92", "SPEC95"} {

@@ -1,9 +1,9 @@
 // Before/after benchmarks for the trace corpus. Each *NoCorpus benchmark
 // replays the pre-corpus cost model — every table regenerates its own
-// traces and every MTC configuration rebuilds its future-knowledge table
-// from scratch — while the matching *Corpus benchmark runs the same grid
-// through a shared corpus (one materialization per trace, one future
-// table per block size). Compare a pair with
+// traces, and the MTC grid rebuilds its future-knowledge table from
+// scratch for every configuration — while the matching *Corpus benchmark
+// runs the same grid through a shared corpus (one materialization per
+// trace, one future table per block size). Compare a pair with
 // `go test -run '^$' -bench 'MTCGrid' -count 10 .`; memwallbench's
 // traffic-sweep workload measures the corpus path end to end.
 package memwall
@@ -77,8 +77,9 @@ var (
 )
 
 // BenchmarkTable7GridNoCorpus is the pre-corpus path: each pass generates
-// its own programs, and every inefficiency cell's MTC run rebuilds the
-// future table (core.TraceOfRefs shares none).
+// its own programs and collects its own traces. The inefficiency pass
+// builds one word-grain future table per benchmark, which its cells share
+// through core.TraceOfRefs as they would through a corpus entry.
 func BenchmarkTable7GridNoCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range trafficGridBenches {

@@ -194,9 +194,9 @@ func (c *countingTrace) Future(blockSize int) (*mtc.Future, error) {
 }
 
 // TestMeasureFactorColumnRunsEachConfigOnce: a column simulates each
-// distinct configuration once, so it builds three future tables (the
-// reference MTC, min32 and min4) over a trace that shares none, and its
-// results equal MeasureFactorRefs run pair by pair.
+// distinct configuration once, so it asks for three future tables (the
+// reference MTC, min32 and min4), and its results equal
+// MeasureFactorRefs run pair by pair.
 func TestMeasureFactorColumnRunsEachConfigOnce(t *testing.T) {
 	p, err := workload.Generate("compress", 1)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestMeasureFactorColumnRunsEachConfigOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr.futures != 3 {
-		t.Errorf("column built %d future tables, want 3", tr.futures)
+		t.Errorf("column asked for %d future tables, want 3", tr.futures)
 	}
 	for i, spec := range Factors(16 << 10) {
 		want, err := MeasureFactorRefs(spec, tr.RefTrace, ref.TrafficBytes())
@@ -220,6 +220,27 @@ func TestMeasureFactorColumnRunsEachConfigOnce(t *testing.T) {
 			t.Errorf("%s: column %v/%v ΔG %v, pair by pair %v/%v ΔG %v", spec.Name,
 				got.Traffic1, got.Traffic2, got.DeltaG, want.Traffic1, want.Traffic2, want.DeltaG)
 		}
+	}
+}
+
+// TestTraceOfRefsSharesFutureTables: a TraceOfRefs trace builds each
+// block size's future table once, as a corpus entry does, so a Table 9
+// column's reference MTC and min4 replay one word-grain table.
+func TestTraceOfRefsSharesFutureTables(t *testing.T) {
+	tr := TraceOfRefs([]trace.Ref{{Kind: trace.Read, Addr: 0}, {Kind: trace.Write, Addr: 64}, {Kind: trace.Read, Addr: 0}})
+	first, err := tr.Future(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tr.Future(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Error("second Future(4) built a new table")
+	}
+	if f32, err := tr.Future(32); err != nil || f32 == first {
+		t.Errorf("Future(32) = %p, %v: want its own table", f32, err)
 	}
 }
 

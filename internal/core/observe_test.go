@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,6 +159,62 @@ func TestFigure3PoolObservedSpanCounts(t *testing.T) {
 		want := map[string]int{"sim:perfect": 3, "sim:infinite-bw": 6, "sim:full": 6}
 		if got := simSpans(t, buf.String()); !reflect.DeepEqual(got, want) {
 			t.Errorf("j=%d: simulation spans %v, want %v", j, got, want)
+		}
+	}
+}
+
+// TestFigure3ProgressMatchesPlain is the observed-vs-unobserved
+// differential for the heartbeat that serve and -progress attach: a
+// Figure 3 panel over one program per suite (A–F, so both cores) returns
+// the same decompositions with Obs.Progress set as without it, Wall
+// aside. Each program runs past cpu.ProgressEvery instructions, so every
+// simulation beats between chunks of its drain loop, not only at its
+// end.
+func TestFigure3ProgressMatchesPlain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
+	}
+	for _, tc := range []struct {
+		suite workload.Suite
+		bench string
+	}{{workload.SPEC92, "compress"}, {workload.SPEC95, "li"}} {
+		prog, err := workload.Generate(tc.bench, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(len(prog.Insts))
+		if n <= cpu.ProgressEvery {
+			t.Fatalf("%s: %d insts never reach a periodic beat", tc.bench, n)
+		}
+		progs := []*workload.Program{prog}
+		plain, err := Figure3Pool(tc.suite, progs, 16, runner.Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var insts, periodic atomic.Int64
+		beat := func(di, _ int64) {
+			insts.Add(di)
+			if di == cpu.ProgressEvery {
+				periodic.Add(1)
+			}
+		}
+		observed, err := Figure3Pool(tc.suite, progs, 16,
+			runner.Config{Workers: 2, Obs: telemetry.Observation{Progress: beat}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cells := range [][]BenchmarkDecomposition{plain, observed} {
+			for i := range cells {
+				cells[i].Result.Wall = PhaseWall{}
+			}
+		}
+		if !reflect.DeepEqual(plain, observed) {
+			t.Errorf("%s: the heartbeat changed the panel:\nplain    %+v\nobserved %+v", tc.bench, plain, observed)
+		}
+		sims := insts.Load() / n
+		if insts.Load() != sims*n || sims == 0 || periodic.Load() != sims*(n/cpu.ProgressEvery) {
+			t.Errorf("%s: heartbeat reported %d insts in %d periodic beats, want %d-instruction runs beating every %d",
+				tc.bench, insts.Load(), periodic.Load(), n, cpu.ProgressEvery)
 		}
 	}
 }

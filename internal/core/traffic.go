@@ -53,17 +53,22 @@ type RefTrace interface {
 }
 
 // sliceTrace adapts a bare []trace.Ref to RefTrace (used by tests and by
-// callers that materialized a trace without a corpus). Future tables are
-// rebuilt per call — no sharing.
-type sliceTrace []trace.Ref
+// callers that materialized a trace without a corpus). Like a corpus
+// entry, it builds each block size's future table once and shares it.
+type sliceTrace struct {
+	refs []trace.Ref
+	futs *mtc.Futures
+}
 
-func (s sliceTrace) Refs() ([]trace.Ref, error) { return s, nil }
+func (s sliceTrace) Refs() ([]trace.Ref, error) { return s.refs, nil }
 func (s sliceTrace) Future(blockSize int) (*mtc.Future, error) {
-	return mtc.FutureOfRefs(s, blockSize)
+	return s.futs.Future(blockSize)
 }
 
 // TraceOfRefs wraps a materialized reference slice as a RefTrace.
-func TraceOfRefs(refs []trace.Ref) RefTrace { return sliceTrace(refs) }
+func TraceOfRefs(refs []trace.Ref) RefTrace {
+	return sliceTrace{refs: refs, futs: mtc.NewFutures(refs)}
+}
 
 // MeasureRatioRefs runs the trace through a cache of the given
 // configuration and computes its traffic ratio over the trace's own

@@ -178,13 +178,6 @@ func (c *Corpus) Len() int {
 	return len(c.entries)
 }
 
-// futSlot guards one lazily-built future table.
-type futSlot struct {
-	once sync.Once
-	fut  *mtc.Future
-	err  error
-}
-
 // Entry is one (benchmark, scale) trace. All materialization is lazy and
 // once-guarded, so concurrent callers share one program execution, one
 // reference slice, and one future table per block size.
@@ -200,9 +193,7 @@ type Entry struct {
 	refs     []trace.Ref
 	meta     Meta
 	refsErr  error
-
-	futMu sync.Mutex
-	futs  map[int]*futSlot
+	futs     *mtc.Futures // set with refs
 }
 
 // Key returns the entry's identity.
@@ -240,24 +231,10 @@ func (e *Entry) Meta() (Meta, error) {
 // any number of MTC configurations (and goroutines) may replay against it
 // concurrently via mtc.NewWithFuture/SimulateRefs.
 func (e *Entry) Future(blockSize int) (*mtc.Future, error) {
-	refs, err := e.Refs()
-	if err != nil {
+	if _, err := e.Refs(); err != nil {
 		return nil, err
 	}
-	e.futMu.Lock()
-	if e.futs == nil {
-		e.futs = make(map[int]*futSlot)
-	}
-	s, ok := e.futs[blockSize]
-	if !ok {
-		s = &futSlot{}
-		e.futs[blockSize] = s
-	}
-	e.futMu.Unlock()
-	s.once.Do(func() {
-		s.fut, s.err = mtc.FutureOfRefs(refs, blockSize)
-	})
-	return s.fut, s.err
+	return e.futs.Future(blockSize)
 }
 
 // materializeRefs fills e.refs and e.meta, consulting the disk tier when
@@ -301,6 +278,7 @@ func (e *Entry) materializeRefs() {
 // capacity of the shared backing array.
 func (e *Entry) adopt(refs []trace.Ref, meta Meta, ctr counters) {
 	e.refs = refs[:len(refs):len(refs)]
+	e.futs = mtc.NewFutures(e.refs)
 	e.meta = meta
 	ctr.bytes.Add(int64(len(refs)) * int64(refSize))
 }

@@ -67,8 +67,10 @@ const ProgressEvery = 1 << 20
 // Probe is the instrumentation one run carries into Run, and the only
 // way instrumentation reaches the core and its hierarchy: Config and
 // mem.Config describe hardware alone. A nil *Probe is off, as is a Probe
-// whose fields are all nil; a run with neither a heartbeat nor a
-// collector takes the cores' fused step loop.
+// whose fields are all nil. A run without a collector takes the cores'
+// fused drain loop, in chunks that end at the heartbeat's beats when
+// Progress is set; only a run with a collector steps one instruction at
+// a time.
 type Probe struct {
 	// Progress, when non-nil, is called with (instructions, cycles)
 	// deltas every ProgressEvery retired instructions and once at the
@@ -195,12 +197,15 @@ func runInOrder(cfg Config, h *mem.Hierarchy, insts []isa.Inst, hb *heartbeat, p
 	p := newInOrder(cfg, h)
 	p.probe = probe
 	var res Result
-	if hb == nil && probe == nil {
-		// The benchmark/grid configuration: no heartbeat, no attribution
-		// probe. drain fuses the step loop with the issue state held in
-		// registers.
-		p.drain(insts, &res)
-		res.Insts = int64(len(insts))
+	if probe == nil {
+		// No attribution probe: drain fuses the step loop with the issue
+		// state held in registers. It loads that state from the core and
+		// stores it back, so feeding it one chunk per heartbeat period
+		// beats at the same instruction counts and cycles as stepping.
+		hb.drive(insts, &res, func(chunk []isa.Inst) int64 {
+			p.drain(chunk, &res)
+			return p.time()
+		})
 	} else {
 		for i := range insts {
 			res.Insts++
@@ -208,7 +213,7 @@ func runInOrder(cfg Config, h *mem.Hierarchy, insts []isa.Inst, hb *heartbeat, p
 			if hb != nil && res.Insts >= hb.next {
 				hb.beat(res.Insts, p.time())
 			}
-			if probe != nil && probe.sampler.Due(p.time()) {
+			if probe.sampler.Due(p.time()) {
 				probe.take(p.time(), res.Insts, 0)
 			}
 		}
@@ -224,9 +229,11 @@ func runOutOfOrder(cfg Config, h *mem.Hierarchy, insts []isa.Inst, hb *heartbeat
 	p := newOutOfOrder(cfg, h)
 	p.probe = probe
 	var res Result
-	if hb == nil && probe == nil {
-		p.drain(insts, &res)
-		res.Insts = int64(len(insts))
+	if probe == nil {
+		hb.drive(insts, &res, func(chunk []isa.Inst) int64 {
+			p.drain(chunk, &res)
+			return p.time()
+		})
 	} else {
 		for i := range insts {
 			res.Insts++
@@ -234,7 +241,7 @@ func runOutOfOrder(cfg Config, h *mem.Hierarchy, insts []isa.Inst, hb *heartbeat
 			if hb != nil && res.Insts >= hb.next {
 				hb.beat(res.Insts, p.time())
 			}
-			if probe != nil && probe.sampler.Due(p.time()) {
+			if probe.sampler.Due(p.time()) {
 				probe.take(p.time(), res.Insts, p.ruuFill(p.time()))
 			}
 		}

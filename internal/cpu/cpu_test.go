@@ -447,10 +447,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 }
 
 func TestDrainSteadyStateAllocs(t *testing.T) {
-	// Same guarantee for the fused drain fast path Run takes when no
-	// heartbeat or attribution probe is attached.
-	h := smallHierarchy(t, mem.Full, 8)
-	p := newInOrder(inorderCfg(), h)
+	// Same guarantee for the fused drain, which Run takes for every run
+	// without an attribution collector, heartbeat or not, on both cores.
 	insts := repeat(64,
 		isa.Inst{Op: isa.Load, Dst: 1, Addr: 0x100, PC: 1},
 		isa.Inst{Op: isa.IALU, Dst: 2, Src1: 1, PC: 2},
@@ -458,9 +456,18 @@ func TestDrainSteadyStateAllocs(t *testing.T) {
 		isa.Inst{Op: isa.Branch, Src1: 2, Taken: true, PC: 4},
 	)
 	var res Result
-	run := func() { p.drain(insts, &res) }
-	run()
-	if n := testing.AllocsPerRun(20, run); n != 0 {
-		t.Errorf("inOrder.drain steady state allocates %.1f times per run", n)
+	in := newInOrder(inorderCfg(), smallHierarchy(t, mem.Full, 8))
+	ooo := newOutOfOrder(oooCfg(), smallHierarchy(t, mem.Full, 8))
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"inOrder", func() { in.drain(insts, &res) }},
+		{"outOfOrder", func() { ooo.drain(insts, &res) }},
+	} {
+		tc.run() // warm: first misses populate the fill tables
+		if n := testing.AllocsPerRun(20, tc.run); n != 0 {
+			t.Errorf("%s.drain steady state allocates %.1f times per run", tc.name, n)
+		}
 	}
 }

@@ -139,12 +139,15 @@ func (p *inOrder) step(in *isa.Inst, res *Result) {
 }
 
 // drain issues every instruction in insts, equivalent to calling step on
-// each with no heartbeat and no attribution probe attached (the
-// benchmark/grid configuration, which is the only caller). The per-cycle
-// issue state lives in locals across the whole loop instead of
-// round-tripping through the struct on every instruction; any change to
-// step's issue model must be mirrored here — the golden and determinism
-// suites diff the two paths' outputs.
+// each with no attribution probe attached. Run calls it for every run
+// without a collector, in chunks that end at the heartbeat's beats; the
+// chunking stays in heartbeat.drive, so this loop carries no probe
+// checks. The per-cycle issue state lives in locals across the whole
+// loop instead of round-tripping through the struct on every
+// instruction, and is loaded from and stored back to the core, so
+// consecutive chunks equal one call over their concatenation. Any change
+// to step's issue model must be mirrored here — the golden and
+// determinism suites diff the two paths' outputs.
 //
 //memwall:hot
 func (p *inOrder) drain(insts []isa.Inst, res *Result) {

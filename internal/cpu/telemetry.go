@@ -1,10 +1,14 @@
 // Telemetry bridge for the processor cores: the per-run heartbeat driven
 // from the simulation loop, and the publication of a finished run's
-// counters into a telemetry registry. Both come from the run's Probe; a
-// run with neither pays only a nil check per retired instruction.
+// counters into a telemetry registry. Both come from the run's Probe.
+// The heartbeat beats between chunks of the fused drain loop, so a run
+// without a collector pays nothing for it per retired instruction.
 package cpu
 
-import "memwall/internal/telemetry"
+import (
+	"memwall/internal/isa"
+	"memwall/internal/telemetry"
+)
 
 // heartbeat throttles a probe's Progress callback to every ProgressEvery
 // retired instructions and converts cumulative totals to deltas.
@@ -22,6 +26,25 @@ func newHeartbeat(fn func(insts, cycles int64)) *heartbeat {
 		return nil
 	}
 	return &heartbeat{fn: fn, next: ProgressEvery}
+}
+
+// drive runs insts through a core's fused drain loop in chunks that end
+// at the heartbeat's beats, and beats between chunks; with no heartbeat
+// (a nil hb) the whole slice is one chunk. drain runs one chunk and
+// returns the core's clock after it.
+func (hb *heartbeat) drive(insts []isa.Inst, res *Result, drain func([]isa.Inst) int64) {
+	for len(insts) > 0 {
+		n := len(insts)
+		if hb != nil && hb.next-res.Insts < int64(n) {
+			n = int(hb.next - res.Insts)
+		}
+		now := drain(insts[:n])
+		res.Insts += int64(n)
+		insts = insts[n:]
+		if hb != nil && res.Insts >= hb.next {
+			hb.beat(res.Insts, now)
+		}
+	}
 }
 
 // beat reports progress at the given cumulative instruction and cycle

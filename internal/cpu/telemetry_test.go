@@ -1,8 +1,10 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
+	"memwall/internal/attr"
 	"memwall/internal/isa"
 	"memwall/internal/mem"
 	"memwall/internal/telemetry"
@@ -118,41 +120,129 @@ func TestRunPublishesMetrics(t *testing.T) {
 	}
 }
 
-func TestRunHeartbeat(t *testing.T) {
-	var beats int
-	var totalInsts, totalCycles int64
-	probe := &Probe{Progress: func(insts, cycles int64) {
-		beats++
-		totalInsts += insts
-		totalCycles += cycles
-		if insts < 0 || cycles < 0 {
-			t.Errorf("negative progress delta: %d insts, %d cycles", insts, cycles)
-		}
+// beatLog records a run's heartbeat deltas.
+type beatLog struct {
+	insts, cycles []int64
+}
+
+func (l *beatLog) probe() *Probe {
+	return &Probe{Progress: func(insts, cycles int64) {
+		l.insts = append(l.insts, insts)
+		l.cycles = append(l.cycles, cycles)
 	}}
-	// A materialised slice spanning five heartbeat periods (about 126 MB),
-	// so beats fire inside the slice loop that serve and -progress take.
+}
+
+// TestRunHeartbeat drives the heartbeat through the chunked drain that
+// every run without a collector takes: one beat per ProgressEvery
+// retired instructions, each with an instruction delta of exactly
+// ProgressEvery, then the final flush, on both cores.
+func TestRunHeartbeat(t *testing.T) {
+	// One materialised slice spanning five heartbeat periods (about
+	// 126 MB), shared by every case; the shorter cases are prefixes.
 	insts := repeat(5*ProgressEvery, isa.Inst{Op: isa.IALU, Dst: 1})
-	res, err := Run(inorderCfg(), perfectHierarchy(t), insts, probe)
+	for _, core := range []struct {
+		name string
+		cfg  Config
+	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
+		for _, tc := range []struct {
+			name  string
+			n     int
+			beats int // periodic beats plus the final flush
+		}{
+			{"5periods", 5 * ProgressEvery, 6},
+			{"2periods+17", 2*ProgressEvery + 17, 3},
+			{"empty", 0, 1},
+		} {
+			t.Run(core.name+"/"+tc.name, func(t *testing.T) {
+				var log beatLog
+				res, err := Run(core.cfg, perfectHierarchy(t), insts[:tc.n], log.probe())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(log.insts) != tc.beats {
+					t.Fatalf("beats = %d, want %d", len(log.insts), tc.beats)
+				}
+				var totalInsts, totalCycles int64
+				for i := range log.insts {
+					if log.insts[i] < 0 || log.cycles[i] < 0 {
+						t.Errorf("beat %d: negative delta: %d insts, %d cycles", i, log.insts[i], log.cycles[i])
+					}
+					if i < tc.beats-1 && log.insts[i] != ProgressEvery {
+						t.Errorf("periodic beat %d: %d insts, want %d", i, log.insts[i], ProgressEvery)
+					}
+					totalInsts += log.insts[i]
+					totalCycles += log.cycles[i]
+				}
+				if want := int64(tc.n % ProgressEvery); log.insts[tc.beats-1] != want {
+					t.Errorf("final beat: %d insts, want %d", log.insts[tc.beats-1], want)
+				}
+				if totalInsts != res.Insts || res.Insts != int64(tc.n) {
+					t.Errorf("heartbeat insts = %d, result %d, want %d", totalInsts, res.Insts, tc.n)
+				}
+				if totalCycles != res.Cycles {
+					t.Errorf("heartbeat cycles = %d, want %d", totalCycles, res.Cycles)
+				}
+			})
+		}
+	}
+}
+
+// TestHeartbeatChunksMatchStep: chunking the drain at beats changes
+// nothing a run computes. Over a real trace that crosses two beats, a
+// heartbeat-only run (chunked drain) returns the nil-probe result, and
+// beats at the same instruction counts with the same cycles as a run
+// that also carries a collector, which steps one instruction at a time.
+func TestHeartbeatChunksMatchStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation over two heartbeat periods")
+	}
+	prog, err := workload.Generate("compress", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 periodic beats plus the final flush.
-	if beats < 5 {
-		t.Errorf("beats = %d, want >= 5", beats)
+	var insts []isa.Inst
+	for len(insts) <= 2*ProgressEvery {
+		insts = append(insts, prog.Insts...)
 	}
-	if totalInsts != res.Insts {
-		t.Errorf("heartbeat insts = %d, want %d", totalInsts, res.Insts)
-	}
-	if totalCycles != res.Cycles {
-		t.Errorf("heartbeat cycles = %d, want %d", totalCycles, res.Cycles)
+	for _, core := range []struct {
+		name string
+		cfg  Config
+	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
+		t.Run(core.name, func(t *testing.T) {
+			base, err := Run(core.cfg, smallHierarchy(t, mem.Full, 4), insts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drained, stepped beatLog
+			chunked, err := Run(core.cfg, smallHierarchy(t, mem.Full, 4), insts, drained.probe())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := stepped.probe()
+			sp.Attr = attr.New(attr.Options{Interval: 1 << 16})
+			step, err := Run(core.cfg, smallHierarchy(t, mem.Full, 4), insts, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(base, chunked) || !reflect.DeepEqual(base, step) {
+				t.Errorf("results differ:\nnil probe %+v\nheartbeat %+v\ncollector %+v", base, chunked, step)
+			}
+			if len(drained.insts) != 3 {
+				t.Errorf("chunked drain beat %d times, want 3", len(drained.insts))
+			}
+			if !reflect.DeepEqual(drained, stepped) {
+				t.Errorf("beats differ:\nchunked drain %+v\nstep loop     %+v", drained, stepped)
+			}
+		})
 	}
 }
 
 // The zero-cost contract end to end: a timing run with no telemetry
 // configured must cost (within noise) the same as before the telemetry
-// layer existed. Compare these two with `go test -bench=RunTelemetry`;
-// the acceptance bar is <2% overhead for the Off case versus On.
-func benchmarkRun(b *testing.B, probe *Probe) {
+// layer existed. Compare the Off and On pairs per core with
+// `go test -bench=RunTelemetry`; the On runs carry a heartbeat, so they
+// take the same chunked drain as the Off runs.
+func benchmarkRun(b *testing.B, cfg Config, probe *Probe) {
 	prog, err := workload.Generate("compress", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -170,19 +260,31 @@ func benchmarkRun(b *testing.B, probe *Probe) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Run(inorderCfg(), h, prog.Insts, probe); err != nil {
+		if _, err := Run(cfg, h, prog.Insts, probe); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+func telemetryOn() *Probe {
+	return &Probe{
+		Metrics:  telemetry.NewRegistry(),
+		Progress: func(insts, cycles int64) {},
+	}
+}
+
 func BenchmarkRunTelemetryOff(b *testing.B) {
-	benchmarkRun(b, nil)
+	benchmarkRun(b, inorderCfg(), nil)
 }
 
 func BenchmarkRunTelemetryOn(b *testing.B) {
-	benchmarkRun(b, &Probe{
-		Metrics:  telemetry.NewRegistry(),
-		Progress: func(insts, cycles int64) {},
-	})
+	benchmarkRun(b, inorderCfg(), telemetryOn())
+}
+
+func BenchmarkRunTelemetryOffOOO(b *testing.B) {
+	benchmarkRun(b, oooCfg(), nil)
+}
+
+func BenchmarkRunTelemetryOnOOO(b *testing.B) {
+	benchmarkRun(b, oooCfg(), telemetryOn())
 }

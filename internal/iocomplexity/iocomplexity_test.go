@@ -129,3 +129,67 @@ func TestFigure2PaperConclusion(t *testing.T) {
 		t.Errorf("gap1 %.2f should exceed gap2 %.2f under the paper's assumptions", gap1, gap2)
 	}
 }
+
+// TestTableFiniteInsideDomain: at the edges of InDomain every Table 2
+// quantity is positive and finite, and outside it no evaluator returns
+// ±Inf (the formulas' division-by-zero results), only NaN or a finite
+// value.
+func TestTableFiniteInsideDomain(t *testing.T) {
+	edges := []float64{math.Nextafter(1, 2), 2, 4096, MaxArg}
+	for _, row := range Table() {
+		for _, n := range edges {
+			for _, s := range edges {
+				for _, k := range []float64{1, 4, MaxArg / s, math.Nextafter(1, 2) / s} {
+					if !InDomain(k * s) {
+						continue
+					}
+					for _, v := range []float64{row.Traffic(n, s), row.CDRatio(n, s), row.CDGrowth(n, s, k)} {
+						if !(v > 0) || math.IsInf(v, 1) {
+							t.Errorf("%v at N=%g S=%g k=%g: %v, want positive and finite", row.Algorithm, n, s, k, v)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ n, s, k float64 }{
+		{4096, 0, 4}, {4096, -4, 4}, {4096, 1, 4}, {0, 65536, 4}, {1, 65536, 4}, {4096, 65536, 0},
+	} {
+		if InDomain(c.n) && InDomain(c.s) && InDomain(c.k*c.s) {
+			t.Errorf("N=%g S=%g k=%g accepted", c.n, c.s, c.k)
+		}
+		for _, row := range Table() {
+			if v := row.CDGrowth(c.n, c.s, c.k); math.IsInf(v, 0) {
+				t.Errorf("%v at N=%g S=%g k=%g: %v", row.Algorithm, c.n, c.s, c.k, v)
+			}
+		}
+	}
+}
+
+// TestFigure2FiniteForValidGrowth: at the edges of ValidGrowth every
+// Figure 2 point is positive and finite; memory that shrinks to nothing
+// gives NaN traffic, not +Inf.
+func TestFigure2FiniteForValidGrowth(t *testing.T) {
+	for _, g := range []float64{math.Nextafter(-1, 0), 0, MaxGrowth} {
+		if !ValidGrowth(g) {
+			t.Fatalf("growth %g rejected", g)
+		}
+		for _, p := range Figure2(g, g, g) {
+			for _, v := range []float64{p.ProcessorBW, p.OffChipBW, p.Traffic} {
+				if !(v > 0) || math.IsInf(v, 1) {
+					t.Errorf("growth %g, %v: %v, want positive and finite", g, p.Year, v)
+				}
+			}
+		}
+	}
+	for _, g := range []float64{-1, -2, math.Inf(1), math.NaN()} {
+		if ValidGrowth(g) {
+			t.Errorf("growth %g accepted", g)
+		}
+	}
+	for _, p := range Figure2(0.6, 0.25, -1)[1:] {
+		if !math.IsNaN(p.Traffic) {
+			t.Errorf("%v: traffic %v with no memory, want NaN", p.Year, p.Traffic)
+		}
+	}
+}

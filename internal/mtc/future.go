@@ -15,6 +15,7 @@ package mtc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"memwall/internal/trace"
 )
@@ -82,6 +83,45 @@ func FutureOfRefs(refs []trace.Ref, blockSize int) (*Future, error) {
 	}
 	f.finish(len(ids))
 	return f, nil
+}
+
+// Futures memoizes one reference trace's future tables, one per block
+// size: the first Future call for a block size builds the table, and
+// every later call, from any goroutine, returns that same table. It is
+// the one memo behind corpus entries and core.TraceOfRefs.
+type Futures struct {
+	refs  []trace.Ref
+	mu    sync.Mutex
+	slots map[int]*futureSlot
+}
+
+// futureSlot guards one lazily built table.
+type futureSlot struct {
+	once sync.Once
+	fut  *Future
+	err  error
+}
+
+// NewFutures returns an empty memo over refs, which it only reads.
+func NewFutures(refs []trace.Ref) *Futures { return &Futures{refs: refs} }
+
+// Future returns the trace's future table at blockSize, building it on
+// first use. Concurrent first calls for one block size build it once.
+func (m *Futures) Future(blockSize int) (*Future, error) {
+	m.mu.Lock()
+	if m.slots == nil {
+		m.slots = make(map[int]*futureSlot)
+	}
+	s, ok := m.slots[blockSize]
+	if !ok {
+		s = &futureSlot{}
+		m.slots[blockSize] = s
+	}
+	m.mu.Unlock()
+	s.once.Do(func() {
+		s.fut, s.err = FutureOfRefs(m.refs, blockSize)
+	})
+	return s.fut, s.err
 }
 
 // internBlock returns the stable dense ID for block b, assigning the next

@@ -156,3 +156,42 @@ func TestRunRefsTooLongPanics(t *testing.T) {
 	}()
 	m.RunRefs(refsFromWords(0, 1, 2))
 }
+
+// TestFuturesMemoizesPerBlockSize: a Futures memo builds each block
+// size's table once, whichever goroutine asks first, keeps block sizes
+// apart, and reports an invalid block size on every call.
+func TestFuturesMemoizesPerBlockSize(t *testing.T) {
+	refs := refsFromWords(0, 1, 2, 9, 1, 0, 33)
+	m := NewFutures(refs)
+	got := make(chan *Future, 8)
+	for i := 0; i < cap(got); i++ {
+		go func() {
+			f, err := m.Future(4)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- f
+		}()
+	}
+	first := <-got
+	for i := 1; i < cap(got); i++ {
+		if f := <-got; f != first {
+			t.Fatal("concurrent first calls built distinct tables")
+		}
+	}
+	if first.BlockSize() != 4 || first.Len() != len(refs) {
+		t.Errorf("table covers %d refs at %d bytes, want %d at 4", first.Len(), first.BlockSize(), len(refs))
+	}
+	f32, err := m.Future(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f32 == first || f32.BlockSize() != 32 {
+		t.Error("block sizes share a table")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.Future(3); err == nil {
+			t.Errorf("call %d: invalid block size accepted", i)
+		}
+	}
+}
