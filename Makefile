@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check vet fmt lint memlint lint-baseline figures paper selfcheck selfcheck-par profile race chaos serve-smoke dinero-smoke clean
+.PHONY: all build test bench bench-check vet fmt lint memlint figures paper selfcheck selfcheck-par profile race chaos serve-smoke dinero-smoke clean
 
 all: build test
 
@@ -37,24 +37,15 @@ vet:
 # Full static-analysis gate: go vet, staticcheck (skipped when not
 # installed; CI runs it pinned), and the memlint analyzer suite
 # (internal/analysis) enforcing the simulator's determinism, unit-safety,
-# telemetry, and CLI-registry invariants.
+# telemetry, stream, hot-path and guarded-arithmetic invariants (see
+# DESIGN.md §8 and §13).
 lint: vet memlint
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it pinned)"; fi
 
-# The analyzer suite gated by the committed ratchet: findings listed in
-# lint.baseline.json are grandfathered, anything new fails.
+# The analyzer suite: any finding fails.
 memlint:
-	$(GO) run ./cmd/memlint -baseline lint.baseline.json ./...
-
-# Regenerate the ratchet baseline after paying down lint debt. Refuses a
-# dirty tree so the committed baseline always reflects committed code
-# (lint.baseline.json itself may be dirty — it is what's being redone).
-lint-baseline:
-	@if ! git diff --quiet HEAD -- . ':!lint.baseline.json' || \
-		git status --porcelain -- . ':!lint.baseline.json' | grep -q .; then \
-		echo "lint-baseline: working tree is dirty; commit or stash first" >&2; exit 1; fi
-	$(GO) run ./cmd/memlint -write-baseline lint.baseline.json ./...
+	$(GO) run ./cmd/memlint ./...
 
 fmt:
 	gofmt -l -w .

@@ -2,11 +2,26 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"memwall/internal/trace"
 )
+
+// TestMain runs dinero's main instead of the tests when the test binary
+// is re-executed with DINERO_TEST_MAIN=1, so a test can check the exit
+// status and output of the real command.
+func TestMain(m *testing.M) {
+	if os.Getenv("DINERO_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func TestParseSize(t *testing.T) {
 	cases := []struct {
@@ -63,5 +78,29 @@ func TestReadTraceAutoDetectCompact(t *testing.T) {
 func TestReadTraceGarbage(t *testing.T) {
 	if _, _, err := readTrace(strings.NewReader("not a trace at all")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// A compact header whose count claims about 658 million references, with
+// no records behind it, is an error, not a 10 GB allocation.
+func TestCompactCountBeyondInputFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.mwt")
+	if err := os.WriteFile(path, []byte("MWT1\x96\xa9\xe6\xb9\x02"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], path)
+	cmd.Env = append(os.Environ(), "DINERO_TEST_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("dinero on a 9-byte trace claiming 658M references: %v, want a non-zero exit", err)
+	}
+	if !strings.HasPrefix(stderr.String(), "dinero: trace: ") {
+		t.Errorf("stderr = %q, want a dinero trace error", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
 	}
 }

@@ -1,34 +1,18 @@
 // Command memlint drives the memwall analyzer suite (internal/analysis)
 // over Go packages, multichecker-style. It is the static half of the
-// repo's reproducibility story: `make lint` and CI run it over ./... with
-// the committed lint.baseline.json ratchet and fail on any finding not
-// already grandfathered there.
+// repo's reproducibility story: `make lint` and CI run it over ./... and
+// fail on any finding.
 //
 // Usage:
 //
-//	memlint [-run name[,name...]] [-json] [-baseline file] [-write-baseline file] [-suggest] [packages]
+//	memlint [-run name[,name...]] [packages]
 //
 // Packages default to ./... . -run restricts the suite to the named
-// analyzers (detlint, streamlint, unitlint, telemetrylint, registrylint,
-// hotlint, guardlint). Exit status is 1 when unbaselined diagnostics are
-// reported, 2 on a driver error.
-//
-// -json prints every finding as a sorted JSON array (the format stored
-// in lint.baseline.json) instead of the human one-per-line form.
-//
-// -baseline compares findings against a committed baseline: findings
-// covered by the baseline are grandfathered (matched by file, analyzer,
-// and message — line drift from unrelated edits does not trip the gate),
-// new findings fail, and entries the code no longer produces are listed
-// as ratchet candidates. Regenerate with `make lint-baseline` after
-// fixing debt; never edit the file by hand.
-//
-// -write-baseline regenerates the baseline file from the current
-// findings and exits 0.
-//
-// -suggest prints, for each finding that would fail, a ready-to-paste
-// //memlint:allow line for triage. Prefer fixing or baselining; the
-// pragma is for deliberate single-site exceptions.
+// analyzers (detlint, streamlint, unitlint, telemetrylint, hotlint,
+// guardlint). Findings print one per line as
+// file:line:col: [analyzer] message, sorted, with file paths relative to
+// the working directory. Exit status is 1 when any finding is reported,
+// 2 on a driver error.
 //
 // Diagnostics can be suppressed at a single site with a
 // //memlint:allow <analyzer> [justification] comment on the same line or
@@ -46,7 +30,6 @@ import (
 	"memwall/internal/analysis/guardlint"
 	"memwall/internal/analysis/hotlint"
 	"memwall/internal/analysis/load"
-	"memwall/internal/analysis/registrylint"
 	"memwall/internal/analysis/streamlint"
 	"memwall/internal/analysis/telemetrylint"
 	"memwall/internal/analysis/unitlint"
@@ -58,19 +41,28 @@ var suite = []*analysis.Analyzer{
 	streamlint.Analyzer,
 	unitlint.Analyzer,
 	telemetrylint.Analyzer,
-	registrylint.Analyzer,
 	hotlint.Analyzer,
 	guardlint.Analyzer,
 }
 
+// lint loads the packages matching patterns under root, runs analyzers
+// over them, and returns the surviving findings relative to root.
+func lint(root string, analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Finding, error) {
+	pkgs, err := load.Packages(root, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	diags, err := analysis.Run(analyzers, pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Findings(pkgs[0].Fset, root, diags), nil
+}
+
 func main() {
 	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	jsonFlag := flag.Bool("json", false, "emit findings as sorted JSON (the lint.baseline.json format)")
-	baselineFlag := flag.String("baseline", "", "compare findings against this committed baseline file")
-	writeBaselineFlag := flag.String("write-baseline", "", "regenerate the baseline file from current findings and exit")
-	suggestFlag := flag.Bool("suggest", false, "print ready-to-paste //memlint:allow pragmas for failing findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: memlint [-run name[,name...]] [-json] [-baseline file] [-write-baseline file] [-suggest] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: memlint [-run name[,name...]] [packages]\n\nanalyzers:\n")
 		for _, a := range suite {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -98,84 +90,20 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	pkgs, err := load.Packages("", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
-		os.Exit(2)
-	}
-	diags, err := analysis.Run(analyzers, pkgs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
-		os.Exit(2)
-	}
-
 	root, err := os.Getwd()
 	if err != nil {
-		root = ""
+		fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
+		os.Exit(2)
 	}
-	var fset = pkgs[0].Fset
-	findings := analysis.ToJSON(fset, root, diags)
-
-	if *writeBaselineFlag != "" {
-		data, err := analysis.MarshalBaseline(findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*writeBaselineFlag, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "memlint: wrote %d findings to %s\n", len(findings), *writeBaselineFlag)
-		return
+	findings, err := lint(root, analyzers, patterns...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
+		os.Exit(2)
 	}
-
-	if *jsonFlag {
-		data, err := analysis.MarshalBaseline(findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(data)
-		if len(findings) > 0 && *baselineFlag == "" {
-			os.Exit(1)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-
-	failing := findings
-	if *baselineFlag != "" {
-		data, err := os.ReadFile(*baselineFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memlint: %v\n", err)
-			os.Exit(2)
-		}
-		base, err := analysis.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memlint: %s: %v\n", *baselineFlag, err)
-			os.Exit(2)
-		}
-		unbaselined, fixed := analysis.DiffBaseline(findings, base)
-		for _, f := range fixed {
-			fmt.Fprintf(os.Stderr, "memlint: ratchet candidate (fixed, still baselined): %s [%s] %s\n", f.File, f.Analyzer, f.Message)
-		}
-		failing = unbaselined
+	if len(findings) > 0 {
+		os.Exit(1)
 	}
-
-	if len(failing) == 0 {
-		return
-	}
-	if !*jsonFlag {
-		for _, f := range failing {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
-	if *suggestFlag {
-		fmt.Println()
-		fmt.Println("// suggested pragmas (paste on the flagged line or the line above):")
-		for _, f := range failing {
-			fmt.Printf("%s:%d: //memlint:allow %s <justify, or fix instead>\n", f.File, f.Line, f.Analyzer)
-		}
-	}
-	os.Exit(1)
 }

@@ -50,9 +50,9 @@ func runExplain(args []string) error {
 	workers := workersFlag(fs)
 	suiteName := fs.String("suite", "92", "92, 95, or both")
 	benches := fs.String("benches", "", "comma-separated benchmark subset (default: the suite's timing benchmarks)")
-	interval := fs.Int64("interval", 8192, "sampling period in simulated cycles")
-	maxSamples := fs.Int("max-samples", 2048, "per-series sample cap (beyond it, decimation doubles the interval)")
-	top := fs.Int("top", 5, "rows in the top-causes table")
+	interval := minIntFlag(fs, "interval", 8192, 1, "sampling period in simulated `cycles`")
+	maxSamples := minIntFlag(fs, "max-samples", 2048, 1, "per-series sample `cap` (beyond it, decimation doubles the interval)")
+	top := minIntFlag(fs, "top", 5, 0, "`rows` in the top-causes table")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this file")
 	record := fs.Bool("record", false, "embed raw per-cell series/ledger records in the JSON report")
 	samplesPath := fs.String("samples", "", "write interval samples as JSONL to this file")
@@ -67,7 +67,7 @@ func runExplain(args []string) error {
 		return usageErr(err)
 	}
 
-	opts := attr.Options{Interval: *interval, MaxSamples: *maxSamples}
+	opts := attr.Options{Interval: int64(*interval), MaxSamples: *maxSamples}
 	type labeledRecord struct {
 		label string
 		rec   *attr.RunRecord
@@ -126,7 +126,7 @@ func runExplain(args []string) error {
 
 	rep := &attr.Report{
 		SchemaVersion: attr.ReportSchemaVersion,
-		Interval:      *interval,
+		Interval:      opts.Interval,
 		Configs:       configs,
 		TopCauses:     attr.TopCausesFromConfigs(configs),
 		Wall:          wall,

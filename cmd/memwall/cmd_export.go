@@ -62,7 +62,7 @@ func runFuture(args []string) error {
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
 	bench := fs.String("bench", "compress", "workload to project")
-	gens := fs.Int("generations", 3, "processor generations to project")
+	gens := minIntFlag(fs, "generations", 3, 0, "`number` of processor generations to project")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

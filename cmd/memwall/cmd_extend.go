@@ -31,7 +31,7 @@ func runCMP(args []string) error {
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
 	bench := fs.String("bench", "swim95", "workload each core runs (disjoint address spaces)")
-	maxCores := fs.Int("cores", 4, "maximum core count to sweep")
+	maxCores := minIntFlag(fs, "cores", 4, 1, "maximum core `count` to sweep")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -95,7 +95,7 @@ func runAblate(args []string) error {
 	fs := flag.NewFlagSet("ablate", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	benchList := fs.String("bench", "compress,eqntott,swm", "comma-separated workloads")
-	size := fs.Int("kb", 64, "cache capacity in KB")
+	size := minIntFlag(fs, "kb", 64, 1, "cache capacity in `KB`")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func runScratchpad(args []string) error {
 	cacheScale := cacheScaleFlag(fs)
 	bench := fs.String("bench", "compress", "workload to study")
 	exp := fs.String("exp", "F", "experiment machine (A-F)")
-	budget := fs.Int("kb", 64, "scratchpad capacity budget in KB")
+	budget := minIntFlag(fs, "kb", 64, 0, "scratchpad capacity budget in `KB`")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 
 	"memwall/internal/cache"
@@ -351,10 +352,13 @@ func runEpin(args []string) error {
 	fs := flag.NewFlagSet("epin", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	pinBW := fs.Float64("pinbw", 1600, "raw pin bandwidth in MB/s (R10000-class package)")
-	size := fs.Int("cachekb", 64, "on-chip L1 size in KB")
-	l2kb := fs.Int("l2kb", 0, "optional on-chip L2 size in KB (0 = single level); Eq. 5 then uses R1*R2")
+	size := minIntFlag(fs, "cachekb", 64, 1, "on-chip L1 size in `KB`")
+	l2kb := minIntFlag(fs, "l2kb", 0, 0, "optional on-chip L2 size in `KB` (0 = single level); Eq. 5 then uses R1*R2")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if !(*pinBW > 0) || math.IsInf(*pinBW, 1) {
+		return usageErr(fmt.Errorf("-pinbw %v: want a positive, finite bandwidth", *pinBW))
 	}
 	entries, err := spec92Traces(*scale)
 	if err != nil {

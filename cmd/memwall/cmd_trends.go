@@ -5,6 +5,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"memwall/internal/iocomplexity"
 	"memwall/internal/tablefmt"
@@ -143,11 +144,27 @@ func runExtrapolate(args []string) error {
 	pins := fs.Float64("pins", 500, "base package pin count")
 	pinG := fs.Float64("pingrowth", 0.16, "pin growth per year")
 	perfG := fs.Float64("perfgrowth", 0.60, "sustained performance growth per year")
-	years := fs.Int("years", 10, "years ahead")
+	years := minIntFlag(fs, "years", 10, 0, "`years` ahead")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if !(*pins > 0) || math.IsInf(*pins, 1) {
+		return usageErr(fmt.Errorf("-pins %v: want a positive, finite pin count", *pins))
+	}
+	for _, g := range []struct {
+		flag string
+		v    float64
+	}{{"-pingrowth", *pinG}, {"-perfgrowth", *perfG}} {
+		if !(g.v > -1) || math.IsInf(g.v, 1) {
+			return usageErr(fmt.Errorf("%s %v: want a finite growth rate above -1", g.flag, g.v))
+		}
+	}
 	e := trends.Extrapolate(*pins, *pinG, *perfG, *years)
+	for _, x := range []float64{e.Pins, e.PerformanceFactor, e.BandwidthPerPinFactor} {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return usageErr(fmt.Errorf("-years %d: the projection leaves float64's range at these growth rates", *years))
+		}
+	}
 	fmt.Printf("Section 4.3 extrapolation (%d years ahead):\n", e.Years)
 	fmt.Printf("  projected package pins:        %.0f (paper: \"two or three thousand\")\n", e.Pins)
 	fmt.Printf("  performance factor:            %.1fx\n", e.PerformanceFactor)

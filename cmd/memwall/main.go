@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 )
 
 // The CLI's exit-status taxonomy, so scripts and CI can distinguish
@@ -79,7 +80,8 @@ func exitStatus(err error) int {
 
 // parseFlags parses a subcommand's FlagSet, classifying any failure as a
 // usage error so main exits with status 2. -h/-help passes through as
-// flag.ErrHelp (the FlagSet already printed its usage).
+// flag.ErrHelp (the FlagSet already printed its usage). A flag defined by
+// minIntFlag and set below its minimum is a usage error that names it.
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -87,7 +89,44 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 		}
 		return usageErr(err)
 	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if b, ok := f.Value.(intFlag); ok && err == nil && *b.v < b.min {
+			err = usageErr(fmt.Errorf("-%s %d: want at least %d", f.Name, *b.v, b.min))
+		}
+	})
+	return err
+}
+
+// intFlag is an int flag value with a lower bound that parseFlags checks.
+type intFlag struct {
+	v   *int
+	min int
+}
+
+func (f intFlag) String() string {
+	if f.v == nil { // the flag package formats a zero intFlag to find defaults
+		return "0"
+	}
+	return strconv.Itoa(*f.v)
+}
+
+func (f intFlag) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.Unwrap(err) // "invalid syntax" or "value out of range"
+	}
+	*f.v = int(n)
 	return nil
+}
+
+// minIntFlag defines an int flag whose value must be at least min. Below
+// it the run would print an empty table, a negative size, or the same
+// output as some valid value, so parseFlags rejects it instead.
+func minIntFlag(fs *flag.FlagSet, name string, value, min int, usage string) *int {
+	v := value
+	fs.Var(intFlag{&v, min}, name, usage)
+	return &v
 }
 
 // command is one CLI subcommand.
@@ -202,7 +241,7 @@ func dispatch(name string, args []string) error {
 
 // scaleFlag adds the common -scale flag to a FlagSet.
 func scaleFlag(fs *flag.FlagSet) *int {
-	return fs.Int("scale", 1, "workload trace-length multiplier (1 = fast; larger approaches the paper's Table 3 reference counts)")
+	return minIntFlag(fs, "scale", 1, 1, "workload trace-length `multiplier` (1 = fast; larger approaches the paper's Table 3 reference counts)")
 }
 
 // cacheScaleFlag adds the common -cachescale flag used by the timing
@@ -210,7 +249,7 @@ func scaleFlag(fs *flag.FlagSet) *int {
 // so the default shrinks the Table 4 caches by the same factor to keep
 // the data-set-to-cache ratios (pass 1 for the paper-exact sizes).
 func cacheScaleFlag(fs *flag.FlagSet) *int {
-	return fs.Int("cachescale", 16, "divide Table 4 cache sizes by this factor (1 = paper-exact)")
+	return minIntFlag(fs, "cachescale", 16, 1, "divide Table 4 cache sizes by this `factor` (1 = paper-exact)")
 }
 
 // workersFlag adds the common -j flag to the subcommands that sweep the

@@ -83,11 +83,16 @@ func TestFig2Output(t *testing.T) {
 	}
 }
 
-// TestTrendFlagsOutsideDomain: table2 and fig2 refuse every flag value
-// at which a formula would divide by zero or take the log or square root
-// of a non-positive number, with a usage error that names the flag and
-// no output, where they used to print NaN or ±Inf and exit 0.
-func TestTrendFlagsOutsideDomain(t *testing.T) {
+// TestNumericFlagsOutsideDomain: every command refuses a numeric flag
+// value outside its domain with a usage error that names the flag and
+// no output. table2, fig2 and extrapolate refuse values at which a
+// formula would divide by zero, take the log or square root of a
+// non-positive number, or leave float64's range, where they used to print
+// NaN or ±Inf. The rest refuse counts and sizes below which they printed
+// an empty table or a negative size, or silently ran as if given a valid
+// value (-cachescale 0 ran the paper-exact caches, explain -interval 0
+// the default interval).
+func TestNumericFlagsOutsideDomain(t *testing.T) {
 	for _, c := range []struct {
 		cmd  string
 		args []string
@@ -105,6 +110,25 @@ func TestTrendFlagsOutsideDomain(t *testing.T) {
 		{"fig2", []string{"-mem", "-1"}, "-mem"},
 		{"fig2", []string{"-pin", "-1"}, "-pin"},
 		{"fig2", []string{"-proc", "Inf"}, "-proc"},
+		{"extrapolate", []string{"-pingrowth", "-1"}, "-pingrowth"},
+		{"extrapolate", []string{"-pingrowth", "-2", "-years", "3"}, "-pingrowth"},
+		{"extrapolate", []string{"-perfgrowth", "-1"}, "-perfgrowth"},
+		{"extrapolate", []string{"-years", "-1"}, "-years"},
+		{"extrapolate", []string{"-years", "5000"}, "-years"},
+		{"extrapolate", []string{"-pins", "0"}, "-pins"},
+		{"epin", []string{"-pinbw", "0"}, "-pinbw"},
+		{"epin", []string{"-l2kb", "-5"}, "-l2kb"},
+		{"epin", []string{"-cachekb", "0"}, "-cachekb"},
+		{"cmp", []string{"-cores", "0"}, "-cores"},
+		{"future", []string{"-generations", "-1"}, "-generations"},
+		{"scratchpad", []string{"-kb", "-4"}, "-kb"},
+		{"ablate", []string{"-kb", "0"}, "-kb"},
+		{"buses", []string{"-cachescale", "0"}, "-cachescale"},
+		{"fig3", []string{"-cachescale", "-1"}, "-cachescale"},
+		{"table7", []string{"-scale", "0"}, "-scale"},
+		{"explain", []string{"-interval", "0"}, "-interval"},
+		{"explain", []string{"-max-samples", "0"}, "-max-samples"},
+		{"explain", []string{"-top", "-1"}, "-top"},
 	} {
 		out, err := runObservedCapture(t, globalOpts{}, c.cmd, c.args...)
 		if got := exitStatus(err); got != 2 {
@@ -314,8 +338,11 @@ func TestScratchpadOutput(t *testing.T) {
 	}
 }
 
-// Satellite fix: the `all` order is derived from the registry, so a newly
-// registered command can never be silently missing from `memwall all`.
+// The `all` order is derived from the registry, so a newly registered
+// command can never be silently missing from `memwall all`. The test
+// reads the registry as built at run time, so it also fails on a command
+// registered twice, a name curated twice, a curated or excluded name
+// that is not registered, and a name both curated and excluded.
 func TestAllOrderCoversRegistry(t *testing.T) {
 	order := allOrder()
 	inOrder := map[string]bool{}
@@ -336,9 +363,13 @@ func TestAllOrderCoversRegistry(t *testing.T) {
 			t.Errorf("registered command %s missing from the all order", c.name)
 		}
 	}
-	// Every name in the order (and in the exclusion set) must resolve.
+	// Every command is registered once, and every name in the order (and
+	// in the exclusion set) must resolve.
 	registered := map[string]bool{}
 	for _, c := range commands {
+		if registered[c.name] {
+			t.Errorf("command %s registered more than once", c.name)
+		}
 		registered[c.name] = true
 	}
 	for _, n := range order {

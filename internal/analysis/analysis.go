@@ -9,9 +9,10 @@
 //
 // The memwall analyzers live in subpackages — detlint (determinism),
 // unitlint (quantity-unit safety), telemetrylint (nil-safe instrument
-// discipline), registrylint (CLI registry coverage) — and are driven by
-// cmd/memlint over the whole module, or by analysistest over fixture
-// packages in tests.
+// discipline), streamlint (stream sharing, corpus immutability and
+// atomic writes), hotlint (hot-path hygiene) and guardlint (guarded
+// division and comma-ok use) — and are driven by cmd/memlint over the
+// whole module, or by analysistest over fixture packages in tests.
 //
 // # Suppression pragmas
 //

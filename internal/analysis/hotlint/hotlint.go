@@ -1,8 +1,8 @@
 // Package hotlint enforces allocation and dispatch hygiene on the
 // simulator's hot paths — the per-cycle issue loops and memory-event
 // code whose instruction shape the paper's bandwidth argument depends
-// on, and which ROADMAP item 4 targets for a structure-of-arrays
-// rewrite.
+// on, and which keep their state in flat structure-of-arrays tables
+// (DESIGN.md §14).
 //
 // A function declares itself a hot root with a //memwall:hot directive
 // in its doc comment. hotlint builds the module call graph
@@ -27,8 +27,8 @@
 // Each diagnostic names the hot root that makes the function hot, so a
 // reader can trace why a helper three call-graph hops from the issue
 // loop is being held to hot-path standards. Findings in code that is
-// deliberately slow-but-rare belong in lint.baseline.json or behind a
-// //memwall:cold cut, not suppressed one by one.
+// deliberately slow-but-rare belong behind a //memwall:cold cut, not
+// suppressed one by one.
 package hotlint
 
 import (

@@ -351,7 +351,9 @@ func (p *outOfOrder) step(in *isa.Inst, res *Result) {
 // instruction, and is loaded from and stored back to the core, so
 // consecutive chunks equal one call over their concatenation. Any change
 // to step's issue model must be mirrored here — the golden and
-// determinism suites diff the two paths' outputs.
+// determinism suites diff the two paths' outputs. DESIGN.md §14 ("Why
+// each core keeps step beside drain") records what folding the two
+// loops cost when it was tried.
 //
 //memwall:hot
 func (p *outOfOrder) drain(insts []isa.Inst, res *Result) {

@@ -27,6 +27,10 @@ import (
 // compactMagic identifies the format and version.
 var compactMagic = [4]byte{'M', 'W', 'T', '1'}
 
+// compactReserve caps the references ReadCompact reserves up front from a
+// reader that does not report its length.
+const compactReserve = 1 << 16
+
 // zigzag maps signed to unsigned so small magnitudes stay small.
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
@@ -83,10 +87,22 @@ func ReadCompact(r io.Reader) ([]Ref, error) {
 	if count > maxCount {
 		return nil, fmt.Errorf("trace: implausible count %d", count)
 	}
-	refs := make([]Ref, 0, count)
+	// Each record is at least one byte, so the input can back no more
+	// references than it has bytes left. Reserve that many when the
+	// reader reports its length; otherwise reserve a bounded first block
+	// and let append grow the slice as records arrive. A 9-byte file
+	// whose header claims 658 million references must not allocate 10 GB.
+	reserve := min(count, compactReserve)
+	if l, ok := r.(interface{ Len() int }); ok {
+		reserve = min(count, uint64(br.Buffered()+l.Len()))
+	}
+	refs := make([]Ref, 0, reserve)
 	var prev int64
 	for i := uint64(0); i < count; i++ {
 		tag, err := binary.ReadUvarint(br)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised more records
+		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}

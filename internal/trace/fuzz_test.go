@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadDin checks the din parser never panics and that accepted traces
@@ -34,14 +36,22 @@ func FuzzReadDin(f *testing.F) {
 }
 
 // FuzzReadCompact checks the binary decoder is robust against arbitrary
-// bytes.
+// bytes, and that a reader which reports its length (so the decoder can
+// reserve exactly) decodes the same references as one that does not.
 func FuzzReadCompact(f *testing.F) {
 	var buf bytes.Buffer
 	_, _ = WriteCompact(&buf, []Ref{{Read, 4}, {Write, 8}})
 	f.Add(buf.Bytes())
 	f.Add([]byte("MWT1"))
 	f.Add([]byte{})
+	// A header claiming about 658 million references and no records.
+	f.Add([]byte("MWT1\x96\xa9\xe6\xb9\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadCompact(bytes.NewReader(data)) // must not panic or OOM
+		refs, err := ReadCompact(bytes.NewReader(data)) // must not panic or OOM
+		streamed, serr := ReadCompact(iotest.OneByteReader(bytes.NewReader(data)))
+		if (err == nil) != (serr == nil) || !slices.Equal(refs, streamed) {
+			t.Fatalf("sized read (%d refs, %v) differs from streamed read (%d refs, %v)",
+				len(refs), err, len(streamed), serr)
+		}
 	})
 }

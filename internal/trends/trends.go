@@ -132,18 +132,22 @@ type Extrapolation struct {
 
 // Extrapolate projects years ahead using pinGrowth (fraction/year, e.g.
 // 0.16) and perfGrowth (the paper conservatively assumes 0.60/year
-// sustained performance growth).
+// sustained performance growth). The projection is meaningful for growth
+// rates above -1; BandwidthPerPinFactor is NaN when the projected pin
+// factor, (1+pinGrowth)^years, is not positive, where it would divide by
+// zero or flip sign.
 func Extrapolate(basePins float64, pinGrowth, perfGrowth float64, years int) Extrapolation {
 	pinF := math.Pow(1+pinGrowth, float64(years))
-	if pinF == 0 { // pinGrowth == -1: pins extrapolate to zero
-		pinF = 1
-	}
 	perfF := math.Pow(1+perfGrowth, float64(years))
+	bwF := math.NaN()
+	if pinF > 0 {
+		bwF = perfF / pinF
+	}
 	return Extrapolation{
 		Years:                 years,
 		Pins:                  basePins * pinF,
 		PerformanceFactor:     perfF,
-		BandwidthPerPinFactor: perfF / pinF,
+		BandwidthPerPinFactor: bwF,
 	}
 }
 

@@ -145,10 +145,17 @@ func TestMissingFieldsDivideToZero(t *testing.T) {
 }
 
 func TestExtrapolateDegenerateGrowth(t *testing.T) {
-	// pinGrowth == -1 extrapolates pins to zero; the bandwidth-per-pin
-	// factor must stay finite (guardlint regression).
-	e := Extrapolate(500, -1, 0.6, 10)
-	if math.IsInf(e.BandwidthPerPinFactor, 0) || math.IsNaN(e.BandwidthPerPinFactor) {
-		t.Errorf("BandwidthPerPinFactor = %g, want finite", e.BandwidthPerPinFactor)
+	// pinGrowth == -1 extrapolates pins to zero, and -2 over an odd number
+	// of years to a negative count; the bandwidth-per-pin factor is NaN
+	// there, never a division by zero or a quietly substituted value.
+	for _, c := range []struct {
+		pinGrowth float64
+		years     int
+	}{{-1, 10}, {-2, 3}} {
+		e := Extrapolate(500, c.pinGrowth, 0.6, c.years)
+		if !math.IsNaN(e.BandwidthPerPinFactor) {
+			t.Errorf("pinGrowth %g over %d years: BandwidthPerPinFactor = %g, want NaN",
+				c.pinGrowth, c.years, e.BandwidthPerPinFactor)
+		}
 	}
 }
