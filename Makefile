@@ -107,7 +107,8 @@ serve-smoke:
 # and as a din trace, replay each through dinero's default 64KB
 # direct-mapped cache and the same-size MTC, and require the R and G of
 # Table 7's and Table 8's 64KB compress cells (printed there as 1.35 and
-# 5.8) from both encoders.
+# 5.8) from both encoders. A negative -assoc on the emitted trace must be
+# a usage error: exit 2 and nothing on stdout.
 dinero-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/dinero" ./cmd/dinero || exit 1; \
@@ -120,7 +121,11 @@ dinero-smoke:
 			fi; \
 		done; \
 	done; \
-	echo "dinero-smoke: compress replays to R = 1.345 and G = 5.83 from compact and din traces"
+	status=0; "$$tmp/dinero" -assoc -3 "$$tmp/compress.compact" > "$$tmp/out.txt" || status=$$?; \
+	if [ $$status -ne 2 ] || [ -s "$$tmp/out.txt" ]; then \
+		cat "$$tmp/out.txt" >&2; echo "dinero-smoke: dinero -assoc -3 exited $$status, want 2 with empty stdout" >&2; exit 1; \
+	fi; \
+	echo "dinero-smoke: compress replays to R = 1.345 and G = 5.83 from compact and din traces; -assoc -3 is a usage error"
 
 clean:
 	rm -rf figures test_output.txt bench_output.txt profile_baseline.txt

@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,6 +53,11 @@ func parseSize(s string) (int, error) {
 	return n * mult, nil
 }
 
+// usageError marks a flag value outside its domain. main exits 2 for it,
+// the status the flag package gives a malformed flag, and prints nothing
+// on stdout.
+type usageError struct{ error }
+
 func run() error {
 	size := flag.String("size", "64K", "cache capacity (supports K/M suffixes)")
 	block := flag.Int("block", 32, "block size in bytes")
@@ -65,6 +71,14 @@ func run() error {
 	format := flag.String("format", "din", "trace format for -emit: din (text) or compact (binary)")
 	scale := flag.Int("scale", 1, "workload scale for -emit")
 	flag.Parse()
+	// cache.Config reads a negative associativity as fully associative,
+	// and Generate rejects a scale below 1 only as a failed run.
+	if *assoc < 0 {
+		return usageError{fmt.Errorf("-assoc %d: want at least 0 (0 = fully associative)", *assoc)}
+	}
+	if *emit != "" && *scale < 1 {
+		return usageError{fmt.Errorf("-scale %d: want at least 1", *scale)}
+	}
 
 	if *emit != "" {
 		p, err := workload.Generate(*emit, *scale)
@@ -190,6 +204,9 @@ func readTrace(in io.Reader) ([]trace.Ref, int64, error) {
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "dinero: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }

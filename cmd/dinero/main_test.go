@@ -81,6 +81,22 @@ func TestReadTraceGarbage(t *testing.T) {
 	}
 }
 
+// runDinero runs dinero's main in a re-executed test binary and returns
+// its stdout, stderr and exit status.
+func runDinero(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DINERO_TEST_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("dinero %v: %v", args, err)
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
 // A compact header whose count claims about 658 million references, with
 // no records behind it, is an error, not a 10 GB allocation.
 func TestCompactCountBeyondInputFails(t *testing.T) {
@@ -88,19 +104,48 @@ func TestCompactCountBeyondInputFails(t *testing.T) {
 	if err := os.WriteFile(path, []byte("MWT1\x96\xa9\xe6\xb9\x02"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], path)
-	cmd.Env = append(os.Environ(), "DINERO_TEST_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-		t.Fatalf("dinero on a 9-byte trace claiming 658M references: %v, want a non-zero exit", err)
+	stdout, stderr, code := runDinero(t, path)
+	if code == 0 {
+		t.Fatal("dinero on a 9-byte trace claiming 658M references exited 0, want a non-zero exit")
 	}
-	if !strings.HasPrefix(stderr.String(), "dinero: trace: ") {
-		t.Errorf("stderr = %q, want a dinero trace error", stderr.String())
+	if !strings.HasPrefix(stderr, "dinero: trace: ") {
+		t.Errorf("stderr = %q, want a dinero trace error", stderr)
 	}
-	if stdout.Len() != 0 {
-		t.Errorf("stdout = %q, want nothing", stdout.String())
+	if stdout != "" {
+		t.Errorf("stdout = %q, want nothing", stdout)
+	}
+}
+
+// A negative -assoc, which cache.Config would read as fully associative,
+// and a -scale below 1 with -emit are usage errors: exit 2, nothing on
+// stdout, and a message naming the flag.
+func TestFlagsOutsideDomain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.din")
+	if err := os.WriteFile(path, []byte("0 1000\n1 2000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-assoc", "-3", path}, "-assoc -3"},
+		{[]string{"-assoc=-1", "-mtc", path}, "-assoc -1"},
+		{[]string{"-emit", "compress", "-scale", "0"}, "-scale 0"},
+		{[]string{"-emit", "compress", "-scale", "-2", "-format", "compact"}, "-scale -2"},
+	} {
+		stdout, stderr, code := runDinero(t, tc.args...)
+		if code != 2 {
+			t.Errorf("dinero %v: exit %d, want 2 (stderr %q)", tc.args, code, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("dinero %v: stdout = %q, want nothing", tc.args, stdout)
+		}
+		if !strings.HasPrefix(stderr, "dinero: "+tc.flag+": ") {
+			t.Errorf("dinero %v: stderr = %q, want a usage error naming %s", tc.args, stderr, tc.flag)
+		}
+	}
+	// The domain's edges still run: 0 is fully associative.
+	if stdout, stderr, code := runDinero(t, "-assoc", "0", path); code != 0 || !strings.Contains(stdout, "fully-assoc") {
+		t.Errorf("dinero -assoc 0: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }

@@ -6,6 +6,9 @@
 package memwall
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -166,6 +169,79 @@ func TestGoldenWorkloadSizes(t *testing.T) {
 				name, len(p.Insts), p.RefCount(), want.insts, want.refs)
 		}
 	}
+}
+
+// goldenProgramDigests pins programDigest for every generator at scale
+// 1, and for compress, eqntott, espresso and swm at scales 4 and 8 (8 is
+// skipped under -short): a change to any instruction field, to the order
+// in which sites get their PCs, to the data footprint or to a region
+// moves a digest.
+var goldenProgramDigests = map[string]map[int]string{
+	"applu":    {1: "85d3b3f31341d905073a60c55f2a93eba10548e3cd393d005297339ba74ce0fd"},
+	"compress": {1: "bfbe8b1c10631fd7a3f8dde6ca5e02e14e68583a3245c606951e4f15f2ae7a60", 4: "742d35f8e8397eaf537bc2a8af7e60ca1796565fc2a6185dc86ce3349fed0488", 8: "62b380645fee7cf3efc741af9bec53114f18575b3d42151bae57739a21fe2037"},
+	"dnasa2":   {1: "f0185a7c9613440d51d0d4fd4b75ee0b6aefd64c0f5f35368cd33c6557aa16c2"},
+	"eqntott":  {1: "a8776ddffa3fd737ab2a9ed68e7d24a4db4490eb84dc4ed4d513f7f3454a8876", 4: "e8fbbd9c6e52810d39be1d9dd721a09b50f9c426b763e2a5936e53f6c44006b7", 8: "02873ec2a03d983820e52d0551f4a5ba3cba75d911c083ce10927e34bf1dade7"},
+	"espresso": {1: "9320c4913e9dcff0055af2d3513251103f83e900be22d92c0bdcbf061884fe58", 4: "2584199ef488fba1374bd03f7da067d140a2933eeecf6a818412ecd05fbd433b", 8: "68df582c07bc95689fb37822373ce380c03aec2c7b1ce7118d98804467cc1441"},
+	"hydro2d":  {1: "ea46d164ba4d45c04eab96393dcb0d992ed92477beba90efb3958f505c2f39a7"},
+	"li":       {1: "0116d8505d9f5049cb824db1aaa078d92997d0ca3ec779fa90b8c383abf77fcb"},
+	"perl":     {1: "0c01b46ca17558b78a4cdc7f589db743938cdcd30f970d5e7032f3422e7cbd18"},
+	"su2cor":   {1: "26b456e04b506626fa16bdd151d3c5175af8608eb4d4390598d76c191d1304ae"},
+	"su2cor95": {1: "e285ccfd565460ea2056c6ca6b79bfd0e72cf1bf3ed709b6c3cf00cd886243f9"},
+	"swim95":   {1: "50931a3f34d365494021a9f236519cff0dea8f60e4d17dcea4ade0efadb788d8"},
+	"swm":      {1: "9b1bc7113c3c50b96829c8b39d50c0f18b8033c711c546bd385a675bd428f41f", 4: "c0fddb76bc501f57f80c25d815976da345d94b4259648ffca6d6bfd49c69e0ab", 8: "3e03616f87a79208ea9a5d3ed717d6f241bb8681c522dd102182800895ff5ce8"},
+	"tomcatv":  {1: "ec286cf782a64299f82a7134799c4feaeaeb3d9f7bb3c8562b4f2241db8935dd"},
+	"vortex":   {1: "a66e8adafa40a4c994d162bb061553581d6bf749d2e1a86e675e6f9a6ff0c198"},
+}
+
+func TestGoldenProgramDigests(t *testing.T) {
+	if got, want := len(goldenProgramDigests), len(workload.Names()); got != want {
+		t.Fatalf("%d generators pinned, %d registered", got, want)
+	}
+	for _, name := range workload.Names() {
+		for scale, want := range goldenProgramDigests[name] {
+			if scale == 8 && testing.Short() {
+				continue
+			}
+			p, err := workload.Generate(name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := programDigest(p); got != want {
+				t.Errorf("%s at scale %d: digest %s, golden %s", name, scale, got, want)
+			}
+		}
+	}
+}
+
+// programDigest is the SHA-256 of every field of every instruction
+// (Addr, PC, Op, Dst, Src1, Src2, Taken), then DataSetBytes, then each
+// region's name, base and size, all little-endian.
+func programDigest(p *workload.Program) string {
+	h := sha256.New()
+	const instBytes = 17
+	buf := make([]byte, 0, 4096*instBytes)
+	for _, in := range p.Insts {
+		buf = binary.LittleEndian.AppendUint64(buf, in.Addr)
+		buf = binary.LittleEndian.AppendUint32(buf, in.PC)
+		taken := byte(0)
+		if in.Taken {
+			taken = 1
+		}
+		buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), taken)
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.DataSetBytes))
+	for _, r := range p.Regions {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(r.Name)))
+		buf = append(buf, r.Name...)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Base)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Size)
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenDecomposition pins the full timing pipeline for one

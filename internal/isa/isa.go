@@ -117,15 +117,25 @@ var _ trace.Stream = (*MemRefs)(nil)
 // Builder helps workload generators construct instruction slices with
 // automatically assigned static PCs. Each distinct call site in generator
 // code should use a distinct site label so branch-predictor indexing sees
-// stable static branches.
+// stable static branches. A site gets its PC when it is first emitted, so
+// PCs follow the order in which sites first appear.
+//
+// A Builder from NewCountBuilder is in count mode: it only counts what is
+// emitted, with no site lookup and no storage. Running a deterministic
+// generator on one first gives the exact capacity for a second, storing
+// Builder, which then never grows its slice.
 type Builder struct {
-	insts []Inst
-	pcs   map[string]uint32
-	next  uint32
+	insts    []Inst
+	pcs      map[string]uint32
+	next     uint32
+	counting bool
+	n        int // instructions emitted in count mode
 }
 
-// NewBuilder returns an empty builder. capHint pre-sizes the instruction
-// slice.
+// NewBuilder returns an empty storing builder whose instruction slice
+// holds capHint instructions before it must grow. With capHint equal to
+// the count a count-mode run of the same generator reported, the slice is
+// allocated once and Insts returns it with cap == len.
 func NewBuilder(capHint int) *Builder {
 	return &Builder{
 		insts: make([]Inst, 0, capHint),
@@ -133,6 +143,10 @@ func NewBuilder(capHint int) *Builder {
 		next:  0x1000,
 	}
 }
+
+// NewCountBuilder returns a builder in count mode: Len reports how many
+// instructions were emitted, and Insts returns nil.
+func NewCountBuilder() *Builder { return &Builder{counting: true} }
 
 // site returns a stable PC for the named static site.
 func (b *Builder) site(name string) uint32 {
@@ -145,8 +159,13 @@ func (b *Builder) site(name string) uint32 {
 	return pc
 }
 
-// Emit appends a raw instruction, assigning it the named site's PC.
+// Emit appends a raw instruction, assigning it the named site's PC. In
+// count mode it only counts the instruction.
 func (b *Builder) Emit(site string, in Inst) {
+	if b.counting {
+		b.n++
+		return
+	}
 	in.PC = b.site(site)
 	b.insts = append(b.insts, in)
 }
@@ -173,11 +192,16 @@ func (b *Builder) Branch(site string, src1 Reg, taken bool) {
 	b.Emit(site, Inst{Op: Branch, Src1: src1, Taken: taken})
 }
 
-// Insts returns the built instruction slice.
+// Insts returns the built instruction slice (nil in count mode).
 func (b *Builder) Insts() []Inst { return b.insts }
 
-// Len returns the number of instructions built so far.
-func (b *Builder) Len() int { return len(b.insts) }
+// Len returns the number of instructions emitted so far.
+func (b *Builder) Len() int {
+	if b.counting {
+		return b.n
+	}
+	return len(b.insts)
+}
 
 // Count summarises an instruction slice by op class.
 func Count(insts []Inst) map[Op]int {

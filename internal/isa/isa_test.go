@@ -102,3 +102,34 @@ func TestCount(t *testing.T) {
 		t.Errorf("Count = %v", c)
 	}
 }
+
+func TestCountBuilderCountsOnly(t *testing.T) {
+	emit := func(b *Builder) {
+		b.Load("l", 1, 0x100, 0)
+		b.Store("s", 1, 0x104, 0)
+		b.OpRRR("op", FAdd, 10, 11, 12)
+		b.Branch("br", 5, true)
+		b.Emit("raw", Inst{Op: Nop})
+		b.Load("l", 2, 0x108, 0)
+	}
+	c := NewCountBuilder()
+	emit(c)
+	if c.Len() != 6 || c.Insts() != nil {
+		t.Fatalf("count mode: Len = %d, Insts = %v; want 6 and nil", c.Len(), c.Insts())
+	}
+	b := NewBuilder(c.Len())
+	emit(b)
+	insts := b.Insts()
+	if len(insts) != c.Len() || cap(insts) != len(insts) {
+		t.Fatalf("sized from the count: len %d cap %d, want both %d", len(insts), cap(insts), c.Len())
+	}
+	// Sites get PCs in the order they are first emitted.
+	for i, in := range insts[:5] {
+		if want := uint32(0x1000 + 4*i); in.PC != want {
+			t.Errorf("inst %d: PC %#x, want %#x", i, in.PC, want)
+		}
+	}
+	if insts[5].PC != insts[0].PC {
+		t.Errorf("site l re-emitted with PC %#x, first %#x", insts[5].PC, insts[0].PC)
+	}
+}

@@ -74,18 +74,35 @@ func genCompress(k *kernel) {
 }
 
 // genDnasa2 models the paper's Dnasa2: "two of the Dnasa7 kernels — the
-// two-dimensional FFT and the 4-way unrolled matrix multiply".
+// two-dimensional FFT and the 4-way unrolled matrix multiply". Scale adds
+// passes, as in espresso and su2cor: each repeats the FFT, its
+// transposition and the multiply over the same regions.
 func genDnasa2(k *kernel) {
+	data := k.alloc("fft-data", fftPoints*2*4, 4096)
+	out := k.alloc("fft-out", fftPoints*2*4, 4096)
+	a := k.alloc("mxm-a", mxmDim*mxmDim*4, 4096)
+	bm := k.alloc("mxm-b", mxmDim*mxmDim*4, 4096)
+	c := k.alloc("mxm-c", mxmDim*mxmDim*4, 4096)
+	for range k.scale {
+		k.fft2D(data, out)
+		k.tiledMxm(a, bm, c)
+	}
+}
+
+// Dnasa2's problem sizes.
+const (
+	fftPoints = 8192 // complex points (2 words each): 64 KB per grid
+	mxmDim    = 24   // the multiply's matrices are mxmDim x mxmDim
+)
+
+// fft2D emits the 2-D FFT kernel over the complex grid at data: radix-2
+// in-place butterflies, then a transposition pass into out (the 2-D
+// step).
+func (k *kernel) fft2D(data, out uint64) {
 	b := k.b
-	// --- 2-D FFT kernel: radix-2 in-place butterflies over complex data,
-	// followed by a transposition pass into a second grid (the 2-D step).
-	const n = 8192 // complex points (2 words each): 64 KB
-	data := k.alloc("fft-data", n*2*4, 4096)
-	out := k.alloc("fft-out", n*2*4, 4096)
+	const n = fftPoints
 	for span := n / 2; span >= n/64; span /= 2 {
-		site := "fft.pass"
-		pairs := n / 2
-		k.loop(site, pairs, func(p int) {
+		k.loop("fft.pass", n/2, func(p int) {
 			// span >= n/64 by the loop condition; the clamp restates
 			// that locally, since the closure cannot see outer facts.
 			sp := max(1, span)
@@ -118,12 +135,13 @@ func genDnasa2(k *kernel) {
 		b.Load("fft.tr", rF0, word(data, 2*(c*rows+r)), rIdx)
 		b.Store("fft.tw", rF0, word(out, 2*p), rIdx2)
 	})
-	// --- Tiled (4-way unrolled) matrix multiply C = A*B, tile size 8.
-	dim := 24
-	tile := 8
-	a := k.alloc("mxm-a", dim*dim*4, 4096)
-	bm := k.alloc("mxm-b", dim*dim*4, 4096)
-	c := k.alloc("mxm-c", dim*dim*4, 4096)
+}
+
+// tiledMxm emits the tiled (4-way unrolled) matrix multiply C = A*B,
+// tile size 8.
+func (k *kernel) tiledMxm(a, bm, c uint64) {
+	b := k.b
+	const dim, tile = mxmDim, 8
 	at := func(base uint64, i, j int) uint64 { return word(base, i*dim+j) }
 	for ii := 0; ii < dim; ii += tile {
 		for jj := 0; jj < dim; jj += tile {
@@ -344,29 +362,39 @@ func (k *kernel) stencil2D(site string, rows, cols, narrays, sweeps int) {
 		k.pad(cols*4/2 + 512)
 	}
 	at := func(g uint64, i, j int) uint64 { return word(g, i*cols+j) }
+	// Site names are built once here, not once per emitted instruction.
+	sites := struct{ sweep, c, n, s, w, e, a1, a2, a3, a4, mix, d, out, out2 string }{
+		site + ".sweep", site + ".c", site + ".n", site + ".s", site + ".w", site + ".e",
+		site + ".a1", site + ".a2", site + ".a3", site + ".a4", site + ".mix", site + ".d",
+		site + ".out", site + ".out2",
+	}
+	gridSites := make([]string, narrays)
+	for g := 1; g < narrays-2; g++ {
+		gridSites[g] = fmt.Sprintf("%s.g%d", site, g)
+	}
 	for s := 0; s < sweeps; s++ {
-		k.loop(site+".sweep", (rows-2)*(cols-2), func(cell int) {
+		k.loop(sites.sweep, (rows-2)*(cols-2), func(cell int) {
 			// Callers pass grids of at least 3x3; the clamp keeps the
 			// interior width visibly nonzero inside the closure.
 			w := max(1, cols-2)
 			i := 1 + cell/w
 			j := 1 + cell%w
-			b.Load(site+".c", rF4, at(grids[0], i, j), rIdx)
-			b.Load(site+".n", rF0, at(grids[0], i-1, j), rIdx)
-			b.Load(site+".s", rF1, at(grids[0], i+1, j), rIdx)
-			b.Load(site+".w", rF2, at(grids[0], i, j-1), rIdx)
-			b.Load(site+".e", rF3, at(grids[0], i, j+1), rIdx)
-			b.OpRRR(site+".a1", isa.FAdd, rF0, rF0, rF1)
-			b.OpRRR(site+".a2", isa.FAdd, rF2, rF2, rF3)
-			b.OpRRR(site+".a3", isa.FAdd, rF0, rF0, rF2)
-			b.OpRRR(site+".a4", isa.FAdd, rF0, rF0, rF4)
+			b.Load(sites.c, rF4, at(grids[0], i, j), rIdx)
+			b.Load(sites.n, rF0, at(grids[0], i-1, j), rIdx)
+			b.Load(sites.s, rF1, at(grids[0], i+1, j), rIdx)
+			b.Load(sites.w, rF2, at(grids[0], i, j-1), rIdx)
+			b.Load(sites.e, rF3, at(grids[0], i, j+1), rIdx)
+			b.OpRRR(sites.a1, isa.FAdd, rF0, rF0, rF1)
+			b.OpRRR(sites.a2, isa.FAdd, rF2, rF2, rF3)
+			b.OpRRR(sites.a3, isa.FAdd, rF0, rF0, rF2)
+			b.OpRRR(sites.a4, isa.FAdd, rF0, rF0, rF4)
 			for g := 1; g < narrays-2; g++ {
-				b.Load(fmt.Sprintf("%s.g%d", site, g), rF4, at(grids[g], i, j), rIdx2)
-				b.OpRRR(site+".mix", isa.FMul, rF0, rF0, rF4)
+				b.Load(gridSites[g], rF4, at(grids[g], i, j), rIdx2)
+				b.OpRRR(sites.mix, isa.FMul, rF0, rF0, rF4)
 			}
-			b.OpRRR(site+".d", isa.FMul, rF1, rF0, rF4)
-			b.Store(site+".out", rF0, at(grids[narrays-2], i, j), rIdx)
-			b.Store(site+".out2", rF1, at(grids[narrays-1], i, j), rIdx)
+			b.OpRRR(sites.d, isa.FMul, rF1, rF0, rF4)
+			b.Store(sites.out, rF0, at(grids[narrays-2], i, j), rIdx)
+			b.Store(sites.out2, rF1, at(grids[narrays-1], i, j), rIdx)
 		})
 	}
 }

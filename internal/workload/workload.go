@@ -171,6 +171,13 @@ func SuiteNames(s Suite) []string {
 // size; scale 1 is sized for fast simulation (hundreds of thousands of
 // dynamic instructions), while larger scales approach the paper's
 // magnitudes (Table 3).
+//
+// It runs the generator twice, each time on a fresh kernel with the same
+// seed: first on a count-mode isa.Builder, which only counts, then on a
+// Builder sized to exactly that count. So Program.Insts is allocated once
+// with cap == len, and no per-generator size formula is needed (several
+// generators emit RNG-dependent counts). A generator whose two runs emit
+// different counts is not deterministic, and Generate returns an error.
 func Generate(name string, scale int) (*Program, error) {
 	g, ok := registry[name]
 	if !ok {
@@ -179,8 +186,14 @@ func Generate(name string, scale int) (*Program, error) {
 	if scale < 1 {
 		return nil, fmt.Errorf("workload: scale %d < 1", scale)
 	}
-	k := newKernel(name, scale)
+	counted := newKernel(name, scale, isa.NewCountBuilder())
+	g.gen(counted)
+	n := counted.b.Len()
+	k := newKernel(name, scale, isa.NewBuilder(n))
 	g.gen(k)
+	if k.b.Len() != n {
+		return nil, fmt.Errorf("workload: %s at scale %d emitted %d instructions after a count of %d", name, scale, k.b.Len(), n)
+	}
 	return &Program{
 		Name:         name,
 		Suite:        g.suite,
@@ -204,13 +217,16 @@ type kernel struct {
 // per-benchmark seed from. Exported so run manifests can record it.
 const BaseSeed uint64 = 0x9E3779B97F4A7C15
 
-func newKernel(name string, scale int) *kernel {
+// newKernel returns a generation context that emits into b, seeded from
+// the benchmark name alone, so every kernel of one name draws the same
+// random sequence.
+func newKernel(name string, scale int, b *isa.Builder) *kernel {
 	seed := BaseSeed
 	for _, c := range name {
 		seed = seed*31 + uint64(c)
 	}
 	return &kernel{
-		b:     isa.NewBuilder(1 << 18),
+		b:     b,
 		rng:   stats.NewRNG(seed),
 		scale: scale,
 		next:  0x1000_0000,
@@ -265,11 +281,13 @@ const (
 // loop emits a counted loop: body(i) for i in [0, n), with a backward
 // branch at the given site that is taken on every iteration but the last.
 // This gives the predictor the classic highly-predictable loop branch.
+// The two site names are built once per call, not once per iteration.
 func (k *kernel) loop(site string, n int, body func(i int)) {
+	dec, br := site+".dec", site+".br"
 	for i := 0; i < n; i++ {
 		body(i)
-		k.b.OpRRR(site+".dec", isa.IALU, rCond, rCond, rZero)
-		k.b.Branch(site+".br", rCond, i != n-1)
+		k.b.OpRRR(dec, isa.IALU, rCond, rCond, rZero)
+		k.b.Branch(br, rCond, i != n-1)
 	}
 }
 

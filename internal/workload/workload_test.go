@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"memwall/internal/isa"
 	"memwall/internal/trace"
@@ -123,17 +126,75 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Scale multiplies the work of every generator: a scale-2 program has at
+// least 1.5 times the instructions of its scale-1 program.
 func TestScaleGrowsWork(t *testing.T) {
-	small, err := Generate("eqntott", 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range Names() {
+		small, err := Generate(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		big, err := Generate(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(big.Insts)) < int64(len(small.Insts))*3/2 {
+			t.Errorf("%s: scale 2 insts %d not much larger than scale 1 %d", name, len(big.Insts), len(small.Insts))
+		}
 	}
-	big, err := Generate("eqntott", 2)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// Generation allocates what it keeps: Program.Insts is allocated once, at
+// exactly its length, and all else Generate allocates (both runs'
+// kernels, regions and generator-local tables, the storing run's site
+// map) fits in a fixed slack.
+func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates all 14 programs at scales 1 and 4")
 	}
-	if int64(len(big.Insts)) < int64(len(small.Insts))*3/2 {
-		t.Errorf("scale 2 insts %d not much larger than scale 1 %d", len(big.Insts), len(small.Insts))
+	const slack = 512 << 10
+	instBytes := uint64(unsafe.Sizeof(isa.Inst{}))
+	for _, name := range Names() {
+		for _, scale := range []int{1, 4} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p, err := Generate(name, scale)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(p.Insts) != len(p.Insts) {
+				t.Errorf("%s at scale %d: cap(Insts) = %d, len %d", name, scale, cap(p.Insts), len(p.Insts))
+			}
+			kept := uint64(len(p.Insts)) * instBytes
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > kept+slack {
+				t.Errorf("%s at scale %d: allocated %d bytes to keep %d, more than %d over", name, scale, alloc, kept, slack)
+			}
+		}
+	}
+}
+
+// A generator whose storing run emits a different count than its count
+// run is not deterministic, and Generate returns an error, not a program.
+func TestGenerateRejectsCountMismatch(t *testing.T) {
+	runs := 0
+	registry["unsteady"] = generator{SPEC92, func(k *kernel) {
+		runs++
+		k.alloc("scratch", 64, 0)
+		for range runs {
+			k.b.OpRRR("unsteady.op", isa.IALU, rTmp1, rTmp1, rZero)
+		}
+	}}
+	defer delete(registry, "unsteady")
+	p, err := Generate("unsteady", 1)
+	if err == nil {
+		t.Fatalf("Generate returned %d instructions from a generator that emitted 1, then 2", len(p.Insts))
+	}
+	if want := "emitted 2 instructions after a count of 1"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q, want it to contain %q", err, want)
+	}
+	if runs != 2 {
+		t.Errorf("generator ran %d times, want 2", runs)
 	}
 }
 
@@ -217,7 +278,7 @@ func TestIntCodesAvoidFloatOps(t *testing.T) {
 }
 
 func TestZipfSlotDistribution(t *testing.T) {
-	k := newKernel("ziptest", 1)
+	k := newKernel("ziptest", 1, isa.NewCountBuilder())
 	const n = 10000
 	counts := make(map[int]int)
 	for i := 0; i < 200000; i++ {
@@ -353,7 +414,7 @@ func TestRegionLookup(t *testing.T) {
 func TestZipfSlotDegenerateN(t *testing.T) {
 	// A zero or negative slot count returns slot 0 instead of a
 	// divide-by-zero panic (guardlint regression).
-	k := newKernel("zipf-degenerate", 1)
+	k := newKernel("zipf-degenerate", 1, isa.NewCountBuilder())
 	for _, n := range []int{0, -1} {
 		if got := k.zipfSlot(n); got != 0 {
 			t.Errorf("zipfSlot(%d) = %d, want 0", n, got)
