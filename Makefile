@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check vet fmt lint memlint figures paper selfcheck selfcheck-par profile race chaos serve-smoke dinero-smoke clean
+.PHONY: all build test bench bench-check vet fmt lint memlint figures paper selfcheck selfcheck-par profile race chaos serve-smoke dinero-smoke examples clean
 
 all: build test
 
@@ -37,7 +37,7 @@ vet:
 # Full static-analysis gate: go vet, staticcheck (skipped when not
 # installed; CI runs it pinned), and the memlint analyzer suite
 # (internal/analysis) enforcing the simulator's determinism, unit-safety,
-# telemetry, stream, hot-path and guarded-arithmetic invariants (see
+# attribution-name, stream, hot-path and guarded-arithmetic invariants (see
 # DESIGN.md §8 and §13).
 lint: vet memlint
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -126,6 +126,20 @@ dinero-smoke:
 		cat "$$tmp/out.txt" >&2; echo "dinero-smoke: dinero -assoc -3 exited $$status, want 2 with empty stdout" >&2; exit 1; \
 	fi; \
 	echo "dinero-smoke: compress replays to R = 1.345 and G = 5.83 from compact and din traces; -assoc -3 is a usage error"
+
+# Run each example at its default flags and diff its stdout against the
+# golden file committed beside it (examples/<name>_golden.txt). Every
+# example is deterministic, so any difference is a change in what the
+# simulators compute or in how the example prints it.
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for e in quickstart decomposition trafficstudy mtcgap; do \
+		$(GO) run ./examples/$$e > "$$tmp/$$e.txt" || exit 1; \
+		if ! diff "$$tmp/$$e.txt" examples/$${e}_golden.txt; then \
+			echo "examples: $$e output differs from examples/$${e}_golden.txt" >&2; exit 1; \
+		fi; \
+	done; \
+	echo "examples: quickstart, decomposition, trafficstudy and mtcgap match their golden files"
 
 clean:
 	rm -rf figures test_output.txt bench_output.txt profile_baseline.txt

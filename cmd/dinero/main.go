@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,13 +72,62 @@ func run() error {
 	format := flag.String("format", "din", "trace format for -emit: din (text) or compact (binary)")
 	scale := flag.Int("scale", 1, "workload scale for -emit")
 	flag.Parse()
+	// Every flag value is checked before a trace is read or emitted. A
+	// value outside its domain is a usage error naming the flag.
 	// cache.Config reads a negative associativity as fully associative,
 	// and Generate rejects a scale below 1 only as a failed run.
 	if *assoc < 0 {
 		return usageError{fmt.Errorf("-assoc %d: want at least 0 (0 = fully associative)", *assoc)}
 	}
-	if *emit != "" && *scale < 1 {
-		return usageError{fmt.Errorf("-scale %d: want at least 1", *scale)}
+	if *emit != "" {
+		if known := workload.Names(); !slices.Contains(known, *emit) {
+			return usageError{fmt.Errorf("-emit %s: unknown workload (known: %s)", *emit, strings.Join(known, ","))}
+		}
+		if *scale < 1 {
+			return usageError{fmt.Errorf("-scale %d: want at least 1", *scale)}
+		}
+	}
+	if *format != "din" && *format != "compact" {
+		return usageError{fmt.Errorf("-format %s: want din or compact", *format)}
+	}
+	bytes, err := parseSize(*size)
+	if err != nil {
+		return usageError{fmt.Errorf("-size %s: %w", *size, err)}
+	}
+	cfg := cache.Config{Size: bytes, BlockSize: *block, Assoc: *assoc, SubBlockSize: *sub}
+	switch strings.ToLower(*repl) {
+	case "lru":
+		cfg.Repl = cache.LRU
+	case "fifo":
+		cfg.Repl = cache.FIFO
+	case "random":
+		cfg.Repl = cache.Random
+	default:
+		return usageError{fmt.Errorf("-repl %s: want lru, fifo or random", *repl)}
+	}
+	switch strings.ToLower(*write) {
+	case "back":
+		cfg.Write = cache.WriteBack
+	case "through":
+		cfg.Write = cache.WriteThrough
+	default:
+		return usageError{fmt.Errorf("-write %s: want back or through", *write)}
+	}
+	switch strings.ToLower(*alloc) {
+	case "always":
+		cfg.Alloc = cache.WriteAllocate
+	case "never":
+		cfg.Alloc = cache.NoWriteAllocate
+	case "validate":
+		cfg.Alloc = cache.WriteValidate
+	default:
+		return usageError{fmt.Errorf("-alloc %s: want always, never or validate", *alloc)}
+	}
+	// The default flags give a valid cache, so a shape cache.New rejects
+	// comes from the shape flags that were set.
+	c, err := cache.New(cfg)
+	if err != nil {
+		return usageError{fmt.Errorf("%s: %w", setFlags("alloc", "assoc", "block", "size", "sub"), err)}
 	}
 
 	if *emit != "" {
@@ -86,15 +136,11 @@ func run() error {
 			return err
 		}
 		refs := trace.Collect(p.MemRefs())
-		var n int64
-		switch *format {
-		case "din":
-			n, err = trace.WriteDin(os.Stdout, refs)
-		case "compact":
-			n, err = trace.WriteCompact(os.Stdout, refs)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
+		encode := trace.WriteDin
+		if *format == "compact" {
+			encode = trace.WriteCompact
 		}
+		n, err := encode(os.Stdout, refs)
 		if err != nil {
 			return err
 		}
@@ -119,45 +165,6 @@ func run() error {
 		return fmt.Errorf("trace contains no data references")
 	}
 
-	bytes, err := parseSize(*size)
-	if err != nil {
-		return err
-	}
-	cfg := cache.Config{Size: bytes, BlockSize: *block, Assoc: *assoc}
-	switch strings.ToLower(*repl) {
-	case "lru":
-		cfg.Repl = cache.LRU
-	case "fifo":
-		cfg.Repl = cache.FIFO
-	case "random":
-		cfg.Repl = cache.Random
-	default:
-		return fmt.Errorf("unknown replacement policy %q", *repl)
-	}
-	switch strings.ToLower(*write) {
-	case "back":
-		cfg.Write = cache.WriteBack
-	case "through":
-		cfg.Write = cache.WriteThrough
-	default:
-		return fmt.Errorf("unknown write policy %q", *write)
-	}
-	switch strings.ToLower(*alloc) {
-	case "always":
-		cfg.Alloc = cache.WriteAllocate
-	case "never":
-		cfg.Alloc = cache.NoWriteAllocate
-	case "validate":
-		cfg.Alloc = cache.WriteValidate
-	default:
-		return fmt.Errorf("unknown allocation policy %q", *alloc)
-	}
-	cfg.SubBlockSize = *sub
-
-	c, err := cache.New(cfg)
-	if err != nil {
-		return err
-	}
 	st := c.RunRefs(refs)
 	refsN := int64(len(refs))
 	fmt.Printf("trace: %d data refs (%d ifetch records skipped)\n", refsN, ifetches)
@@ -187,6 +194,18 @@ func run() error {
 		fmt.Printf("  traffic inefficiency G = %.2f\n", core.Inefficiency(st.TrafficBytes(), mst.TrafficBytes()))
 	}
 	return nil
+}
+
+// setFlags renders those of the named flags that were set on the command
+// line as "-name value" pairs, in flag.Visit's lexical order.
+func setFlags(names ...string) string {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name+" "+f.Value.String())
+		}
+	})
+	return strings.Join(set, " ")
 }
 
 // readTrace auto-detects the din text format versus the compact binary

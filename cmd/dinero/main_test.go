@@ -117,10 +117,13 @@ func TestCompactCountBeyondInputFails(t *testing.T) {
 }
 
 // A negative -assoc, which cache.Config would read as fully associative,
-// and a -scale below 1 with -emit are usage errors: exit 2, nothing on
-// stdout, and a message naming the flag.
+// a -scale below 1 with -emit, an unknown workload, format or policy,
+// and a cache shape cache.New rejects are usage errors: exit 2, nothing
+// on stdout, and a message naming the flag. They are checked before any
+// trace is read, so a missing trace file does not mask them.
 func TestFlagsOutsideDomain(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.din")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiny.din")
 	if err := os.WriteFile(path, []byte("0 1000\n1 2000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +135,15 @@ func TestFlagsOutsideDomain(t *testing.T) {
 		{[]string{"-assoc=-1", "-mtc", path}, "-assoc -1"},
 		{[]string{"-emit", "compress", "-scale", "0"}, "-scale 0"},
 		{[]string{"-emit", "compress", "-scale", "-2", "-format", "compact"}, "-scale -2"},
+		{[]string{"-emit", "nosuch"}, "-emit nosuch"},
+		{[]string{"-emit", "compress", "-format", "xml"}, "-format xml"},
+		{[]string{"-repl", "bogus", path}, "-repl bogus"},
+		{[]string{"-write", "bogus", path}, "-write bogus"},
+		{[]string{"-alloc", "bogus", path}, "-alloc bogus"},
+		{[]string{"-size", "3K", path}, "-size 3K"},
+		{[]string{"-block", "24", path}, "-block 24"},
+		{[]string{"-sub", "7", path}, "-sub 7"},
+		{[]string{"-sub", "7", filepath.Join(dir, "missing.din")}, "-sub 7"},
 	} {
 		stdout, stderr, code := runDinero(t, tc.args...)
 		if code != 2 {

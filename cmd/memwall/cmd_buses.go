@@ -4,7 +4,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"memwall/internal/core"
 	"memwall/internal/tablefmt"
@@ -19,14 +18,13 @@ func runBuses(args []string) error {
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
 	exp := fs.String("exp", "F", "experiment machine (A-F)")
-	benchList := fs.String("bench", "su2cor,swm,compress,eqntott", "comma-separated workloads")
+	benchList := benchListFlag(fs, "bench", "su2cor,swm,compress,eqntott", "comma-separated `workloads`")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	t := tablefmt.New(fmt.Sprintf("Bandwidth-stall attribution by bus (machine %s)", *exp),
 		"benchmark", "f_B", "f_B(mem bus)", "f_B(L1/L2 bus)", "interaction")
-	for _, name := range strings.Split(*benchList, ",") {
-		name = strings.TrimSpace(name)
+	for _, name := range *benchList {
 		p, err := corpusProgram(name, *scale)
 		if err != nil {
 			return err

@@ -29,7 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 
 	"memwall/internal/attr"
 	"memwall/internal/checkpoint"
@@ -49,7 +49,7 @@ func runExplain(args []string) error {
 	cacheScale := cacheScaleFlag(fs)
 	workers := workersFlag(fs)
 	suiteName := fs.String("suite", "92", "92, 95, or both")
-	benches := fs.String("benches", "", "comma-separated benchmark subset (default: the suite's timing benchmarks)")
+	benches := benchListFlag(fs, "benches", "", "comma-separated benchmark `subset` (default: the suite's timing benchmarks)")
 	interval := minIntFlag(fs, "interval", 8192, 1, "sampling period in simulated `cycles`")
 	maxSamples := minIntFlag(fs, "max-samples", 2048, 1, "per-series sample `cap` (beyond it, decimation doubles the interval)")
 	top := minIntFlag(fs, "top", 5, 0, "`rows` in the top-causes table")
@@ -66,6 +66,10 @@ func runExplain(args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
+	panels, err := explainPanels(suites, *benches)
+	if err != nil {
+		return usageErr(err)
+	}
 
 	opts := attr.Options{Interval: int64(*interval), MaxSamples: *maxSamples}
 	type labeledRecord struct {
@@ -77,14 +81,13 @@ func runExplain(args []string) error {
 		records []labeledRecord
 		wall    attr.WallReport
 	)
-	for _, suite := range suites {
-		progs, err := generateSuite(suite, *scale)
+	for i, suite := range suites {
+		if len(panels[i]) == 0 {
+			continue
+		}
+		progs, err := generatePrograms(panels[i], *scale)
 		if err != nil {
 			return err
-		}
-		progs, err = filterBenches(progs, *benches)
-		if err != nil {
-			return usageErr(err)
 		}
 		// The panel's Figure 3 cells with attribution attached, resolved
 		// like every other Figure 3 caller's (see core.ResolveFigure3).
@@ -200,33 +203,31 @@ func runExplain(args []string) error {
 	return nil
 }
 
-// filterBenches restricts progs to the comma-separated names in list
-// (empty list keeps everything); unknown names are a usage error, not a
-// silent empty grid.
-func filterBenches(progs []*workload.Program, list string) ([]*workload.Program, error) {
-	if list == "" {
-		return progs, nil
-	}
-	byName := map[string]*workload.Program{}
-	for _, p := range progs {
-		byName[p.Name] = p
-	}
-	var out []*workload.Program
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
+// explainPanels returns, for each suite, the benchmarks its panel runs:
+// its timing benchmarks, or the -benches names among them in the list's
+// order. A name that no suite's panel keeps is a usage error.
+func explainPanels(suites []workload.Suite, benches []string) ([][]string, error) {
+	panels := make([][]string, len(suites))
+	kept := map[string]bool{}
+	for i, suite := range suites {
+		timing := core.Figure3Benchmarks(suite)
+		if benches == nil {
+			panels[i] = timing
 			continue
 		}
-		p, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q in -benches", name)
+		for _, name := range benches {
+			if slices.Contains(timing, name) {
+				panels[i] = append(panels[i], name)
+				kept[name] = true
+			}
 		}
-		out = append(out, p)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-benches %q selected no benchmarks", list)
+	for _, name := range benches {
+		if !kept[name] {
+			return nil, fmt.Errorf("-benches %s: not a timing benchmark of %v", name, suites)
+		}
 	}
-	return out, nil
+	return panels, nil
 }
 
 // printExplain renders the report's human tables.

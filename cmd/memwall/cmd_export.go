@@ -61,7 +61,7 @@ func runFuture(args []string) error {
 	fs := flag.NewFlagSet("future", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
-	bench := fs.String("bench", "compress", "workload to project")
+	bench := benchFlag(fs, "bench", "compress", "`workload` to project")
 	gens := minIntFlag(fs, "generations", 3, 0, "`number` of processor generations to project")
 	if err := parseFlags(fs, args); err != nil {
 		return err

@@ -8,7 +8,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"memwall/internal/cache"
 	"memwall/internal/core"
@@ -30,7 +29,7 @@ func runCMP(args []string) error {
 	fs := flag.NewFlagSet("cmp", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
-	bench := fs.String("bench", "swim95", "workload each core runs (disjoint address spaces)")
+	bench := benchFlag(fs, "bench", "swim95", "`workload` each core runs (disjoint address spaces)")
 	maxCores := minIntFlag(fs, "cores", 4, 1, "maximum core `count` to sweep")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -94,7 +93,7 @@ func runCMP(args []string) error {
 func runAblate(args []string) error {
 	fs := flag.NewFlagSet("ablate", flag.ContinueOnError)
 	scale := scaleFlag(fs)
-	benchList := fs.String("bench", "compress,eqntott,swm", "comma-separated workloads")
+	benchList := benchListFlag(fs, "bench", "compress,eqntott,swm", "comma-separated `workloads`")
 	size := minIntFlag(fs, "kb", 64, 1, "cache capacity in `KB`")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -102,8 +101,7 @@ func runAblate(args []string) error {
 	bytes := *size << 10
 	t := tablefmt.New(fmt.Sprintf("Traffic-reduction scheme ablations (%dKB caches; traffic ratios R)", *size),
 		"benchmark", "32B blocks", "4B sector", "write-validate", "MTC")
-	for _, name := range strings.Split(*benchList, ",") {
-		name = strings.TrimSpace(name)
+	for _, name := range *benchList {
 		e := corpusEntry(name, *scale)
 		refs, err := e.Refs()
 		if err != nil {

@@ -32,7 +32,7 @@ func runProfile(args []string) error {
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
 	suiteName := fs.String("suite", "92", "92 or 95")
-	bench := fs.String("bench", "compress", "benchmark to profile on")
+	bench := benchFlag(fs, "bench", "compress", "`benchmark` to profile on")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -25,7 +25,7 @@ func runScratchpad(args []string) error {
 	fs := flag.NewFlagSet("scratchpad", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
-	bench := fs.String("bench", "compress", "workload to study")
+	bench := benchFlag(fs, "bench", "compress", "`workload` to study")
 	exp := fs.String("exp", "F", "experiment machine (A-F)")
 	budget := minIntFlag(fs, "kb", 64, 0, "scratchpad capacity budget in `KB`")
 	if err := parseFlags(fs, args); err != nil {

@@ -12,7 +12,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"strings"
 
 	"memwall/internal/cache"
 	"memwall/internal/core"
@@ -53,25 +52,14 @@ func runSelfcheck(args []string) error {
 	cacheScale := cacheScaleFlag(fs)
 	workers := workersFlag(fs)
 	timing := fs.Bool("timing", true, "include the (slower) timing-model checks")
-	benchList := fs.String("benches", "", "comma-separated workload subset to check (default: all)")
+	benchList := benchListFlag(fs, "benches", "", "comma-separated workload `subset` to check (default: all)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 
 	names := workload.Names()
-	if *benchList != "" {
-		known := map[string]bool{}
-		for _, n := range names {
-			known[n] = true
-		}
-		names = nil
-		for _, n := range strings.Split(*benchList, ",") {
-			n = strings.TrimSpace(n)
-			if !known[n] {
-				return fmt.Errorf("selfcheck: unknown benchmark %q (known: %v)", n, workload.Names())
-			}
-			names = append(names, n)
-		}
+	if *benchList != nil {
+		names = *benchList
 	}
 
 	progs := map[string]*workload.Program{}

@@ -22,9 +22,10 @@ func init() {
 	register("table1", "Table 1: measured direction of f_P/f_L/f_B under machine changes", runTable1)
 }
 
-func generateSuite(suite workload.Suite, scale int) ([]*workload.Program, error) {
+// generatePrograms returns the named programs in order.
+func generatePrograms(names []string, scale int) ([]*workload.Program, error) {
 	var progs []*workload.Program
-	for _, name := range core.Figure3Benchmarks(suite) {
+	for _, name := range names {
 		// Programs come from the corpus so fig3/table6 runs in the same
 		// invocation (e.g. `memwall all`) share one generation each.
 		p, err := corpusProgram(name, scale)
@@ -50,7 +51,7 @@ func runFig3(args []string) error {
 		return usageErr(err)
 	}
 	for _, suite := range suites {
-		progs, err := generateSuite(suite, *scale)
+		progs, err := generatePrograms(core.Figure3Benchmarks(suite), *scale)
 		if err != nil {
 			return err
 		}
@@ -125,7 +126,7 @@ func runTable6(args []string) error {
 	// and cached alike, resolved by the same function.
 	var cells []core.Figure3Cell
 	for _, suite := range suites {
-		progs, err := generateSuite(suite, *scale)
+		progs, err := generatePrograms(core.Figure3Benchmarks(suite), *scale)
 		if err != nil {
 			return err
 		}
@@ -164,7 +165,7 @@ func runTable1(args []string) error {
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
 	workers := workersFlag(fs)
-	bench := fs.String("bench", "su2cor", "benchmark to ablate")
+	bench := benchFlag(fs, "bench", "su2cor", "`benchmark` to ablate")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

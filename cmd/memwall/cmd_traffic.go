@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"strings"
 
 	"memwall/internal/cache"
 	"memwall/internal/core"
@@ -213,15 +212,14 @@ func runTable8(args []string) error {
 func runFig4(args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
 	scale := scaleFlag(fs)
-	benchList := fs.String("bench", "compress,eqntott,swm", "comma-separated benchmarks to plot")
+	benchList := benchListFlag(fs, "bench", "compress,eqntott,swm", "comma-separated `benchmarks` to plot")
 	plot := fs.Bool("plot", true, "render ASCII plots")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	blockSizes := []int{4, 8, 16, 32, 64, 128}
 	sizes := core.TrafficSizes()
-	for _, name := range strings.Split(*benchList, ",") {
-		name = strings.TrimSpace(name)
+	for _, name := range *benchList {
 		e := corpusEntry(name, *scale)
 		refs, err := e.Refs()
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,40 @@ func TestExplainRejectsUnknownBench(t *testing.T) {
 	var ue usageError
 	if !errors.As(err, &ue) {
 		t.Errorf("error %v is not a usage error", err)
+	}
+}
+
+// TestExplainBothSuitesSplitsBenches: under -suite both, each suite's
+// panel runs the -benches names among its own timing benchmarks, so a
+// list naming one benchmark of each suite reports both panels.
+func TestExplainBothSuitesSplitsBenches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
+	}
+	jp := filepath.Join(t.TempDir(), "report.json")
+	capture(t, func() error {
+		return runCommand("explain", []string{"-suite", "both", "-benches", "compress,li", "-json", jp})
+	})
+	raw, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep attr.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range rep.Configs {
+		got = append(got, c.Suite+":"+c.Benchmark+"/"+c.Experiment)
+	}
+	var want []string
+	for _, panel := range []string{"SPEC92:compress", "SPEC95:li"} {
+		for _, exp := range []string{"A", "B", "C", "D", "E", "F"} {
+			want = append(want, panel+"/"+exp)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("configs = %v, want %v", got, want)
 	}
 }
 

@@ -23,8 +23,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+
+	"memwall/internal/workload"
 )
 
 // The CLI's exit-status taxonomy, so scripts and CI can distinguish
@@ -127,6 +131,68 @@ func minIntFlag(fs *flag.FlagSet, name string, value, min int, usage string) *in
 	v := value
 	fs.Var(intFlag{&v, min}, name, usage)
 	return &v
+}
+
+// benchValue is the value of every -bench and -benches flag: one workload
+// name, or a comma-separated list of them. Set rejects an empty list, a
+// name workload.Names() lacks and, for a one-name flag, a second name,
+// so parseFlags reports a misspelt benchmark as a usage error before
+// anything is generated or simulated.
+type benchValue struct {
+	one  *string   // set for a one-name flag
+	list *[]string // set for a list flag
+}
+
+func (v benchValue) String() string {
+	switch {
+	case v.one != nil:
+		return *v.one
+	case v.list != nil:
+		return strings.Join(*v.list, ",")
+	}
+	return "" // the flag package formats a zero benchValue to find defaults
+}
+
+func (v benchValue) Set(s string) error {
+	if strings.TrimSpace(s) == "" {
+		return errors.New("empty benchmark list")
+	}
+	known := workload.Names()
+	names := strings.Split(s, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if _, ok := slices.BinarySearch(known, names[i]); !ok {
+			return fmt.Errorf("unknown benchmark %q (known: %s)", names[i], strings.Join(known, ","))
+		}
+	}
+	if v.one != nil {
+		if len(names) > 1 {
+			return fmt.Errorf("want one benchmark, got %d", len(names))
+		}
+		*v.one = names[0]
+		return nil
+	}
+	*v.list = names
+	return nil
+}
+
+// benchFlag defines a flag naming one workload.
+func benchFlag(fs *flag.FlagSet, name, value, usage string) *string {
+	v := value
+	fs.Var(benchValue{one: &v}, name, usage)
+	return &v
+}
+
+// benchListFlag defines a flag naming a comma-separated list of
+// workloads. An empty value leaves the list nil, which the caller reads
+// as its own default set.
+func benchListFlag(fs *flag.FlagSet, name, value, usage string) *[]string {
+	var names []string
+	if value != "" {
+		names = strings.Split(value, ",")
+	}
+	fs.Var(benchValue{list: &names}, name, usage)
+	return &names
 }
 
 // command is one CLI subcommand.

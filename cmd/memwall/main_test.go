@@ -91,7 +91,11 @@ func TestFig2Output(t *testing.T) {
 // NaN or ±Inf. The rest refuse counts and sizes below which they printed
 // an empty table or a negative size, or silently ran as if given a valid
 // value (-cachescale 0 ran the paper-exact caches, explain -interval 0
-// the default interval).
+// the default interval). Every -bench and -benches flag refuses an
+// unknown or empty benchmark list the same way, where fig4 used to print
+// the tables of the names before the unknown one and the rest exited 1.
+// The flag package reports a value Set rejects as `invalid value "v" for
+// flag -name: ...`, so those rows name the flag in that form.
 func TestNumericFlagsOutsideDomain(t *testing.T) {
 	for _, c := range []struct {
 		cmd  string
@@ -129,6 +133,19 @@ func TestNumericFlagsOutsideDomain(t *testing.T) {
 		{"explain", []string{"-interval", "0"}, "-interval"},
 		{"explain", []string{"-max-samples", "0"}, "-max-samples"},
 		{"explain", []string{"-top", "-1"}, "-top"},
+		{"fig4", []string{"-bench", "compress,nosuch"}, `invalid value "compress,nosuch" for flag -bench:`},
+		{"buses", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"ablate", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"cmp", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"future", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"profile", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"profile", []string{"-bench", "compress,li"}, `invalid value "compress,li" for flag -bench:`},
+		{"scratchpad", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"table1", []string{"-bench", "nosuch"}, `invalid value "nosuch" for flag -bench:`},
+		{"selfcheck", []string{"-benches", "nosuch"}, `invalid value "nosuch" for flag -benches:`},
+		{"explain", []string{"-benches", "nosuch"}, `invalid value "nosuch" for flag -benches:`},
+		{"explain", []string{"-benches", ""}, `invalid value "" for flag -benches:`},
+		{"explain", []string{"-suite", "92", "-benches", "compress,li"}, "-benches li:"},
 	} {
 		out, err := runObservedCapture(t, globalOpts{}, c.cmd, c.args...)
 		if got := exitStatus(err); got != 2 {

@@ -48,7 +48,6 @@ var SimPackages = []string{
 	"memwall/internal/core",
 	"memwall/internal/mtc",
 	"memwall/internal/trace",
-	"memwall/internal/vm",
 	"memwall/internal/workload",
 	"memwall/internal/isa",
 }

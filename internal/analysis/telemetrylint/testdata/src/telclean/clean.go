@@ -1,30 +1,8 @@
-// Package telclean is the telemetrylint negative fixture: nil-safe
-// method calls on telemetry instruments need no guard, and ordinary
-// func-typed fields outside the contract are not the linter's business.
+// Package telclean is the telemetrylint negative fixture: attribution
+// instruments registered under valid constant names.
 package telclean
 
-import (
-	"memwall/internal/attr"
-	"memwall/internal/telemetry"
-)
-
-// Instruments reach the registry through nil-safe methods; no guard is
-// required even when the registry pointer is nil.
-func Instruments(reg *telemetry.Registry) {
-	reg.Counter("fetch_bytes").Add(64)
-	reg.Gauge("bus_util").Set(0.42)
-}
-
-// cmp holds an ordinary callback whose name carries no contract.
-type cmp struct {
-	less func(a, b int) bool
-}
-
-// Sorted calls a plain func field: not Progress, not a telemetry struct,
-// so telemetrylint stays silent.
-func Sorted(c cmp) bool {
-	return c.less(1, 2)
-}
+import "memwall/internal/attr"
 
 // ledgerName shows that named constants resolve through the type checker
 // just like literals — this is the cpu package's own registration idiom.

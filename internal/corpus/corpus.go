@@ -5,7 +5,7 @@
 // The paper's evaluation is a large (benchmark × configuration) grid —
 // Figure 3 and Tables 6-10 each re-walk the same SPEC reference streams
 // under many cache/MTC configurations — yet regenerating a workload per
-// grid cell re-executes the VM for an identical trace, and PR 3's parallel
+// grid cell reruns its generator for an identical trace, and the parallel
 // runner multiplied that waste by the worker count. The corpus removes it
 // at three levels:
 //
@@ -14,7 +14,7 @@
 //     backing []trace.Ref and replays it by ranging over the slice.
 //  2. On disk (optional, -corpus-dir): materialized traces persist in the
 //     compact delta encoding (internal/trace/compact.go) keyed by the
-//     telemetry fingerprint, so repeated CLI runs skip VM execution
+//     telemetry fingerprint, so repeated CLI runs skip workload generation
 //     entirely. A JSON sidecar carries the metadata (suite, footprint,
 //     reference count) traffic measurements need, so a warm run never
 //     touches the generator.

@@ -160,6 +160,74 @@ func TestOoOToleratesMissUnderILP(t *testing.T) {
 	}
 }
 
+// copyKernel is the retired stream of a 4-way-unrolled copy of n words
+// (n a multiple of 4) from src to dst. Each iteration runs the loop test,
+// three address operations, four loads, four stores, the index increment
+// and the backward jump: 32 bytes moved per 14 instructions, known by
+// construction.
+func copyKernel(n int, src, dst uint64) []isa.Inst {
+	const (
+		rIdx, rOff, rSrc, rDst     isa.Reg = 1, 8, 9, 13
+		rShift, rSrcBase, rDstBase isa.Reg = 26, 20, 22
+	)
+	data := [4]isa.Reg{10, 11, 12, 14}
+	loads := [4]string{"copy.lw0", "copy.lw1", "copy.lw2", "copy.lw3"}
+	stores := [4]string{"copy.sw0", "copy.sw1", "copy.sw2", "copy.sw3"}
+	b := isa.NewBuilder(14*n/4 + 3)
+	b.OpRRR("copy.init", isa.IALU, rIdx, 0, 0)
+	for i := 0; i < n; i += 4 {
+		b.Branch("copy.test", rIdx, false)
+		b.OpRRR("copy.off", isa.IALU, rOff, rIdx, rShift)
+		b.OpRRR("copy.src", isa.IALU, rSrc, rOff, rSrcBase)
+		b.OpRRR("copy.dst", isa.IALU, rDst, rOff, rDstBase)
+		for k, r := range data {
+			b.Load(loads[k], r, src+uint64(4*(i+k)), rSrc)
+		}
+		for k, r := range data {
+			b.Store(stores[k], r, dst+uint64(4*(i+k)), rDst)
+		}
+		b.OpRRR("copy.inc", isa.IALU, rIdx, rIdx, 0)
+		b.Branch("copy.back", 0, true)
+	}
+	b.Branch("copy.test", rIdx, true)
+	b.Emit("copy.halt", isa.Inst{Op: isa.Nop})
+	return b.Insts()
+}
+
+// TestStreamKernelIsBandwidthBound times a copy on a machine with a
+// narrow and a wide memory system: a pure-copy loop must speed up with
+// bus width, the bandwidth-limited loop of the STREAM observation the
+// paper builds on and of Treibig and Hager's model.
+func TestStreamKernelIsBandwidthBound(t *testing.T) {
+	// 4,096 words (16 KB) copied: far beyond the 1 KB L1 and the 8 KB L2.
+	insts := copyKernel(4096, 0x10000, 0x30000)
+	cycles := func(busScale int) int64 {
+		h, err := mem.New(mem.Config{
+			L1:              mem.LevelConfig{Size: 1 << 10, BlockSize: 32, Assoc: 2, AccessCycles: 1, MSHRs: 8},
+			L2:              mem.LevelConfig{Size: 8 << 10, BlockSize: 64, Assoc: 4, AccessCycles: 10, MSHRs: 8},
+			L1L2Bus:         mem.BusConfig{WidthBytes: 8 * busScale, Ratio: 2},
+			MemBus:          mem.BusConfig{WidthBytes: 4 * busScale, Ratio: 2},
+			MemAccessCycles: 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := oooCfg()
+		cfg.PredictorEntries = 4096
+		r, err := Run(cfg, h, insts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Cycles
+	}
+	narrow, wide := cycles(1), cycles(8)
+	speedup := float64(narrow) / float64(wide)
+	t.Logf("copy: %d cycles on the narrow buses, %d on 8x wider ones (%.2fx)", narrow, wide, speedup)
+	if speedup < 1.5 {
+		t.Errorf("copy sped up %.2fx on 8x wider buses, want at least 1.5x of a bandwidth-bound loop", speedup)
+	}
+}
+
 func TestLockupFreeHelpsInOrder(t *testing.T) {
 	// Back-to-back independent missing loads: a blocking cache
 	// serialises them; a lockup-free cache overlaps them.
