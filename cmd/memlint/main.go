@@ -8,8 +8,7 @@
 //	memlint [-run name[,name...]] [packages]
 //
 // Packages default to ./... . -run restricts the suite to the named
-// analyzers (detlint, streamlint, unitlint, telemetrylint, hotlint,
-// guardlint). Findings print one per line as
+// analyzers (detlint, streamlint, unitlint, hotlint, guardlint). Findings print one per line as
 // file:line:col: [analyzer] message, sorted, with file paths relative to
 // the working directory. Exit status is 1 when any finding is reported,
 // 2 on a driver error.
@@ -31,7 +30,6 @@ import (
 	"memwall/internal/analysis/hotlint"
 	"memwall/internal/analysis/load"
 	"memwall/internal/analysis/streamlint"
-	"memwall/internal/analysis/telemetrylint"
 	"memwall/internal/analysis/unitlint"
 )
 
@@ -40,7 +38,6 @@ var suite = []*analysis.Analyzer{
 	detlint.Analyzer,
 	streamlint.Analyzer,
 	unitlint.Analyzer,
-	telemetrylint.Analyzer,
 	hotlint.Analyzer,
 	guardlint.Analyzer,
 }

@@ -3,14 +3,14 @@
 // where did the *simulated* time go (the T_P/T_L/T_B decomposition per
 // machine config, cross-checked against the stall ledger's cause
 // accounting) and where did the *wall-clock* time go (per-cell runner
-// stats, corpus/checkpoint hit attribution).
+// stats, computed against checkpoint-served cells).
 //
 // Output layers:
 //
 //	stdout       human tables: per-config decomposition, top stall
 //	             causes, grid wall-clock breakdown
-//	-json        the full attr.Report (add -record to embed the raw
-//	             per-cell series and ledgers)
+//	-json        the full attr.Report (add -record to embed each cell's
+//	             raw samples and stall ledger)
 //	-samples     interval samples as JSONL, one object per sample
 //	-csv         the same samples as CSV under attr.SamplesCSVHeader
 //	-perfetto    the same samples as Perfetto counter tracks
@@ -53,11 +53,11 @@ func runExplain(args []string) error {
 	interval := minIntFlag(fs, "interval", 8192, 1, "sampling period in simulated `cycles`")
 	maxSamples := minIntFlag(fs, "max-samples", 2048, 1, "per-series sample `cap` (beyond it, decimation doubles the interval)")
 	top := minIntFlag(fs, "top", 5, 0, "`rows` in the top-causes table")
-	jsonPath := fs.String("json", "", "write the full report as JSON to this file")
-	record := fs.Bool("record", false, "embed raw per-cell series/ledger records in the JSON report")
-	samplesPath := fs.String("samples", "", "write interval samples as JSONL to this file")
-	csvPath := fs.String("csv", "", "write interval samples as CSV to this file")
-	perfettoPath := fs.String("perfetto", "", "write interval samples as Perfetto counter tracks to this file")
+	jsonPath := pathFlag(fs, "json", "write the full report as JSON to this `file`")
+	record := fs.Bool("record", false, "embed each cell's raw samples and stall ledger in the JSON report")
+	samplesPath := pathFlag(fs, "samples", "write interval samples as JSONL to this `file`")
+	csvPath := pathFlag(fs, "csv", "write interval samples as CSV to this `file`")
+	perfettoPath := pathFlag(fs, "perfetto", "write interval samples as Perfetto counter tracks to this `file`")
 	check := fs.Bool("check", false, "validate report schema and reconciliation; non-zero exit on violation")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -134,16 +134,6 @@ func runExplain(args []string) error {
 		TopCauses:     attr.TopCausesFromConfigs(configs),
 		Wall:          wall,
 	}
-	// Corpus/checkpoint/serve hit attribution rides on the metrics
-	// registry: present only when the run had -metrics (the counters
-	// live there). The serve.* prefix covers reports written by a
-	// draining `memwall serve -metrics` run.
-	if snap := observation().Metrics.Snapshot(); len(snap.Counters) > 0 {
-		if hits := snap.CounterPrefix("corpus.", "checkpoint.", "serve."); len(hits) > 0 {
-			rep.Corpus = hits
-		}
-	}
-
 	printExplain(rep, *top)
 
 	if *jsonPath != "" {
@@ -256,9 +246,6 @@ func printExplain(rep *attr.Report, top int) {
 
 	fmt.Printf("explain: wall clock — %.2fs total across %d cells (%d computed, %d from checkpoint)\n",
 		rep.Wall.TotalSeconds, len(rep.Wall.Cells), rep.Wall.ComputedCells, rep.Wall.CheckpointCells)
-	if len(rep.Corpus) > 0 {
-		fmt.Printf("explain: corpus/checkpoint counters: %d recorded (see -json report)\n", len(rep.Corpus))
-	}
 	fmt.Println()
 }
 

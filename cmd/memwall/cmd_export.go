@@ -87,13 +87,7 @@ func runFuture(args []string) error {
 			fmt.Sprintf("%.2f", res.FP()),
 			fmt.Sprintf("%.2f", res.FL()),
 			fmt.Sprintf("%.2f", res.FB()))
-		// Next generation: clock doubles, absolute memory and bus speeds
-		// stay fixed, so their processor-cycle costs double.
-		m.ClockMHz *= 2
-		m.Mem.L2.AccessCycles *= 2
-		m.Mem.MemAccessCycles *= 2
-		m.Mem.L1L2Bus.Ratio *= 2
-		m.Mem.MemBus.Ratio *= 2
+		fasterClock(&m)
 	}
 	fmt.Println(t)
 
@@ -110,11 +104,7 @@ func runFuture(args []string) error {
 			fmt.Sprintf("%.2f", res.FP()),
 			fmt.Sprintf("%.2f", res.FL()),
 			fmt.Sprintf("%.2f", res.FB()))
-		m.ClockMHz *= 2
-		m.Mem.L2.AccessCycles *= 2
-		m.Mem.MemAccessCycles *= 2
-		m.Mem.L1L2Bus.Ratio *= 2
-		m.Mem.MemBus.Ratio *= 2
+		fasterClock(&m)
 		m.Mem.L1.Size *= 4
 		m.Mem.L2.Size *= 4
 	}

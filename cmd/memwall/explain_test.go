@@ -7,6 +7,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -17,7 +19,6 @@ import (
 	"time"
 
 	"memwall/internal/attr"
-	"memwall/internal/cpu"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 )
@@ -98,6 +99,46 @@ func TestExplainParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestGoldenExplainExports pins what explain's exports contain, where
+// TestExplainParallelDeterminism only pins that -j does not change them:
+// the SHA-256 of the JSONL, CSV and Perfetto sample exports and of the
+// -json -record report without its host-dependent wall section.
+func TestGoldenExplainExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
+	}
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	capture(t, func() error {
+		return runCommand("explain", []string{
+			"-suite", "92", "-benches", "compress", "-interval", "2048", "-j", "1",
+			"-samples", path("samples"), "-csv", path("csv"), "-perfetto", path("perfetto"),
+			"-json", path("report"), "-record",
+		})
+	})
+	var report map[string]json.RawMessage
+	if err := json.Unmarshal(mustRead(t, path("report")), &report); err != nil {
+		t.Fatal(err)
+	}
+	delete(report, "wall")
+	got := map[string][]byte{
+		"samples":  mustRead(t, path("samples")),
+		"csv":      mustRead(t, path("csv")),
+		"perfetto": mustRead(t, path("perfetto")),
+		"report":   mustMarshal(t, report),
+	}
+	for name, want := range map[string]string{
+		"samples":  "bf78ec68d51e46dc6169f144231a32190be7f602994dae1f7cd4b2e2e592e5e3",
+		"csv":      "9eb17a5a352ac5101a1eac7f63e5d4e916f4e7029896f65402a0164d605c1d06",
+		"perfetto": "a0ed7ba5318a28d41d0029040bac7dfea379b17d5dc41769240d12053eda4577",
+		"report":   "671094fdede283b7622d2616306986a5688cdf9cda1da42d972543ef3efa045a",
+	} {
+		if sum := sha256.Sum256(got[name]); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s export: sha256 %x, want %s", name, sum, want)
+		}
+	}
+}
+
 // stripWallLines drops the host-dependent wall-clock summary from
 // explain stdout.
 func stripWallLines(s string) string {
@@ -150,12 +191,7 @@ func TestExplainReportReconciles(t *testing.T) {
 			t.Errorf("%s/%s: -record did not embed the attribution record", c.Benchmark, c.Experiment)
 			continue
 		}
-		led, ok := c.Record.Ledgers[cpu.StallLedger]
-		if !ok {
-			t.Errorf("%s/%s: record has no %s ledger", c.Benchmark, c.Experiment, cpu.StallLedger)
-			continue
-		}
-		if led.Cycles != c.T {
+		if led := c.Record.Stalls; led.Cycles != c.T {
 			t.Errorf("%s/%s: ledger closed at %d cycles, full run took %d", c.Benchmark, c.Experiment, led.Cycles, c.T)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -83,11 +84,17 @@ func exitStatus(err error) int {
 }
 
 // parseFlags parses a subcommand's FlagSet, classifying any failure as a
-// usage error so main exits with status 2. -h/-help passes through as
-// flag.ErrHelp (the FlagSet already printed its usage). A flag defined by
-// minIntFlag and set below its minimum is a usage error that names it.
+// usage error so main exits with status 2. On any parse failure, -h/-help
+// included, it prints the FlagSet's usage; the FlagSet prints nothing
+// itself, so the error reaches stderr once, from main. -h/-help passes
+// through as flag.ErrHelp. A flag defined by minIntFlag and set below its
+// minimum is a usage error that names it.
 func parseFlags(fs *flag.FlagSet, args []string) error {
+	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
+		fs.SetOutput(os.Stderr)
+		fmt.Fprintf(os.Stderr, "Usage of %s:\n", fs.Name())
+		fs.PrintDefaults()
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
@@ -131,6 +138,38 @@ func minIntFlag(fs *flag.FlagSet, name string, value, min int, usage string) *in
 	v := value
 	fs.Var(intFlag{&v, min}, name, usage)
 	return &v
+}
+
+// pathValue is the value of a flag naming an output file. Set rejects a
+// value that begins with '-': the flag package hands a string flag the
+// next argument whatever it is, so `explain -json -record` would write
+// the report to a file named -record and never set -record.
+type pathValue struct{ p *string }
+
+func (v pathValue) String() string {
+	if v.p == nil { // the flag package formats a zero pathValue to find defaults
+		return ""
+	}
+	return *v.p
+}
+
+func (v pathValue) Set(s string) error {
+	if looksLikeFlag(s) {
+		return errors.New("looks like a flag, not a file name")
+	}
+	*v.p = s
+	return nil
+}
+
+// looksLikeFlag reports whether a flag's value begins with '-': almost
+// certainly the next flag, taken as this one's value.
+func looksLikeFlag(value string) bool { return strings.HasPrefix(value, "-") }
+
+// pathFlag defines a flag naming an output file ("" when unset).
+func pathFlag(fs *flag.FlagSet, name, usage string) *string {
+	var p string
+	fs.Var(pathValue{&p}, name, usage)
+	return &p
 }
 
 // benchValue is the value of every -bench and -benches flag: one workload
@@ -256,23 +295,28 @@ func allOrder() []string {
 }
 
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run executes one memwall command line (the arguments after the
+// program name) and returns its exit status. A failed command's error is
+// printed to stderr here, once.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	name := os.Args[1]
+	name := args[0]
 	var err error
 	if name == "all" {
-		err = runAll(os.Args[2:])
+		err = runAll(args[1:])
 	} else {
-		err = runCommand(name, os.Args[2:])
+		err = runCommand(name, args[1:])
 	}
-	if err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "memwall %s: %v\n", name, err)
-		}
-		os.Exit(exitStatus(err))
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "memwall %s: %v\n", name, err)
 	}
+	return exitStatus(err)
 }
 
 // runAll runs every curated command in paper order inside one telemetry

@@ -161,6 +161,80 @@ func TestNumericFlagsOutsideDomain(t *testing.T) {
 	}
 }
 
+// runCLI runs one memwall command line through run, as main does, and
+// returns its exit status and what it printed on stdout and stderr.
+func runCLI(t *testing.T, args ...string) (status int, stdout, stderr string) {
+	t.Helper()
+	stderr = captureStderr(t, func() error {
+		stdout = capture(t, func() error {
+			status = run(args)
+			return nil
+		})
+		return nil
+	})
+	return status, stdout, stderr
+}
+
+// A flag that names a file takes the next argument as its value, even
+// when that is the next flag; explain's export flags and the global flags
+// that take a value reject such a value as a usage error naming the flag,
+// before anything runs or is written.
+func TestFlagValueThatLooksLikeAFlag(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"explain", "-suite", "92", "-benches", "compress", "-json", "-record"}, "flag -json:"},
+		{[]string{"explain", "-samples", "-check"}, "flag -samples:"},
+		{[]string{"explain", "-csv", "-record"}, "flag -csv:"},
+		{[]string{"explain", "-perfetto", "--check"}, "flag -perfetto:"},
+		{[]string{"fig3", "-suite", "92", "-metrics", "-progress"}, "flag -metrics:"},
+		{[]string{"table3", "-events", "-j", "2"}, "flag -events:"},
+		{[]string{"table7", "-checkpoint-dir=-resume"}, "flag -checkpoint-dir:"},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			t.Chdir(t.TempDir())
+			status, stdout, stderr := runCLI(t, c.args...)
+			if status != 2 {
+				t.Errorf("exit status %d, want 2 (stderr %q)", status, stderr)
+			}
+			if !strings.Contains(stderr, c.flag) {
+				t.Errorf("stderr does not name %s: %q", c.flag, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("printed %q", stdout)
+			}
+			if files, err := os.ReadDir("."); err != nil || len(files) > 0 {
+				t.Errorf("wrote %v (err %v)", files, err)
+			}
+		})
+	}
+}
+
+// A flag the FlagSet cannot parse is reported on stderr once, with the
+// command's usage once; -h prints the usage alone. All exit 2.
+func TestFlagErrorPrintedOnce(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		invalid int
+	}{
+		{[]string{"cmp", "-cores", "abc"}, 1},
+		{[]string{"buses", "-bench", "nosuch"}, 1},
+		{[]string{"cmp", "-h"}, 0},
+	} {
+		status, stdout, stderr := runCLI(t, c.args...)
+		if status != 2 || stdout != "" {
+			t.Errorf("%v: exit status %d, stdout %q; want 2 and nothing", c.args, status, stdout)
+		}
+		if got := strings.Count(stderr, "invalid value"); got != c.invalid {
+			t.Errorf("%v: %d lines say invalid value, want %d:\n%s", c.args, got, c.invalid, stderr)
+		}
+		if got := strings.Count(stderr, "Usage of "+c.args[0]+":"); got != 1 {
+			t.Errorf("%v: usage printed %d times, want 1:\n%s", c.args, got, stderr)
+		}
+	}
+}
+
 func TestTable3Output(t *testing.T) {
 	out := capture(t, func() error { return runTable3(nil) })
 	for _, want := range []string{"compress", "vortex", "SPEC92", "SPEC95"} {

@@ -96,6 +96,9 @@ func splitGlobalFlags(args []string) (globalOpts, []string, error) {
 			i++
 			value = args[i]
 		}
+		if takesValue && looksLikeFlag(value) {
+			return opts, nil, fmt.Errorf("flag -%s: value %q looks like a flag", name, value)
+		}
 		switch name {
 		case "metrics":
 			opts.metricsPath = value

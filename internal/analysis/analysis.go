@@ -8,8 +8,7 @@
 // the real framework by changing only import paths.
 //
 // The memwall analyzers live in subpackages — detlint (determinism),
-// unitlint (quantity-unit safety), telemetrylint (constant, valid
-// attribution instrument names), streamlint (stream sharing, corpus
+// unitlint (quantity-unit safety), streamlint (stream sharing, corpus
 // immutability and atomic writes), hotlint (hot-path hygiene) and
 // guardlint (guarded division and comma-ok use) — and are driven by
 // cmd/memlint over the whole module, or by analysistest over fixture

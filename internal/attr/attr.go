@@ -18,13 +18,11 @@
 //     estimate directly comparable to the paper's T_L and T_B
 //     (Equations 2-3), which the explain report cross-checks.
 //
-// A Collector is the registry handing out named instruments for one
-// simulation run. Like telemetry.Registry it is the only constructor:
-// instrument names are registry-derived and must match the dotted
-// lowercase naming rule ("attr.core.stalls"); the telemetrylint analyzer
-// enforces both statically. A nil *Collector hands out nil instruments,
-// so instrumented simulator code pays one nil check when attribution is
-// off — the same zero-cost-when-disabled contract as telemetry.
+// A Collector holds one simulation run's two instruments: one Sampler
+// and one Ledger. A nil *Collector hands out nil instruments, and nil
+// instruments discard everything, so instrumented simulator code pays
+// one nil check when attribution is off — the same
+// zero-cost-when-disabled contract as telemetry.
 //
 // Collectors are intentionally NOT safe for concurrent use: a collector
 // belongs to exactly one simulation run (one grid cell), which is what
@@ -32,10 +30,7 @@
 // concurrent run its own Collector.
 package attr
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Cause is one bucket of the stall taxonomy.
 type Cause uint8
@@ -94,10 +89,10 @@ func CauseNames() []string {
 // Options parameterise a Collector.
 type Options struct {
 	// Interval is the sampling period in simulated cycles (default
-	// 8192). Samplers double it adaptively when a run outgrows
+	// 8192). The sampler doubles it adaptively when a run outgrows
 	// MaxSamples, so long runs stay bounded.
 	Interval int64
-	// MaxSamples caps each series' length (default 2048); exceeding it
+	// MaxSamples caps the series' length (default 2048); exceeding it
 	// decimates the series (every other sample dropped, interval
 	// doubled).
 	MaxSamples int
@@ -113,158 +108,66 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Collector is the per-run attribution registry. Instruments are created
-// on first use and live for the collector's lifetime; a nil *Collector
-// hands out nil instruments, which discard everything.
+// Collector is the per-run attribution state: the run's interval
+// sampler and stall ledger.
 type Collector struct {
-	opts     Options
-	samplers map[string]*Sampler
-	ledgers  map[string]*Ledger
+	interval int64
+	sampler  *Sampler
+	ledger   *Ledger
 }
 
-// New returns an empty collector for one simulation run.
-func New(opts Options) *Collector {
+// New returns the collector for one simulation run on a core of the
+// given issue width.
+func New(opts Options, issueWidth int) *Collector {
+	opts = opts.withDefaults()
+	w := int64(issueWidth)
+	if w < 1 {
+		w = 1
+	}
 	return &Collector{
-		opts:     opts.withDefaults(),
-		samplers: map[string]*Sampler{},
-		ledgers:  map[string]*Ledger{},
+		interval: opts.Interval,
+		sampler:  &Sampler{interval: opts.Interval, next: opts.Interval, max: opts.MaxSamples},
+		ledger:   &Ledger{width: w},
 	}
 }
 
-// checkName panics on an instrument name violating the dotted lowercase
-// rule (instrument naming is programmer-controlled, exactly like
-// histogram bounds in telemetry).
-func checkName(name string) {
-	if !ValidName(name) {
-		panic(fmt.Sprintf("attr: invariant violated: instrument name %q must be dotted lowercase (e.g. \"attr.core.stalls\")", name))
-	}
-}
-
-// ValidName reports whether name follows the dotted lowercase naming
-// rule shared with the telemetry registry: two or more dot-separated
-// segments of [a-z0-9_], each starting with a letter or digit.
-func ValidName(name string) bool {
-	segs := 0
-	segLen := 0
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c == '.':
-			if segLen == 0 {
-				return false
-			}
-			segs++
-			segLen = 0
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
-			segLen++
-		case c == '_':
-			if segLen == 0 {
-				return false
-			}
-			segLen++
-		default:
-			return false
-		}
-	}
-	return segs >= 1 && segLen > 0
-}
-
-// Sampler returns the named cycle-interval sampler, creating it if
-// needed. Returns nil on a nil collector.
-func (c *Collector) Sampler(name string) *Sampler {
+// Sampler returns the run's interval sampler; nil on a nil collector.
+func (c *Collector) Sampler() *Sampler {
 	if c == nil {
 		return nil
 	}
-	checkName(name)
-	s, ok := c.samplers[name]
-	if !ok {
-		s = &Sampler{
-			name:     name,
-			interval: c.opts.Interval,
-			next:     c.opts.Interval,
-			max:      c.opts.MaxSamples,
-		}
-		c.samplers[name] = s
-	}
-	return s
+	return c.sampler
 }
 
-// Ledger returns the named stall ledger for a core of the given issue
-// width, creating it if needed. Returns nil on a nil collector.
-func (c *Collector) Ledger(name string, issueWidth int) *Ledger {
+// Ledger returns the run's stall ledger; nil on a nil collector.
+func (c *Collector) Ledger() *Ledger {
 	if c == nil {
 		return nil
 	}
-	checkName(name)
-	l, ok := c.ledgers[name]
-	if !ok {
-		w := int64(issueWidth)
-		if w < 1 {
-			w = 1
-		}
-		l = &Ledger{name: name, width: w}
-		c.ledgers[name] = l
-	}
-	return l
+	return c.ledger
 }
 
-// Record snapshots every instrument into a serialisable RunRecord.
+// Record snapshots both instruments into a serialisable RunRecord.
 // Returns nil on a nil collector.
 func (c *Collector) Record() *RunRecord {
 	if c == nil {
 		return nil
 	}
-	r := &RunRecord{Interval: c.opts.Interval}
-	if len(c.samplers) > 0 {
-		r.Series = map[string]Series{}
-		for n, s := range c.samplers {
-			r.Series[n] = s.series.clone()
-		}
+	return &RunRecord{
+		Interval: c.interval,
+		Samples:  c.sampler.series.clone(),
+		Stalls:   c.ledger.Snapshot(),
 	}
-	if len(c.ledgers) > 0 {
-		r.Ledgers = map[string]LedgerSnapshot{}
-		for n, l := range c.ledgers {
-			r.Ledgers[n] = l.Snapshot()
-		}
-	}
-	return r
 }
 
-// RunRecord is the attribution output of one simulation run: every
-// sampler's series and every ledger's reconciled account. All fields are
+// RunRecord is the attribution output of one simulation run: the
+// sampler's series and the ledger's reconciled account. All fields are
 // exported and JSON-round-trip cleanly, so records survive the runner's
-// checkpoint ledger (maps serialise with sorted keys, keeping records
-// byte-identical at any worker count).
+// checkpoint ledger byte for byte.
 type RunRecord struct {
 	// Interval is the configured sampling period in simulated cycles
-	// (individual series may have doubled it — see Series.Interval).
-	Interval int64                     `json:"interval"`
-	Series   map[string]Series         `json:"series,omitempty"`
-	Ledgers  map[string]LedgerSnapshot `json:"ledgers,omitempty"`
-}
-
-// SeriesNames returns the series names in sorted order.
-func (r *RunRecord) SeriesNames() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for n := range r.Series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LedgerNames returns the ledger names in sorted order.
-func (r *RunRecord) LedgerNames() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for n := range r.Ledgers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	// (the series may have doubled it — see Series.Interval).
+	Interval int64          `json:"interval"`
+	Samples  Series         `json:"samples"`
+	Stalls   LedgerSnapshot `json:"stalls"`
 }

@@ -9,7 +9,7 @@ import (
 
 func TestNilCollectorHandsOutNilInstruments(t *testing.T) {
 	var c *Collector
-	if c.Sampler("a.b") != nil || c.Ledger("a.b", 4) != nil {
+	if c.Sampler() != nil || c.Ledger() != nil {
 		t.Fatal("nil collector handed out instruments")
 	}
 	if c.Record() != nil {
@@ -21,9 +21,6 @@ func TestNilCollectorHandsOutNilInstruments(t *testing.T) {
 		t.Error("nil sampler was due")
 	}
 	s.Record(Sample{Cycle: 5})
-	if s.Series().Len() != 0 {
-		t.Error("nil sampler recorded")
-	}
 	var l *Ledger
 	l.Charge(CauseLatency, 10)
 	l.ChargeCycles(CauseBandwidth, 10)
@@ -32,48 +29,27 @@ func TestNilCollectorHandsOutNilInstruments(t *testing.T) {
 		t.Error("nil ledger has slots")
 	}
 	var rec *RunRecord
-	if rec.SeriesNames() != nil || rec.LedgerNames() != nil {
-		t.Error("nil record has names")
-	}
 	var buf bytes.Buffer
 	if err := rec.WriteSamplesJSONL(&buf, "x"); err != nil || buf.Len() != 0 {
 		t.Error("nil record exported")
 	}
 }
 
+// A collector holds one sampler and one ledger and hands out the same
+// two on every call, so what the probe records is what Record reports.
 func TestCollectorReusesInstruments(t *testing.T) {
-	c := New(Options{})
-	if c.Sampler("core.samples") != c.Sampler("core.samples") {
+	c := New(Options{}, 0)
+	if c.Sampler() == nil || c.Sampler() != c.Sampler() {
 		t.Error("sampler not reused")
 	}
-	if c.Ledger("core.stalls", 4) != c.Ledger("core.stalls", 4) {
+	if c.Ledger() == nil || c.Ledger() != c.Ledger() {
 		t.Error("ledger not reused")
 	}
-}
-
-func TestValidName(t *testing.T) {
-	valid := []string{"attr.core.stalls", "a.b", "x1.y_2", "cache.l1.refs"}
-	invalid := []string{"", "nodots", "Upper.case", "a..b", ".a", "a.", "a b.c", "_a.b", "a._b", "a.b-"}
-	for _, n := range valid {
-		if !ValidName(n) {
-			t.Errorf("ValidName(%q) = false, want true", n)
-		}
+	c.Ledger().ChargeCycles(CauseLatency, 3)
+	c.Ledger().Close(10, 4)
+	if got := c.Record().Stalls; got.IssueWidth != 1 || got.Raw["latency"] != 3 {
+		t.Errorf("recorded ledger = %+v, want issue width 1 (clamped from 0) and 3 latency slots", got)
 	}
-	for _, n := range invalid {
-		if ValidName(n) {
-			t.Errorf("ValidName(%q) = true, want false", n)
-		}
-	}
-}
-
-func TestCollectorPanicsOnBadName(t *testing.T) {
-	c := New(Options{})
-	defer func() {
-		if recover() == nil {
-			t.Error("bad instrument name did not panic")
-		}
-	}()
-	c.Sampler("NotDotted")
 }
 
 func TestCauseNames(t *testing.T) {
@@ -115,8 +91,7 @@ func TestLedgerCloseReconcilesExactly(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(Options{})
-			l := c.Ledger("test.stalls", tc.width)
+			l := New(Options{}, tc.width).Ledger()
 			for cause, n := range tc.charges {
 				l.Charge(cause, n)
 			}
@@ -153,8 +128,7 @@ func TestLedgerCloseReconcilesExactly(t *testing.T) {
 }
 
 func TestLedgerCloseIsIdempotentAndFreezes(t *testing.T) {
-	c := New(Options{})
-	l := c.Ledger("test.stalls", 2)
+	l := New(Options{}, 2).Ledger()
 	l.Charge(CauseLatency, 10)
 	l.Close(100, 50)
 	first := l.Snapshot()
@@ -170,8 +144,7 @@ func TestLedgerCloseIsIdempotentAndFreezes(t *testing.T) {
 }
 
 func TestLedgerChargeCycles(t *testing.T) {
-	c := New(Options{})
-	l := c.Ledger("test.stalls", 4)
+	l := New(Options{}, 4).Ledger()
 	l.ChargeCycles(CauseFrontend, 3) // 12 slots
 	l.Close(100, 388)                // budget = 400-388 = 12
 	snap := l.Snapshot()
@@ -184,8 +157,8 @@ func TestLedgerChargeCycles(t *testing.T) {
 }
 
 func TestSamplerRecordsAndAdvances(t *testing.T) {
-	c := New(Options{Interval: 100, MaxSamples: 1000})
-	s := c.Sampler("test.samples")
+	c := New(Options{Interval: 100, MaxSamples: 1000}, 1)
+	s := c.Sampler()
 	if s.Due(99) {
 		t.Error("due before first interval")
 	}
@@ -210,7 +183,7 @@ func TestSamplerRecordsAndAdvances(t *testing.T) {
 	}
 	// Same-cycle re-record overwrites rather than appending.
 	s.Record(Sample{Cycle: 1234, Insts: 601})
-	ser := s.Series()
+	ser := c.Record().Samples
 	if ser.Len() != 2 {
 		t.Fatalf("series length = %d, want 2", ser.Len())
 	}
@@ -223,14 +196,14 @@ func TestSamplerRecordsAndAdvances(t *testing.T) {
 }
 
 func TestSamplerDecimatesWhenFull(t *testing.T) {
-	c := New(Options{Interval: 10, MaxSamples: 8})
-	s := c.Sampler("test.samples")
+	c := New(Options{Interval: 10, MaxSamples: 8}, 1)
+	s := c.Sampler()
 	for cyc := int64(10); cyc <= 200; cyc += 10 {
 		if s.Due(cyc) {
 			s.Record(Sample{Cycle: cyc, Insts: cyc * 2})
 		}
 	}
-	ser := s.Series()
+	ser := c.Record().Samples
 	if ser.Len() > 8 {
 		t.Errorf("series length %d exceeds max 8", ser.Len())
 	}
@@ -246,11 +219,11 @@ func TestSamplerDecimatesWhenFull(t *testing.T) {
 }
 
 func TestRecordJSONRoundTrip(t *testing.T) {
-	c := New(Options{Interval: 50})
-	s := c.Sampler("core.samples")
+	c := New(Options{Interval: 50}, 2)
+	s := c.Sampler()
 	s.Record(Sample{Cycle: 50, Insts: 20, MemBusBusy: 7, RUUFill: 3})
 	s.Record(Sample{Cycle: 100, Insts: 45, MemBusBusy: 19, RUUFill: 5})
-	l := c.Ledger("core.stalls", 2)
+	l := c.Ledger()
 	l.Charge(CauseBandwidth, 30)
 	l.Close(100, 45)
 
@@ -270,25 +243,25 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Errorf("record does not JSON round-trip:\n%s\n%s", b1, b2)
 	}
-	if err := back.Ledgers["core.stalls"].CheckIdentity(); err != nil {
+	if err := back.Stalls.CheckIdentity(); err != nil {
 		t.Errorf("round-tripped ledger identity: %v", err)
 	}
 }
 
 func TestRecordIsASnapshot(t *testing.T) {
-	c := New(Options{Interval: 10})
-	s := c.Sampler("core.samples")
+	c := New(Options{Interval: 10}, 1)
+	s := c.Sampler()
 	s.Record(Sample{Cycle: 10, Insts: 5})
 	rec := c.Record()
 	s.Record(Sample{Cycle: 20, Insts: 9})
-	if got := len(rec.Series["core.samples"].Cycle); got != 1 {
+	if got := len(rec.Samples.Cycle); got != 1 {
 		t.Errorf("record mutated by later samples: %d samples", got)
 	}
 }
 
 func TestExporters(t *testing.T) {
-	c := New(Options{Interval: 100})
-	s := c.Sampler("core.samples")
+	c := New(Options{Interval: 100}, 1)
+	s := c.Sampler()
 	s.Record(Sample{Cycle: 100, Insts: 150, OutstandingMisses: 2, MSHROccupancy: 1, RUUFill: 8})
 	s.Record(Sample{Cycle: 200, Insts: 350, OutstandingMisses: 4, MSHROccupancy: 3, RUUFill: 12})
 	rec := c.Record()
@@ -320,7 +293,7 @@ func TestExporters(t *testing.T) {
 	if got := strings.Count(csv.String(), "\n"); got != 2 {
 		t.Errorf("CSV rows = %d, want 2", got)
 	}
-	if !strings.HasPrefix(csv.String(), "bench/exp,core.samples,100,150,1.5,") {
+	if !strings.HasPrefix(csv.String(), "bench/exp,100,150,1.5,") {
 		t.Errorf("CSV first row = %q", strings.SplitN(csv.String(), "\n", 2)[0])
 	}
 	if got, want := len(strings.Split(SamplesCSVHeader, ",")), len(strings.Split(strings.SplitN(csv.String(), "\n", 2)[0], ",")); got != want {
@@ -342,7 +315,7 @@ func TestExporters(t *testing.T) {
 	if err := json.Unmarshal([]byte(first), &ev); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Phase != "C" || ev.PID != 3 || ev.Name != "bench/exp/core.samples" || ev.TS != 100 {
+	if ev.Phase != "C" || ev.PID != 3 || ev.Name != "bench/exp" || ev.TS != 100 {
 		t.Errorf("perfetto event = %+v", ev)
 	}
 	if ev.Args["ipc_milli"] != 1500 {
@@ -396,9 +369,9 @@ func TestReportValidate(t *testing.T) {
 		t.Error("empty report accepted")
 	}
 	bad = good()
-	bad.Configs[0].Record = &RunRecord{Ledgers: map[string]LedgerSnapshot{
-		"core.stalls": {Name: "core.stalls", IssueWidth: 1, TotalSlots: 100, UsefulSlots: 40,
-			Slots: map[string]int64{"latency": 10}}, // 40+10 != 100
+	bad.Configs[0].Record = &RunRecord{Stalls: LedgerSnapshot{
+		IssueWidth: 1, TotalSlots: 100, UsefulSlots: 40,
+		Slots: map[string]int64{"latency": 10}, // 40+10 != 100
 	}}
 	if bad.Validate() == nil {
 		t.Error("broken ledger identity accepted")

@@ -1,8 +1,8 @@
 package attr
 
-// Interval time-series exporters. All three formats iterate series in
-// sorted name order and emit nothing host-dependent, so given equal
-// records the output bytes are identical at any worker count.
+// Interval time-series exporters. All three formats emit nothing
+// host-dependent, so given equal records the output bytes are identical
+// at any worker count.
 
 import (
 	"encoding/json"
@@ -16,7 +16,6 @@ import (
 // interval ending at this sample.
 type sampleRow struct {
 	Label             string  `json:"label"`
-	Series            string  `json:"series"`
 	Cycle             int64   `json:"cycle"`
 	Insts             int64   `json:"insts"`
 	IPC               float64 `json:"ipc"`
@@ -27,7 +26,7 @@ type sampleRow struct {
 	RUUFill           int64   `json:"ruuFill"`
 }
 
-func rowsOf(label, name string, s Series) []sampleRow {
+func rowsOf(label string, s Series) []sampleRow {
 	rows := make([]sampleRow, 0, s.Len())
 	var prevCycle, prevInsts int64
 	for i := 0; i < s.Len(); i++ {
@@ -37,7 +36,7 @@ func rowsOf(label, name string, s Series) []sampleRow {
 			ipc = float64(sm.Insts-prevInsts) / float64(dc)
 		}
 		rows = append(rows, sampleRow{
-			Label: label, Series: name,
+			Label: label,
 			Cycle: sm.Cycle, Insts: sm.Insts, IPC: ipc,
 			L1L2BusBusy: sm.L1L2BusBusy, MemBusBusy: sm.MemBusBusy,
 			OutstandingMisses: sm.OutstandingMisses,
@@ -48,43 +47,39 @@ func rowsOf(label, name string, s Series) []sampleRow {
 	return rows
 }
 
-// WriteSamplesJSONL writes every cycle series in r as one JSON object
-// per sample line, tagged with label (typically "bench/experiment").
+// WriteSamplesJSONL writes r's sample series as one JSON object per
+// sample line, tagged with label (typically "bench/experiment").
 func (r *RunRecord) WriteSamplesJSONL(w io.Writer, label string) error {
 	if r == nil {
 		return nil
 	}
 	enc := json.NewEncoder(w)
-	for _, name := range r.SeriesNames() {
-		for _, row := range rowsOf(label, name, r.Series[name]) {
-			if err := enc.Encode(row); err != nil {
-				return err
-			}
+	for _, row := range rowsOf(label, r.Samples) {
+		if err := enc.Encode(row); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // SamplesCSVHeader is the column order of WriteSamplesCSV.
-const SamplesCSVHeader = "label,series,cycle,insts,ipc,l1l2_bus_busy,mem_bus_busy,outstanding_misses,mshr_occupancy,ruu_fill"
+const SamplesCSVHeader = "label,cycle,insts,ipc,l1l2_bus_busy,mem_bus_busy,outstanding_misses,mshr_occupancy,ruu_fill"
 
-// WriteSamplesCSV writes every cycle series in r as CSV rows under
+// WriteSamplesCSV writes r's sample series as CSV rows under
 // SamplesCSVHeader. The header is written by the caller once per file,
 // not here, so multiple records can share a file.
 func (r *RunRecord) WriteSamplesCSV(w io.Writer, label string) error {
 	if r == nil {
 		return nil
 	}
-	for _, name := range r.SeriesNames() {
-		for _, row := range rowsOf(label, name, r.Series[name]) {
-			_, err := fmt.Fprintf(w, "%s,%s,%d,%d,%s,%d,%d,%d,%d,%d\n",
-				row.Label, row.Series, row.Cycle, row.Insts,
-				strconv.FormatFloat(row.IPC, 'g', -1, 64),
-				row.L1L2BusBusy, row.MemBusBusy, row.OutstandingMisses,
-				row.MSHROccupancy, row.RUUFill)
-			if err != nil {
-				return err
-			}
+	for _, row := range rowsOf(label, r.Samples) {
+		_, err := fmt.Fprintf(w, "%s,%d,%d,%s,%d,%d,%d,%d,%d\n",
+			row.Label, row.Cycle, row.Insts,
+			strconv.FormatFloat(row.IPC, 'g', -1, 64),
+			row.L1L2BusBusy, row.MemBusBusy, row.OutstandingMisses,
+			row.MSHROccupancy, row.RUUFill)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -103,39 +98,36 @@ type perfettoEvent struct {
 	Args  map[string]int64 `json:"args"`
 }
 
-// WritePerfetto writes the record's cycle series as Chrome trace-format
+// WritePerfetto writes the record's sample series as Chrome trace-format
 // counter ("C") events, one JSON object per line, loadable directly at
-// ui.perfetto.dev. Each series becomes one counter track named
-// "label/series"; pid groups all tracks of one run.
+// ui.perfetto.dev. The series becomes one counter track named label;
+// pid groups the run's events.
 func (r *RunRecord) WritePerfetto(w io.Writer, label string, pid int) error {
 	if r == nil {
 		return nil
 	}
 	enc := json.NewEncoder(w)
-	for _, name := range r.SeriesNames() {
-		s := r.Series[name]
-		track := label + "/" + name
-		var prevCycle, prevInsts int64
-		for i := 0; i < s.Len(); i++ {
-			sm := s.At(i)
-			// Scale IPC x1000: trace counter args render as integers.
-			milliIPC := int64(0)
-			if dc := sm.Cycle - prevCycle; dc > 0 {
-				milliIPC = (sm.Insts - prevInsts) * 1000 / dc
-			}
-			prevCycle, prevInsts = sm.Cycle, sm.Insts
-			err := enc.Encode(perfettoEvent{
-				Name: track, Phase: "C", TS: sm.Cycle, PID: pid, TID: 1,
-				Args: map[string]int64{
-					"ipc_milli":          milliIPC,
-					"outstanding_misses": sm.OutstandingMisses,
-					"mshr_occupancy":     sm.MSHROccupancy,
-					"ruu_fill":           sm.RUUFill,
-				},
-			})
-			if err != nil {
-				return err
-			}
+	s := r.Samples
+	var prevCycle, prevInsts int64
+	for i := 0; i < s.Len(); i++ {
+		sm := s.At(i)
+		// Scale IPC x1000: trace counter args render as integers.
+		milliIPC := int64(0)
+		if dc := sm.Cycle - prevCycle; dc > 0 {
+			milliIPC = (sm.Insts - prevInsts) * 1000 / dc
+		}
+		prevCycle, prevInsts = sm.Cycle, sm.Insts
+		err := enc.Encode(perfettoEvent{
+			Name: label, Phase: "C", TS: sm.Cycle, PID: pid, TID: 1,
+			Args: map[string]int64{
+				"ipc_milli":          milliIPC,
+				"outstanding_misses": sm.OutstandingMisses,
+				"mshr_occupancy":     sm.MSHROccupancy,
+				"ruu_fill":           sm.RUUFill,
+			},
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -22,7 +22,6 @@ import (
 // A nil *Ledger discards charges; methods are not safe for concurrent
 // use (one ledger per run, like its Collector).
 type Ledger struct {
-	name   string
 	width  int64
 	raw    [NumCauses]int64
 	closed bool
@@ -119,7 +118,6 @@ func (l *Ledger) Close(cycles, insts int64) {
 		}
 	}
 	l.snap = LedgerSnapshot{
-		Name:        l.name,
 		IssueWidth:  l.width,
 		Cycles:      cycles,
 		TotalSlots:  total,
@@ -160,7 +158,6 @@ func copyCauseMap(m map[string]int64) map[string]int64 {
 // recorded; Slots holds the reconciled values satisfying the identity
 // UsefulSlots + sum(Slots) == TotalSlots exactly.
 type LedgerSnapshot struct {
-	Name        string           `json:"name"`
 	IssueWidth  int64            `json:"issueWidth"`
 	Cycles      int64            `json:"cycles"`
 	TotalSlots  int64            `json:"totalSlots"`
@@ -191,13 +188,13 @@ func (s LedgerSnapshot) CheckIdentity() error {
 	var charged int64
 	for name, v := range s.Slots {
 		if v < 0 {
-			return fmt.Errorf("ledger %s: negative reconciled charge %s=%d", s.Name, name, v)
+			return fmt.Errorf("stall ledger: negative reconciled charge %s=%d", name, v)
 		}
 		charged += v
 	}
 	if got := s.UsefulSlots + charged; got != s.TotalSlots {
-		return fmt.Errorf("ledger %s: useful %d + charged %d = %d, want %d total slots",
-			s.Name, s.UsefulSlots, charged, got, s.TotalSlots)
+		return fmt.Errorf("stall ledger: useful %d + charged %d = %d, want %d total slots",
+			s.UsefulSlots, charged, got, s.TotalSlots)
 	}
 	return nil
 }

@@ -8,7 +8,12 @@ import (
 // ReportSchemaVersion identifies the explain report JSON schema; bump it
 // on incompatible field changes so downstream consumers (CI validation,
 // plotting scripts) can fail loudly instead of misreading.
-const ReportSchemaVersion = 1
+//
+// Version 2: a record carries its one sample series and one stall
+// ledger as the typed fields samples and stalls (version 1 held
+// one-entry series and ledgers maps keyed by instrument name), and the
+// report has no corpus counter copy.
+const ReportSchemaVersion = 2
 
 // MaxReconcileError is the acceptance bound on each config's
 // three-simulation reconciliation: |T_P+T_L+T_B - T| / T must stay below
@@ -40,7 +45,7 @@ type ConfigReport struct {
 	// three-simulation ground truth. It is diagnostic, not a gate —
 	// overlapped stalls make the two accountings legitimately differ.
 	AttributionSkew float64 `json:"attributionSkew"`
-	// Record is the cell's raw attribution output (series + ledgers).
+	// Record is the cell's raw attribution output (samples + stalls).
 	Record *RunRecord `json:"record,omitempty"`
 }
 
@@ -80,10 +85,6 @@ type Report struct {
 	// descending.
 	TopCauses []CauseTotal `json:"topCauses"`
 	Wall      WallReport   `json:"wall"`
-	// Corpus holds trace-corpus and checkpoint hit counters when the
-	// run had them enabled (corpus.hit, corpus.miss, checkpoint.hit,
-	// checkpoint.miss).
-	Corpus map[string]int64 `json:"corpus,omitempty"`
 }
 
 // TopCausesFromConfigs aggregates per-config cause cycles into the
@@ -151,10 +152,8 @@ func (r *Report) Validate() error {
 			}
 		}
 		if c.Record != nil {
-			for _, ln := range c.Record.LedgerNames() {
-				if err := c.Record.Ledgers[ln].CheckIdentity(); err != nil {
-					return fmt.Errorf("explain report %s: %w", id, err)
-				}
+			if err := c.Record.Stalls.CheckIdentity(); err != nil {
+				return fmt.Errorf("explain report %s: %w", id, err)
 			}
 		}
 	}

@@ -109,7 +109,6 @@ func (s *Series) decimate() {
 // time, so series are byte-identical however the host schedules the run.
 // A nil *Sampler is never due and discards records.
 type Sampler struct {
-	name     string
 	interval int64
 	next     int64
 	max      int
@@ -146,17 +145,9 @@ func (s *Sampler) Record(sm Sample) {
 	}
 	if sm.Cycle >= s.next {
 		iv := s.interval
-		if iv < 1 { // constructors reject nonpositive intervals; self-heal anyway
+		if iv < 1 { // New never gives a nonpositive interval; self-heal anyway
 			iv = 1
 		}
 		s.next = (sm.Cycle/iv + 1) * iv
 	}
-}
-
-// Series returns a copy of the recorded series.
-func (s *Sampler) Series() Series {
-	if s == nil {
-		return Series{}
-	}
-	return s.series.clone()
 }

@@ -47,8 +47,12 @@ import (
 // fresh ledger). Format 2: serve journals the same core.DecomposeResult
 // payload as batch grids, where format 1 serve ledgers held
 // {"decomposition","counts"} — which would decode as a DecomposeResult
-// of zeros without any error, under an unchanged fingerprint.
-const Format = 2
+// of zeros without any error, under an unchanged fingerprint. Format 3:
+// an explain cell's attribution record holds its samples and stall
+// ledger as typed fields, where format 2 held name-keyed "series" and
+// "ledgers" maps — which would decode as a record with no samples and
+// every ledger cause zero, again without an error.
+const Format = 3
 
 // ledgerFile is the on-disk schema. Cells map cell keys (the runner's
 // task names, e.g. "table6:su2cor") to their JSON-encoded results; Sum is

@@ -2,17 +2,14 @@
 // (see ResolveFigure3) folded into the decomposition it reconciles.
 package core
 
-import (
-	"memwall/internal/attr"
-	"memwall/internal/cpu"
-)
+import "memwall/internal/attr"
 
 // BuildConfigReport folds one explain cell and its result into the
 // report row the `memwall explain` command and the CI validation consume:
 // the paper decomposition (exact by construction after Decompose's
 // monotonicity clamp), the ledger's per-cause cycles, and the skew
 // between the two accountings. includeRecord controls whether the full
-// series/ledger record is embedded (it dominates report size).
+// samples/stalls record is embedded (it dominates report size).
 func BuildConfigReport(c Figure3Cell, res DecomposeResult, includeRecord bool) attr.ConfigReport {
 	r := attr.ConfigReport{
 		Suite:      c.Suite.String(),
@@ -28,16 +25,15 @@ func BuildConfigReport(c Figure3Cell, res DecomposeResult, includeRecord bool) a
 		r.ReconcileError = absF(float64(sum-r.T)) / float64(r.T)
 	}
 	if res.Attr != nil {
-		if led, ok := res.Attr.Ledgers[cpu.StallLedger]; ok {
-			r.CauseCycles = map[string]float64{}
-			for c := attr.Cause(0); c < attr.NumCauses; c++ {
-				r.CauseCycles[c.String()] = led.CauseCycles(c)
-			}
-			if r.T > 0 {
-				memLedger := led.CauseCycles(attr.CauseLatency) + led.CauseCycles(attr.CauseBandwidth)
-				memDecomp := float64(r.TL + r.TB)
-				r.AttributionSkew = absF(memLedger-memDecomp) / float64(r.T)
-			}
+		led := res.Attr.Stalls
+		r.CauseCycles = map[string]float64{}
+		for c := attr.Cause(0); c < attr.NumCauses; c++ {
+			r.CauseCycles[c.String()] = led.CauseCycles(c)
+		}
+		if r.T > 0 {
+			memLedger := led.CauseCycles(attr.CauseLatency) + led.CauseCycles(attr.CauseBandwidth)
+			memDecomp := float64(r.TL + r.TB)
+			r.AttributionSkew = absF(memLedger-memDecomp) / float64(r.T)
 		}
 		if includeRecord {
 			r.Record = res.Attr

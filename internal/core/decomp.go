@@ -183,7 +183,7 @@ func decompose(m Machine, insts []isa.Inst, sharedTP *units.Cycles) (DecomposeRe
 	var out DecomposeResult
 	var col *attr.Collector
 	if m.Attr != nil {
-		col = attr.New(*m.Attr)
+		col = attr.New(*m.Attr, m.CPU.IssueWidth)
 	}
 	run := func(mode mem.Mode) (cpu.Result, time.Duration, error) {
 		cfg := m.Mem

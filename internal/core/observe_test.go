@@ -288,12 +288,7 @@ func TestAttributedFigure3MatchesPlain(t *testing.T) {
 			t.Errorf("%s: attributed cell has no attribution record", c.Machine.Name)
 			continue
 		}
-		led, ok := a.Attr.Ledgers[cpu.StallLedger]
-		if !ok {
-			t.Errorf("%s: record has no %s ledger (have %v)", c.Machine.Name, cpu.StallLedger, a.Attr.LedgerNames())
-			continue
-		}
-		if led.Cycles != int64(a.T) {
+		if led := a.Attr.Stalls; led.Cycles != int64(a.T) {
 			t.Errorf("%s: ledger closed at %d cycles, cell T = %d", c.Machine.Name, led.Cycles, a.T)
 		}
 	}

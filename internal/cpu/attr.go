@@ -23,14 +23,6 @@ import (
 	"memwall/internal/mem"
 )
 
-// StallLedger names the stall ledger the cores register with the
-// attribution collector; report consumers look it up in a run's record
-// by this name.
-const StallLedger = "attr.core.stalls"
-
-// attrSamplerName names the cores' interval sampler.
-const attrSamplerName = "attr.core.samples"
-
 type attrProbe struct {
 	ledger  *attr.Ledger
 	sampler *attr.Sampler
@@ -44,15 +36,11 @@ type attrProbe struct {
 
 // newAttrProbe returns nil when c is nil, keeping the disabled path to
 // one pointer check in the cores.
-func newAttrProbe(c *attr.Collector, cfg Config, h *mem.Hierarchy) *attrProbe {
+func newAttrProbe(c *attr.Collector, h *mem.Hierarchy) *attrProbe {
 	if c == nil {
 		return nil
 	}
-	return &attrProbe{
-		ledger:  c.Ledger(StallLedger, cfg.IssueWidth),
-		sampler: c.Sampler(attrSamplerName),
-		h:       h,
-	}
+	return &attrProbe{ledger: c.Ledger(), sampler: c.Sampler(), h: h}
 }
 
 // chargeGap charges a whole-machine stall of gap cycles (every issue

@@ -31,7 +31,7 @@ func attrHierarchy(t *testing.T, mode mem.Mode, mshrs int) *mem.Hierarchy {
 // the records.
 func attrRun(t *testing.T, cfg Config, h *mem.Hierarchy, insts []isa.Inst) (Result, *attr.RunRecord) {
 	t.Helper()
-	col := attr.New(attr.Options{Interval: 64})
+	col := attr.New(attr.Options{Interval: 64}, cfg.IssueWidth)
 	r, err := Run(cfg, h, insts, &Probe{Attr: col})
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +61,7 @@ func TestLedgerIdentityBothCores(t *testing.T) {
 	}{{"inorder", inorderCfg()}, {"ooo", oooCfg()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, rec := attrRun(t, tc.cfg, attrHierarchy(t, mem.Full, 4), insts)
-			led, ok := rec.Ledgers[StallLedger]
-			if !ok {
-				t.Fatalf("no %s ledger in record (have %v)", StallLedger, rec.LedgerNames())
-			}
+			led := rec.Stalls
 			if err := led.CheckIdentity(); err != nil {
 				t.Fatal(err)
 			}
@@ -84,9 +81,9 @@ func TestLedgerIdentityBothCores(t *testing.T) {
 			}
 			// And the sampler must have recorded a time series ending
 			// at the final cycle.
-			ser, ok := rec.Series[attrSamplerName]
-			if !ok || ser.Len() == 0 {
-				t.Fatalf("no %s series in record", attrSamplerName)
+			ser := rec.Samples
+			if ser.Len() == 0 {
+				t.Fatal("no samples in record")
 			}
 			if last := ser.Cycle[ser.Len()-1]; last != r.Cycles {
 				t.Errorf("final sample at cycle %d, run ended at %d", last, r.Cycles)
@@ -116,7 +113,7 @@ func TestLedgerPerfectMemoryHasNoMemoryCauses(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, rec := attrRun(t, tc.cfg, h, insts)
-			led := rec.Ledgers[StallLedger]
+			led := rec.Stalls
 			if err := led.CheckIdentity(); err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +146,7 @@ func TestAttrDoesNotChangeResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			withAttr, err := Run(tc.cfg, attrHierarchy(t, mem.Full, 4), prog.Insts,
-				&Probe{Attr: attr.New(attr.Options{Interval: 256})})
+				&Probe{Attr: attr.New(attr.Options{Interval: 256}, tc.cfg.IssueWidth)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +166,7 @@ func TestAttrRecordDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func() []byte {
-		col := attr.New(attr.Options{Interval: 512})
+		col := attr.New(attr.Options{Interval: 512}, oooCfg().IssueWidth)
 		if _, err := Run(oooCfg(), attrHierarchy(t, mem.Full, 4), prog.Insts, &Probe{Attr: col}); err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +207,7 @@ func benchAttr(b *testing.B, enabled bool) {
 		}
 		var probe *Probe
 		if enabled {
-			probe = &Probe{Attr: attr.New(attr.Options{})}
+			probe = &Probe{Attr: attr.New(attr.Options{}, cfg.IssueWidth)}
 		}
 		if _, err := Run(cfg, h, prog.Insts, probe); err != nil {
 			b.Fatal(err)

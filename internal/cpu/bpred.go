@@ -1,17 +1,8 @@
 // Branch prediction for the timing cores. The paper's processors use a
 // two-level branch predictor with an 8K-entry (SPEC92) or 16K-entry
 // (SPEC95) pattern history table (Table 5). This file implements a
-// gshare-style two-level predictor with 2-bit saturating counters, plus a
-// trivial static predictor used in unit tests.
+// gshare-style two-level predictor with 2-bit saturating counters.
 package cpu
-
-// Predictor predicts conditional branch directions and learns outcomes.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint32) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc uint32, taken bool)
-}
 
 // TwoLevel is a gshare two-level adaptive predictor: a global branch
 // history register XORed with the PC indexes a table of 2-bit saturating
@@ -42,7 +33,7 @@ func (t *TwoLevel) index(pc uint32) uint32 {
 	return ((pc >> 2) ^ t.history) & t.mask
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (t *TwoLevel) Predict(pc uint32) bool {
 	return t.table[t.index(pc)] >= 2
 }
@@ -67,7 +58,7 @@ func (t *TwoLevel) PredictUpdate(pc uint32, taken bool) bool {
 	return pred
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the resolved direction.
 func (t *TwoLevel) Update(pc uint32, taken bool) {
 	i := t.index(pc)
 	c := t.table[i]
@@ -88,29 +79,3 @@ func b2u(b bool) uint32 {
 	}
 	return 0
 }
-
-// StaticTaken predicts every branch taken; used for baselines and tests.
-type StaticTaken struct{}
-
-// Predict implements Predictor.
-func (StaticTaken) Predict(uint32) bool { return true }
-
-// Update implements Predictor.
-func (StaticTaken) Update(uint32, bool) {}
-
-// Perfect predicts every branch correctly. It must be fed the outcome
-// before Predict via a one-element lookahead, so the cores special-case a
-// nil comparison instead; Perfect exists for ablation experiments where
-// the core is constructed with knowledge of the next outcome.
-type Perfect struct {
-	next bool
-}
-
-// SetNext primes the predictor with the upcoming outcome.
-func (p *Perfect) SetNext(taken bool) { p.next = taken }
-
-// Predict implements Predictor.
-func (p *Perfect) Predict(uint32) bool { return p.next }
-
-// Update implements Predictor.
-func (p *Perfect) Update(uint32, bool) {}

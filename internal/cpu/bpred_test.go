@@ -86,24 +86,3 @@ func TestTwoLevelDistinctBranchesDontAlias(t *testing.T) {
 		t.Error("distinct branches aliased with history disabled")
 	}
 }
-
-func TestStaticTaken(t *testing.T) {
-	var p StaticTaken
-	if !p.Predict(0) {
-		t.Error("StaticTaken must predict taken")
-	}
-	p.Update(0, false) // no-op, must not panic
-}
-
-func TestPerfect(t *testing.T) {
-	var p Perfect
-	p.SetNext(true)
-	if !p.Predict(0) {
-		t.Error("Perfect should return primed outcome")
-	}
-	p.SetNext(false)
-	if p.Predict(0) {
-		t.Error("Perfect should return primed outcome")
-	}
-	p.Update(0, true) // no-op
-}

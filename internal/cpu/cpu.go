@@ -173,7 +173,7 @@ func Run(cfg Config, h *mem.Hierarchy, insts []isa.Inst, probe *Probe) (Result, 
 		reg = probe.Metrics
 		h.Instrument(reg, probe.Attr != nil)
 		hb = newHeartbeat(probe.Progress)
-		ap = newAttrProbe(probe.Attr, cfg, h)
+		ap = newAttrProbe(probe.Attr, h)
 	}
 	var r Result
 	if cfg.OutOfOrder {

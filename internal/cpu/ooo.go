@@ -23,9 +23,8 @@ import (
 type outOfOrder struct {
 	cfg Config
 	h   *mem.Hierarchy
-	// pred is the concrete two-level predictor, not the Predictor
-	// interface: Predict/Update run once per branch in the issue loop,
-	// and the devirtualized call lets them inline.
+	// pred is the concrete two-level predictor: PredictUpdate runs once
+	// per branch in the issue loop, and the direct call lets it inline.
 	pred  *TwoLevel
 	probe *attrProbe // nil unless the run's Probe carries a collector
 

@@ -219,7 +219,7 @@ func TestHeartbeatChunksMatchStep(t *testing.T) {
 				t.Fatal(err)
 			}
 			sp := stepped.probe()
-			sp.Attr = attr.New(attr.Options{Interval: 1 << 16})
+			sp.Attr = attr.New(attr.Options{Interval: 1 << 16}, core.cfg.IssueWidth)
 			step, err := Run(core.cfg, smallHierarchy(t, mem.Full, 4), insts, sp)
 			if err != nil {
 				t.Fatal(err)

@@ -29,7 +29,6 @@
 package faultinject
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -120,10 +119,9 @@ func WriteAtomic(fsys FS, path string, fill func(io.Writer) error) (int64, error
 	return fi.Size(), nil
 }
 
-// errInjected tags every synthetic failure so tests (and curious users)
-// can tell an injected fault from a real one. It wraps the fault's
-// conventional cause (io.ErrShortWrite, syscall.ENOSPC) so errors.Is
-// works on the chain.
+// errInjected is every synthetic failure: its message tells an injected
+// fault from a real one, and it wraps the fault's conventional cause
+// (io.ErrShortWrite, syscall.ENOSPC) so errors.Is works on the chain.
 type errInjected struct {
 	class Class
 	op    string
@@ -135,10 +133,3 @@ func (e errInjected) Error() string {
 }
 
 func (e errInjected) Unwrap() error { return e.err }
-
-// IsInjected reports whether err (anywhere in its chain) was synthesized
-// by an injector.
-func IsInjected(err error) bool {
-	var inj errInjected
-	return errors.As(err, &inj)
-}

@@ -111,10 +111,10 @@ type Config struct {
 	VictimCache VictimCacheConfig
 	// Scratchpad, when Size > 0, carves a software-managed on-chip
 	// memory out of the address space: accesses in [Base, Base+Size)
-	// complete in ScratchCycles (default 1) and never touch the caches
-	// or buses — the compiler-managed data placement the paper proposes
-	// in Section 6 ("the kinds of analyses performed for effective
-	// register allocation might be readily extended").
+	// complete in one cycle and never touch the caches or buses — the
+	// compiler-managed data placement the paper proposes in Section 6
+	// ("the kinds of analyses performed for effective register
+	// allocation might be readily extended").
 	Scratchpad ScratchpadConfig
 }
 
@@ -122,8 +122,6 @@ type Config struct {
 type ScratchpadConfig struct {
 	// Base and Size delimit the address range held on chip.
 	Base, Size uint64
-	// ScratchCycles is the access time (default 1).
-	ScratchCycles int64
 }
 
 // contains reports whether addr falls in the scratchpad.
@@ -836,11 +834,7 @@ func (h *Hierarchy) Load(addr uint64, now int64) int64 {
 	}
 	if h.cfg.Scratchpad.contains(addr) {
 		h.stats.ScratchpadHits++
-		c := h.cfg.Scratchpad.ScratchCycles
-		if c <= 0 {
-			c = 1
-		}
-		return now + c
+		return now + 1
 	}
 	l1 := h.l1
 	l1.fills.prune(now)

@@ -489,15 +489,6 @@ func TestScratchpadBoundaries(t *testing.T) {
 	}
 }
 
-func TestScratchpadCustomLatency(t *testing.T) {
-	cfg := testConfig(Full, 8)
-	cfg.Scratchpad = ScratchpadConfig{Base: 0, Size: 4096, ScratchCycles: 3}
-	h := mustNew(t, cfg)
-	if got := h.Load(0x10, 10); got != 13 {
-		t.Errorf("ready = %d, want 13", got)
-	}
-}
-
 func TestBusBusyCyclesAndEvictions(t *testing.T) {
 	cfg := testConfig(Full, 1)
 	h := mustNew(t, cfg)

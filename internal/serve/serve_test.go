@@ -199,7 +199,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["serve.admitted"] != 2 || snap.Counters["serve.rejected"] != 1 {
-		t.Errorf("admission counters: %v", snap.CounterPrefix("serve."))
+		t.Errorf("admission counters: %v", snap.Counters)
 	}
 
 	// The queue is not wedged: wait out the refill and go again.
@@ -405,7 +405,7 @@ func TestServeKillAndDrainByteIdentical(t *testing.T) {
 	hs1.Close()
 	if snap := reg1.Snapshot(); snap.Counters["checkpoint.writes"] != 2 {
 		t.Fatalf("first server journaled %d cells, want 2 (faults must not lose cells): %v",
-			snap.Counters["checkpoint.writes"], snap.CounterPrefix("checkpoint."))
+			snap.Counters["checkpoint.writes"], snap.Counters)
 	}
 
 	// Second server, same checkpoint dir: every cell comes from disk.
@@ -707,7 +707,7 @@ func TestServeMetricz(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Counters["serve.admitted"] != 1 {
-		t.Errorf("serve.admitted = %d, want 1 (%v)", snap.Counters["serve.admitted"], snap.CounterPrefix("serve."))
+		t.Errorf("serve.admitted = %d, want 1 (%v)", snap.Counters["serve.admitted"], snap.Counters)
 	}
 	if snap.Counters["serve.cells.computed"] != 1 {
 		t.Errorf("serve.cells.computed = %d, want 1", snap.Counters["serve.cells.computed"])

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers used throughout the
-// memwall experiments: arithmetic and geometric means, linear regression on
+// memwall experiments: the arithmetic mean, linear regression on
 // log-transformed series (for exponential growth-rate fits such as the
 // paper's Figure 1 trend lines), and a deterministic xorshift64* PRNG used
 // by every workload generator so that all experiments are bit-reproducible.
@@ -21,53 +21,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values cause an error. It returns 0 for an empty slice.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
-// Min returns the smallest element of xs. The second result is false for
-// an empty slice (in which case the value is 0, not an infinity that
-// could leak into downstream arithmetic unnoticed).
-func Min(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, true
-}
-
-// Max returns the largest element of xs. The second result is false for
-// an empty slice.
-func Max(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, true
 }
 
 // LinearFit computes the least-squares line y = a + b*x over the given

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, eps float64) bool {
@@ -28,69 +27,6 @@ func TestMean(t *testing.T) {
 				t.Errorf("Mean(%v) = %v, want %v", c.in, got, c.want)
 			}
 		})
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2, 1e-12) {
-		t.Errorf("GeoMean(1,4) = %v, want 2", got)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("GeoMean with negative value should error")
-	}
-	if _, err := GeoMean([]float64{0}); err == nil {
-		t.Error("GeoMean with zero should error")
-	}
-	if got, err := GeoMean(nil); err != nil || got != 0 {
-		t.Errorf("GeoMean(nil) = %v, %v; want 0, nil", got, err)
-	}
-}
-
-func TestGeoMeanBetweenMinAndMax(t *testing.T) {
-	f := func(raw []float64) bool {
-		var xs []float64
-		for _, v := range raw {
-			v = math.Abs(v)
-			if v > 1e-9 && v < 1e9 {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		gm, err := GeoMean(xs)
-		if err != nil {
-			return false
-		}
-		lo, okLo := Min(xs)
-		hi, okHi := Max(xs)
-		if !okLo || !okHi {
-			return false
-		}
-		return gm >= lo*(1-1e-9) && gm <= hi*(1+1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if v, ok := Min(xs); !ok || v != -1 {
-		t.Errorf("Min = %v, %v", v, ok)
-	}
-	if v, ok := Max(xs); !ok || v != 7 {
-		t.Errorf("Max = %v, %v", v, ok)
-	}
-	if v, ok := Min(nil); ok || v != 0 {
-		t.Errorf("Min(nil) = %v, %v; want 0, false", v, ok)
-	}
-	if v, ok := Max(nil); ok || v != 0 {
-		t.Errorf("Max(nil) = %v, %v; want 0, false", v, ok)
 	}
 }
 

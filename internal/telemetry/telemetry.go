@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -118,20 +117,6 @@ func LinearBuckets(start, width float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
-// ExpBuckets returns n bounds start, start*factor, start*factor^2, ...
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if n < 1 || start <= 0 || factor <= 1 {
-		panic(fmt.Sprintf("telemetry: invariant violated: ExpBuckets needs n >= 1, start > 0, factor > 1; got n = %d, start = %v, factor = %v", n, start, factor))
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
 	}
 	return out
 }
@@ -336,23 +321,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[n] = h.Snapshot()
 	}
 	return s
-}
-
-// CounterPrefix returns the counters whose names start with any of the
-// given prefixes — the selection the explain report uses to surface one
-// subsystem's instruments (e.g. "checkpoint.", "serve.") without
-// enumerating every name.
-func (s Snapshot) CounterPrefix(prefixes ...string) map[string]int64 {
-	out := map[string]int64{}
-	for name, v := range s.Counters {
-		for _, p := range prefixes {
-			if strings.HasPrefix(name, p) {
-				out[name] = v
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Names returns the sorted names of all instruments (for tests and

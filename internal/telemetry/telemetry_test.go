@@ -95,16 +95,6 @@ func TestHistogramPanicsOnBadBounds(t *testing.T) {
 	}
 }
 
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(1, 2, 4)
-	want := []float64{1, 2, 4, 8}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRegistryReusesInstruments(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {
