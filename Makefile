@@ -86,14 +86,19 @@ race:
 # rename, bit-flip, worker panic, context cancel, slow write) exercised
 # under the race detector — the fault-injection unit tests, the
 # checkpoint ledger's degradation paths (including the Flight coalescing
-# tier), the corpus disk-tier corruption paths, the simulation service's
-# kill-and-drain / admission / coalescing tests, and the CLI
-# kill-and-resume and cancel-then-resume determinism tests (see
-# DESIGN.md §11 and §16).
+# tier), the corpus disk-tier corruption paths, the code-identity
+# staleness test (a ledger and a trace of another build recompute), the
+# simulation service's kill-and-drain / admission / coalescing tests,
+# and the CLI's checkpoint tests: kill-and-resume, cancel-then-resume,
+# explain output paths sharing one ledger, a batch ledger warming serve,
+# and cell keys naming every flag, which runs each grid command once per
+# flag and so gets its own invocation and timeout (see DESIGN.md §11 and
+# §16).
 chaos:
 	$(GO) test -race -timeout 20m ./internal/faultinject/... ./internal/checkpoint/... ./internal/serve/...
-	$(GO) test -race -timeout 20m -run 'Panic|Fault|Checkpoint|Corrupt|Stale|Torn|BitFlip|MidWriteKill|Truncated|FingerprintMismatch|Unwritable' ./internal/runner/... ./internal/corpus/...
-	$(GO) test -race -timeout 20m -run 'KillAndResume|CorruptLedger|FaultSchedule|CancelThenResume|ServeSmoke' ./cmd/memwall
+	$(GO) test -race -timeout 20m -run 'Panic|Fault|Checkpoint|Corrupt|Stale|Torn|BitFlip|MidWriteKill|Truncated|FingerprintMismatch|Unwritable' ./internal/runner/... ./internal/corpus/... ./internal/codeid/...
+	$(GO) test -race -timeout 20m -run 'KillAndResume|CorruptLedger|FaultSchedule|CancelThenResume|ServeSmoke|ExplainOutputPathsShareLedger|BatchLedgerWarmsServe' ./cmd/memwall
+	$(GO) test -race -timeout 20m -run 'CellKeysNameEveryInput' ./cmd/memwall
 
 # One-request end-to-end check of the simulation service: run
 # `memwall serve -smoke` (ephemeral port, healthz, one POSTed fig3 cell,

@@ -98,7 +98,7 @@ func runExplain(args []string) error {
 				cells = append(cells, core.Figure3Cell{Suite: suite, Program: p, Machine: m})
 			}
 		}
-		pool := gridPool(*workers, nil)
+		pool := gridPool(*workers, *scale, *cacheScale, nil)
 		stats := &runner.CellStats{}
 		pool.Cells = stats
 		results, err := core.ResolveFigure3(context.Background(), cells, pool)

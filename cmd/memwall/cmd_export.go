@@ -31,7 +31,7 @@ func runExport(args []string) error {
 	}
 	// gridPool threads the run's Flight and fault injector into
 	// the Figure 3 grid (Figure3Pool names the cells itself).
-	pool := gridPool(*workers, nil)
+	pool := gridPool(*workers, *scale, *cacheScale, nil)
 	r, err := report.Collect(report.Options{
 		Scale:      *scale,
 		CacheScale: *cacheScale,

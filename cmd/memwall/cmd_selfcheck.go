@@ -87,7 +87,7 @@ func runSelfcheck(args []string) error {
 	// through every check grid; the per-check labels below double as the
 	// ledger's cell keys.
 	pool := func(label func(i int) string) runner.Config {
-		return gridPool(*workers, label)
+		return gridPool(*workers, *scale, *cacheScale, label)
 	}
 
 	var results []checkResult

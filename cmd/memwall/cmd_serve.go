@@ -7,10 +7,11 @@
 //
 // The global observability flags compose the same way they do for the
 // batch commands: -metrics writes the final report at drain,
-// -checkpoint-dir backs the server's memoization tier with resumable
-// ledgers (a restarted server serves byte-identical cells from them),
-// and -fault-schedule threads the injector through both the ledger I/O
-// and the runner pool.
+// -checkpoint-dir backs the server's memoization tier with the same
+// per-configuration ledgers the batch grids use (a restarted server, or
+// one started over a batch run's directory, serves byte-identical cells
+// from them), and -fault-schedule threads the injector through both the
+// ledger I/O and the runner pool.
 //
 // Exit status follows the CLI taxonomy: 0 after a graceful drain, 1
 // when the drain deadline forced job cancellation (or the listener
@@ -61,8 +62,8 @@ func runServe(args []string) error {
 		Rate:           *rate,
 		Burst:          *burst,
 		RequestTimeout: *requestTimeout,
-		CheckpointDir:  activeCheckpointDir(),
-		FS:             activeFS(),
+		CheckpointDir:  currentCheckpointDir,
+		FS:             currentFS,
 		Fault:          activeFault(),
 		Corpus:         activeCorpus(),
 		Obs:            observation(),

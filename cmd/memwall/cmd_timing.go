@@ -57,7 +57,7 @@ func runFig3(args []string) error {
 		}
 		// gridPool threads the run's Flight and fault injector through;
 		// Figure3Pool names the cells (suite-qualified keys in the ledger).
-		cells, err := core.Figure3Pool(suite, progs, *cacheScale, gridPool(*workers, nil))
+		cells, err := core.Figure3Pool(suite, progs, *cacheScale, gridPool(*workers, *scale, *cacheScale, nil))
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func runTable6(args []string) error {
 			}
 		}
 	}
-	results, err := core.ResolveFigure3(context.Background(), cells, gridPool(*workers, nil))
+	results, err := core.ResolveFigure3(context.Background(), cells, gridPool(*workers, *scale, *cacheScale, nil))
 	if err != nil {
 		return fmt.Errorf("table6: %w", err)
 	}
@@ -228,8 +228,8 @@ func runTable1(args []string) error {
 			m.Mem.MemBus.WidthBytes *= 2
 		}},
 	}
-	decomps, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
-		return "table1:" + variants[i].name
+	decomps, err := runner.Map(context.Background(), gridPool(*workers, *scale, *cacheScale, func(i int) string {
+		return "table1:" + *bench + ":" + variants[i].name
 	}), len(variants), func(ctx context.Context, i int, tracer *telemetry.Tracer) (core.Decomposition, error) {
 		v := variants[i]
 		m := base

@@ -82,9 +82,9 @@ type ladderRow[T any] struct {
 // sizeLadders runs Tables 7 and 8 on the runner pool, one task per trace,
 // each walking the full size ladder of 32-byte-block direct-mapped caches,
 // so a checkpointed cell is a complete table row named "<table>:<trace>".
-func sizeLadders[T any](workers int, table string, names []string, entries map[string]*corpus.Entry,
+func sizeLadders[T any](workers, scale int, table string, names []string, entries map[string]*corpus.Entry,
 	measure func(cache.Config, core.RefTrace, int64) (T, error)) ([]ladderRow[T], error) {
-	return runner.Map(context.Background(), gridPool(workers, func(i int) string {
+	return runner.Map(context.Background(), gridPool(workers, scale, defaultCacheScale, func(i int) string {
 		return table + ":" + names[i]
 	}), len(names), func(_ context.Context, i int, _ *telemetry.Tracer) (ladderRow[T], error) {
 		e := entries[names[i]]
@@ -122,14 +122,14 @@ func runTable7(args []string) error {
 	}
 	t := tablefmt.New("Table 7: traffic ratios for 32-byte block, direct-mapped caches", header...)
 	names := workload.SuiteNames(workload.SPEC92)
-	rows, err := sizeLadders(*workers, "table7", names, entries, core.MeasureRatioRefs)
+	rows, err := sizeLadders(*workers, *scale, "table7", names, entries, core.MeasureRatioRefs)
 	if err != nil {
 		return err
 	}
 	// Render — and publish the per-configuration counters — from the
-	// ordered results, outside the pool: a resumed run serves rows from
-	// the ledger without re-simulating, and publishing here keeps its
-	// metrics identical to an uninterrupted run's.
+	// ordered results, outside the pool: a rerun serves rows from the
+	// ledger without re-simulating, and publishing here keeps its metrics
+	// identical to an uninterrupted run's.
 	results := map[string][]core.RatioResult{}
 	for i, name := range names {
 		row := []string{name}
@@ -190,7 +190,7 @@ func runTable8(args []string) error {
 	}
 	t := tablefmt.New("Table 8: traffic inefficiencies for 32-byte block, direct-mapped caches", header...)
 	names := workload.SuiteNames(workload.SPEC92)
-	rows, err := sizeLadders(*workers, "table8", names, entries, core.MeasureInefficiencyRefs)
+	rows, err := sizeLadders(*workers, *scale, "table8", names, entries, core.MeasureInefficiencyRefs)
 	if err != nil {
 		return err
 	}
@@ -319,7 +319,7 @@ func runTable9(args []string) error {
 	type factorColumn struct {
 		DeltaG []float64
 	}
-	cols, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
+	cols, err := runner.Map(context.Background(), gridPool(*workers, *scale, defaultCacheScale, func(i int) string {
 		return "table9:" + names[i]
 	}), len(names), func(_ context.Context, i int, _ *telemetry.Tracer) (factorColumn, error) {
 		_, results, err := core.MeasureFactorColumn(entries[names[i]], core.FactorSize(names[i]))

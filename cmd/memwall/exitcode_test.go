@@ -38,17 +38,18 @@ func TestBadFaultScheduleIsUsageError(t *testing.T) {
 	if got := exitStatus(err); got != 2 {
 		t.Errorf("malformed -fault-schedule: exit status %d (err %v), want 2", got, err)
 	}
-	_, err = runObservedCapture(t, globalOpts{resume: true}, "table3")
-	if got := exitStatus(err); got != 2 {
-		t.Errorf("-resume without -checkpoint-dir: exit status %d (err %v), want 2", got, err)
-	}
 }
 
-// A subcommand flag typo classifies as usage, via parseFlags.
+// A subcommand flag typo classifies as usage, via parseFlags; so does
+// -resume, which a ledger that always serves its hits made redundant.
 func TestBadSubcommandFlagIsUsageError(t *testing.T) {
 	_, err := runObservedCapture(t, globalOpts{}, "table7", "-no-such-flag")
 	if got := exitStatus(err); got != 2 {
 		t.Errorf("unknown subcommand flag: exit status %d (err %v), want 2", got, err)
+	}
+	_, err = runObservedCapture(t, globalOpts{checkpointDir: t.TempDir()}, "table7", "-resume")
+	if got := exitStatus(err); got != 2 {
+		t.Errorf("-resume: exit status %d (err %v), want 2", got, err)
 	}
 }
 
@@ -60,18 +61,18 @@ func TestCorruptLedgerExitsThree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpointed table7 run failed: %v", err)
 	}
-	ledgers, err := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	ledgers, err := filepath.Glob(filepath.Join(dir, "ledger-*.json"))
 	if err != nil || len(ledgers) != 1 {
 		t.Fatalf("expected one ledger in %s, got %v (err %v)", dir, ledgers, err)
 	}
 	if err := os.WriteFile(ledgers[0], []byte("{definitely not a ledger"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := runObservedCapture(t, globalOpts{checkpointDir: dir, resume: true}, "table7")
+	got, err := runObservedCapture(t, globalOpts{checkpointDir: dir}, "table7")
 	if status := exitStatus(err); status != 3 {
-		t.Errorf("corrupt-ledger resume: exit status %d (err %v), want 3", status, err)
+		t.Errorf("corrupt-ledger rerun: exit status %d (err %v), want 3", status, err)
 	}
 	if got != want {
-		t.Errorf("corrupt-ledger resume output differs from the clean run:\n clean:\n%s\n resume:\n%s", want, got)
+		t.Errorf("corrupt-ledger rerun output differs from the clean run:\n clean:\n%s\n rerun:\n%s", want, got)
 	}
 }

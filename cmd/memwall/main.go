@@ -354,12 +354,16 @@ func scaleFlag(fs *flag.FlagSet) *int {
 	return minIntFlag(fs, "scale", 1, 1, "workload trace-length `multiplier` (1 = fast; larger approaches the paper's Table 3 reference counts)")
 }
 
+// defaultCacheScale is -cachescale's default, and the ledger
+// configuration of the trace-driven grids, which have no such flag.
+const defaultCacheScale = 16
+
 // cacheScaleFlag adds the common -cachescale flag used by the timing
 // experiments: the surrogate data sets are size-reduced relative to SPEC,
 // so the default shrinks the Table 4 caches by the same factor to keep
 // the data-set-to-cache ratios (pass 1 for the paper-exact sizes).
 func cacheScaleFlag(fs *flag.FlagSet) *int {
-	return minIntFlag(fs, "cachescale", 16, 1, "divide Table 4 cache sizes by this `factor` (1 = paper-exact)")
+	return minIntFlag(fs, "cachescale", defaultCacheScale, 1, "divide Table 4 cache sizes by this `factor` (1 = paper-exact)")
 }
 
 // workersFlag adds the common -j flag to the subcommands that sweep the

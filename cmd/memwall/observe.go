@@ -7,10 +7,9 @@
 //	-progress               print a sim-cycles/sec heartbeat to stderr
 //	-corpus-dir <dir>       persist the run's shared traces to dir (compact
 //	                        encoding), so later runs skip workload execution
-//	-checkpoint-dir <dir>   journal each completed grid cell to a per-run
-//	                        ledger keyed by the manifest fingerprint
-//	-resume                 serve completed cells from the ledger instead
-//	                        of recomputing them (requires -checkpoint-dir)
+//	-checkpoint-dir <dir>   journal each completed grid cell to dir's
+//	                        ledger for the run's scale and cachescale, and
+//	                        serve the cells it already holds
 //	-fault-schedule <s>     arm deterministic fault injection, e.g.
 //	                        "shortwrite@2,panic@5" (see internal/faultinject)
 //
@@ -18,16 +17,18 @@
 // `memwall fig3 -metrics out.json -suite 92` works: splitGlobalFlags
 // peels the telemetry flags off and hands the rest to the command.
 //
-// The corpus, checkpoint, and fault flags deliberately stay out of the
-// fingerprinted manifest args: a disk-backed corpus (at any -j) is
-// byte-identical to an in-memory one by construction, a resumed run must
-// map to the same ledger as the run it resumes, and an injected fault
-// changes how a run fails, never what a successful run computes — all
-// execution mechanics, not configuration, exactly like -j itself.
+// A persisted file is named by its configuration and carries the code
+// identity of the build that wrote it (internal/codeid): a ledger per
+// (scale, cachescale), a corpus trace per (benchmark, scale). Every other
+// input of a grid cell is in its cell key, so a ledger hit is always the
+// answer the run would compute, whatever command, output path or -j
+// asked, and a batch ledger warms `memwall serve` over the same
+// directory. The -metrics manifest keeps the corpus, checkpoint and fault
+// flags out of its fingerprinted args: they are execution mechanics,
+// not configuration, exactly like -j itself.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -51,7 +52,6 @@ type globalOpts struct {
 	progress      bool
 	corpusDir     string
 	checkpointDir string
-	resume        bool
 	faultSchedule string
 }
 
@@ -64,7 +64,6 @@ var globalFlagNames = map[string]bool{
 	"progress":       false,
 	"corpus-dir":     true,
 	"checkpoint-dir": true,
-	"resume":         false,
 	"fault-schedule": true,
 }
 
@@ -121,15 +120,6 @@ func splitGlobalFlags(args []string) (globalOpts, []string, error) {
 			opts.corpusDir = value
 		case "checkpoint-dir":
 			opts.checkpointDir = value
-		case "resume":
-			opts.resume = true
-			if hasValue {
-				b, err := strconv.ParseBool(value)
-				if err != nil {
-					return opts, nil, fmt.Errorf("flag -resume: %v", err)
-				}
-				opts.resume = b
-			}
 		case "fault-schedule":
 			opts.faultSchedule = value
 		}
@@ -166,14 +156,12 @@ func corpusProgram(name string, scale int) (*workload.Program, error) {
 	return corpusEntry(name, scale).Program()
 }
 
-// currentFlight is the run's cell cache: the -checkpoint-dir ledger
-// wrapped in one checkpoint.Flight for the whole invocation, so grids
-// of one run (e.g. fig3 and table6 under `memwall all`) also share the
-// cells they have in common. Nil without -checkpoint-dir.
-var currentFlight *checkpoint.Flight
-
-// activeFlight returns the invocation's cell cache (possibly nil).
-func activeFlight() *checkpoint.Flight { return currentFlight }
+// currentFlights is the run's cell cache: the -checkpoint-dir ledgers,
+// one checkpoint.Flight per (scale, cachescale) for the whole
+// invocation, so grids of one run (e.g. fig3 and table6 under `memwall
+// all`) also share the cells they have in common. Nil without
+// -checkpoint-dir.
+var currentFlights *checkpoint.Flights
 
 // currentFault is the run's fault injector, armed by -fault-schedule. Nil
 // (the common case) injects nothing.
@@ -184,26 +172,24 @@ func activeFault() *faultinject.Injector { return currentFault }
 
 // currentFS is the run's (injector-wrapped) filesystem, and
 // currentCheckpointDir the -checkpoint-dir value; the serve subcommand
-// threads both into its own per-fingerprint ledgers.
+// threads both into its own checkpoint.Flights. The CLI's Flights opens
+// a ledger only when a grid asks for one, which serve never does, so the
+// process holds one Ledger per file.
 var (
 	currentFS            faultinject.FS
 	currentCheckpointDir string
 )
 
-// activeFS returns the invocation's filesystem seam (possibly nil; nil
-// means the plain OS).
-func activeFS() faultinject.FS { return currentFS }
-
-// activeCheckpointDir returns the -checkpoint-dir value ("" when unset).
-func activeCheckpointDir() string { return currentCheckpointDir }
-
-// gridPool assembles the runner.Config for a -j grid sweep: the run-wide
-// telemetry hooks plus — when -checkpoint-dir / -fault-schedule are active
-// — the cell cache and fault injector. taskName keeps each subcommand's
-// historical span naming and doubles as the cell key, so every grid that
-// names its tasks is crash-safe for free.
-func gridPool(workers int, taskName func(i int) string) runner.Config {
-	cfg := runner.Config{Workers: workers, Obs: observation(), TaskName: taskName, Flight: activeFlight()}
+// gridPool assembles the runner.Config for a -j grid sweep of the
+// (scale, cacheScale) configuration: the run-wide telemetry hooks plus —
+// when -checkpoint-dir / -fault-schedule are active — the
+// configuration's cell cache and the fault injector. Commands without a
+// -cachescale flag pass defaultCacheScale. taskName keeps each
+// subcommand's historical span naming and doubles as the cell key, so
+// every grid that names its tasks is crash-safe for free; a key must
+// name every other input of its cell.
+func gridPool(workers, scale, cacheScale int, taskName func(i int) string) runner.Config {
+	cfg := runner.Config{Workers: workers, Obs: observation(), TaskName: taskName, Flight: currentFlights.For(scale, cacheScale)}
 	// Assign only a non-nil injector: a typed nil in the interface field
 	// would run a no-op hook at every cell.
 	if in := activeFault(); in != nil {
@@ -225,8 +211,8 @@ func taskObservation(tracer *telemetry.Tracer) telemetry.Observation {
 
 // scrapeIntFlag finds the value of an integer flag in a raw argument list
 // without consuming it; def is returned when absent or malformed. Used to
-// record -scale/-cachescale in the manifest before the subcommand's own
-// FlagSet parses them.
+// record -scale/-cachescale in the -metrics manifest before the
+// subcommand's own FlagSet parses them.
 func scrapeIntFlag(args []string, name string, def int) int {
 	for i := 0; i < len(args); i++ {
 		a := strings.TrimLeft(args[i], "-")
@@ -296,9 +282,6 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 	if err != nil {
 		return usageErr(err)
 	}
-	if opts.resume && opts.checkpointDir == "" {
-		return usageErr(errors.New("-resume needs -checkpoint-dir (nowhere to resume from)"))
-	}
 
 	var obs telemetry.Observation
 	var sink *telemetry.EventSink
@@ -342,28 +325,17 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 	inject.Bind(obs.Metrics)
 	fsys := inject.Wrap(faultinject.OS())
 
-	var ledger *checkpoint.Ledger
+	// Each configuration's ledger opens when a grid first asks for it.
+	var flights *checkpoint.Flights
 	if opts.checkpointDir != "" {
-		l, err := checkpoint.Open(checkpoint.Options{
-			Dir:         opts.checkpointDir,
-			Fingerprint: man.Fingerprint(),
-			Resume:      opts.resume,
-			FS:          fsys,
-			Metrics:     obs.Metrics,
-		})
-		if err != nil {
-			return err
-		}
-		ledger = l
+		flights = checkpoint.NewFlights(opts.checkpointDir, fsys, obs.Metrics, nil)
 	}
 
 	corp := corpus.New(corpus.Options{Dir: opts.corpusDir, Metrics: obs.Metrics, FS: fsys})
 
 	currentObs = obs
 	currentCorpus = corp
-	if ledger != nil {
-		currentFlight = checkpoint.NewFlight(ledger, nil)
-	}
+	currentFlights = flights
 	currentFault = inject
 	currentFS = fsys
 	currentCheckpointDir = opts.checkpointDir
@@ -371,16 +343,16 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 	defer func() {
 		currentObs = telemetry.Observation{}
 		currentCorpus = nil
-		currentFlight = nil
+		currentFlights = nil
 		currentFault = nil
 		currentFS = nil
 		currentCheckpointDir = ""
 
-		// Close the ledger before flushing reports: a resumable ledger's
-		// lifecycle ends exactly here, and a Close'd ledger makes any
-		// late Record (a leaked goroutine, a bug) a no-op instead of a
-		// write into a file the run already accounted for.
-		ledger.Close()
+		// Close the ledgers before flushing reports: their lifecycle ends
+		// exactly here, and a Close'd ledger makes any late Record (a
+		// leaked goroutine, a bug) a no-op instead of a write into a file
+		// the run already accounted for.
+		flights.Close()
 
 		prog.Done()
 		if stopCPU != nil {
@@ -405,7 +377,7 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 		// A run that succeeded by recomputing past corrupted persisted
 		// state still exits 0-correct but 3-loud: the output is right, the
 		// disk deserves a look.
-		if n := ledger.Corruptions() + corp.DiskCorruptions(); n > 0 && runErr == nil {
+		if n := flights.Corruptions() + corp.DiskCorruptions(); n > 0 && runErr == nil {
 			runErr = corruptionNotice{n: n}
 		}
 	}()

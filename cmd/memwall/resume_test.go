@@ -1,10 +1,9 @@
 // Kill-and-resume determinism tests: a grid run interrupted by an
-// injected worker kill after k cells, then resumed from its checkpoint
+// injected worker kill after k cells, then rerun over its checkpoint
 // ledger at a different worker count, must emit byte-identical output to
-// an uninterrupted run — the acceptance contract of -checkpoint-dir /
-// -resume (see DESIGN.md §11). The injected panic must also fail the
-// interrupted run with the dying cell's identity in the error, never
-// crash the process.
+// an uninterrupted run — the acceptance contract of -checkpoint-dir (see
+// DESIGN.md §11). The injected panic must also fail the interrupted run
+// with the dying cell's identity in the error, never crash the process.
 package main
 
 import (
@@ -48,8 +47,8 @@ func runObservedCapture(t *testing.T, opts globalOpts, name string, args ...stri
 
 // testKillAndResume is the shared scenario: uninterrupted baseline at one
 // worker count, a checkpointed run killed mid-grid by an injected worker
-// panic, then a -resume at a different worker count that must reproduce
-// the baseline byte-for-byte.
+// panic, then a rerun over the same directory at a different worker
+// count that must reproduce the baseline byte-for-byte.
 func testKillAndResume(t *testing.T, name string, args []string, kill string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -75,15 +74,14 @@ func testKillAndResume(t *testing.T, name string, args []string, kill string) {
 	}
 
 	// Some cells completed and were journaled before the kill; the ledger
-	// file must exist for -resume to have anything to serve.
-	ledgers, globErr := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	// file must exist for the rerun to have anything to serve.
+	ledgers, globErr := filepath.Glob(filepath.Join(dir, "ledger-*.json"))
 	if globErr != nil || len(ledgers) == 0 {
 		t.Fatalf("interrupted run left no checkpoint ledger in %s (glob err %v)", dir, globErr)
 	}
 
 	resumed := base
 	resumed.checkpointDir = dir
-	resumed.resume = true
 	resumed.metricsPath = filepath.Join(dir, "resume-metrics.json")
 	got, err := runObservedCapture(t, resumed, name, append(args, "-j", "5")...)
 	if err != nil {
@@ -94,7 +92,7 @@ func testKillAndResume(t *testing.T, name string, args []string, kill string) {
 	}
 
 	// The resumed run must actually have served cells from the ledger, not
-	// silently recomputed everything (a stale fingerprint would do that).
+	// silently recomputed everything (a stale ledger would do that).
 	raw, err := os.ReadFile(resumed.metricsPath)
 	if err != nil {
 		t.Fatal(err)
@@ -130,22 +128,21 @@ func TestSelfcheckKillAndResume(t *testing.T) {
 // TestExplainResumeOverFormat2Ledger: format-2 ledgers journaled explain
 // cells whose attribution records held name-keyed "series" and "ledgers"
 // maps. Read as today's record, such a cell decodes without an error to
-// no samples and every ledger cause zero, under an unchanged fingerprint,
-// so the format bump must make the ledger a counted stale re-run instead.
+// no samples and every ledger cause zero, so the format bump must make
+// the ledger a counted stale re-run instead, even when the program that
+// wrote it is this one.
 func TestExplainResumeOverFormat2Ledger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
 	dir, out := t.TempDir(), t.TempDir()
-	// The report path is part of the fingerprinted arguments, so both
-	// runs write it.
 	reportPath := filepath.Join(out, "report.json")
 	args := []string{"-suite", "92", "-benches", "compress", "-j", "2", "-json", reportPath}
 	want, err := runObservedCapture(t, globalOpts{checkpointDir: dir}, "explain", args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledgers, err := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	ledgers, err := filepath.Glob(filepath.Join(dir, "ledger-*.json"))
 	if err != nil || len(ledgers) != 1 {
 		t.Fatalf("expected one ledger in %s, got %v (err %v)", dir, ledgers, err)
 	}
@@ -154,10 +151,11 @@ func TestExplainResumeOverFormat2Ledger(t *testing.T) {
 		t.Fatal(err)
 	}
 	var file struct {
-		Format      int                        `json:"format"`
-		Fingerprint string                     `json:"fingerprint"`
-		Cells       map[string]json.RawMessage `json:"cells"`
-		Sum         string                     `json:"sum"`
+		Format int                        `json:"format"`
+		Config string                     `json:"config"`
+		Code   string                     `json:"code"`
+		Cells  map[string]json.RawMessage `json:"cells"`
+		Sum    string                     `json:"sum"`
 	}
 	if err := json.Unmarshal(raw, &file); err != nil {
 		t.Fatal(err)
@@ -191,7 +189,7 @@ func TestExplainResumeOverFormat2Ledger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := globalOpts{checkpointDir: dir, resume: true, metricsPath: filepath.Join(out, "metrics.json")}
+	opts := globalOpts{checkpointDir: dir, metricsPath: filepath.Join(out, "metrics.json")}
 	got, err := runObservedCapture(t, opts, "explain", args...)
 	if err != nil {
 		t.Fatal(err)

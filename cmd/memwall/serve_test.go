@@ -1,8 +1,9 @@
 // Serve-subcommand and cancellation-robustness tests at the CLI layer:
-// the -smoke self-test against its committed golden output, and the
-// cancel-then-resume regression — an injected mid-grid cancellation must
-// leave the checkpoint ledger resumable (and leak no file descriptors),
-// with the resumed run byte-identical to an uninterrupted one.
+// the -smoke self-test against its committed golden output, a batch
+// ledger warming the server, and the cancel-then-resume regression — an
+// injected mid-grid cancellation must leave the checkpoint ledger
+// loadable (and leak no file descriptors), with the rerun byte-identical
+// to an uninterrupted one.
 package main
 
 import (
@@ -49,9 +50,9 @@ func countFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// TestCancelThenResume: an injected cancel@N kills a checkpointed grid
-// mid-run. The failure must surface as context.Canceled (not a crash),
-// leak no file descriptors, and leave a ledger from which a -resume run
+// TestCancelThenResume kills a checkpointed grid mid-run with an
+// injected cancel@N. The failure must surface as context.Canceled (not a crash),
+// leak no file descriptors, and leave a ledger from which a rerun
 // reproduces the uninterrupted output byte-for-byte.
 func TestCancelThenResume(t *testing.T) {
 	dir := t.TempDir()
@@ -79,14 +80,13 @@ func TestCancelThenResume(t *testing.T) {
 
 	// The cells completed before the cancel are journaled; the ledger
 	// must exist and be loadable.
-	ledgers, globErr := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	ledgers, globErr := filepath.Glob(filepath.Join(dir, "ledger-*.json"))
 	if globErr != nil || len(ledgers) == 0 {
 		t.Fatalf("cancelled run left no checkpoint ledger in %s (glob err %v)", dir, globErr)
 	}
 
 	resumed := base
 	resumed.checkpointDir = dir
-	resumed.resume = true
 	resumed.metricsPath = filepath.Join(dir, "resume-metrics.json")
 	got, err := runObservedCapture(t, resumed, "table7", "-j", "3")
 	if err != nil {
@@ -154,7 +154,7 @@ func TestServeSmokeWithFaultSchedule(t *testing.T) {
 		t.Errorf("smoke output under slowwrite differs from golden:\n%s", got)
 	}
 	// The delayed journal write still landed: the ledger exists.
-	if ledgers, _ := filepath.Glob(filepath.Join(dir, "run-*.json")); len(ledgers) == 0 {
+	if ledgers, _ := filepath.Glob(filepath.Join(dir, "ledger-*.json")); len(ledgers) == 0 {
 		t.Errorf("no ledger written under slowwrite fault")
 	}
 }

@@ -368,13 +368,38 @@ func TestReportValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("empty report accepted")
 	}
-	bad = good()
-	bad.Configs[0].Record = &RunRecord{Stalls: LedgerSnapshot{
-		IssueWidth: 1, TotalSlots: 100, UsefulSlots: 40,
-		Slots: map[string]int64{"latency": 10}, // 40+10 != 100
-	}}
+	closed := func() *Report {
+		r := good()
+		r.Configs[0].Record = &RunRecord{Stalls: LedgerSnapshot{
+			IssueWidth: 2, Cycles: 1000, TotalSlots: 2000, UsefulSlots: 1200,
+			Slots: map[string]int64{"latency": 500, "bandwidth": 300},
+		}}
+		return r
+	}
+	if err := closed().Validate(); err != nil {
+		t.Fatalf("valid record rejected: %v", err)
+	}
+	bad = closed()
+	bad.Configs[0].Record.Stalls.Slots["latency"] = 400 // 1200+400+300 != 2000
 	if bad.Validate() == nil {
 		t.Error("broken ledger identity accepted")
+	}
+	// An empty ledger satisfies the identity (0 + 0 = 0) but never ran.
+	bad = good()
+	bad.Configs[0].Record = &RunRecord{}
+	if bad.Validate() == nil {
+		t.Error("empty stall ledger accepted on a cell with T = 1000")
+	}
+	bad = closed()
+	bad.Configs[0].Record.Stalls.Cycles = 999
+	if bad.Validate() == nil {
+		t.Error("stall ledger closed short of T accepted")
+	}
+	bad = closed()
+	bad.Configs[0].Record.Stalls.TotalSlots = 1000
+	bad.Configs[0].Record.Stalls.UsefulSlots = 200
+	if bad.Validate() == nil {
+		t.Error("stall ledger with slots != width x T accepted")
 	}
 }
 

@@ -152,7 +152,14 @@ func (r *Report) Validate() error {
 			}
 		}
 		if c.Record != nil {
-			if err := c.Record.Stalls.CheckIdentity(); err != nil {
+			// An empty ledger satisfies the identity (0 + 0 = 0), so the
+			// ledger must also have closed at the cell's T.
+			s := c.Record.Stalls
+			if s.IssueWidth <= 0 || s.Cycles != c.T || s.TotalSlots != s.IssueWidth*c.T {
+				return fmt.Errorf("explain report %s: stall ledger closed at %d cycles and %d slots of width %d, want T=%d cycles and width x T slots",
+					id, s.Cycles, s.TotalSlots, s.IssueWidth, c.T)
+			}
+			if err := s.CheckIdentity(); err != nil {
 				return fmt.Errorf("explain report %s: %w", id, err)
 			}
 		}

@@ -1,16 +1,16 @@
-// Package checkpoint is the crash-safe cell ledger behind -checkpoint-dir
-// and -resume: each completed (benchmark, experiment/config) grid cell's
-// result is journaled to a per-run file, so a run killed at cell 40 of 48
-// resumes by recomputing only the missing eight — with output
-// byte-identical to an uninterrupted run at any worker count.
+// Package checkpoint is the crash-safe cell ledger behind
+// -checkpoint-dir: each completed grid cell's result is journaled to its
+// configuration's file, so a run killed at cell 40 of 48 is finished by a
+// rerun that recomputes only the missing eight — byte-identical to an
+// uninterrupted run at any worker count — and later runs and servers of
+// the configuration are served the cells they share.
 //
-// Identity discipline mirrors the corpus disk tier: the ledger file is
-// named by the run's manifest fingerprint (internal/telemetry), and the
-// fingerprint is repeated inside the file. A ledger can therefore only
-// ever be replayed into the exact configuration that produced it; any
-// mismatch — as any unreadable, truncated, checksum-failing, or
-// wrong-format file — degrades to a counted full re-run, never a wrong
-// answer.
+// Identity discipline: a ledger file is named by its configuration
+// (Flights: one per scale and cachescale), a cell key names every other
+// input, and the file carries the code identity (internal/codeid) of the
+// program that wrote it. A file of another format, configuration or
+// build — like an unreadable, truncated or checksum-failing one —
+// degrades to a counted re-run that overwrites it, never a wrong answer.
 //
 // Write discipline: the ledger is a cache of deterministic results, not a
 // store of record. Every write rewrites the whole file through
@@ -38,30 +38,28 @@ import (
 	"path/filepath"
 	"sync"
 
+	"memwall/internal/codeid"
 	"memwall/internal/faultinject"
 	"memwall/internal/telemetry"
 )
 
 // Format versions the ledger schema, cell payloads included; bumping it
-// retires every existing ledger at once (format mismatch degrades to a
-// fresh ledger). Format 2: serve journals the same core.DecomposeResult
-// payload as batch grids, where format 1 serve ledgers held
-// {"decomposition","counts"} — which would decode as a DecomposeResult
-// of zeros without any error, under an unchanged fingerprint. Format 3:
-// an explain cell's attribution record holds its samples and stall
-// ledger as typed fields, where format 2 held name-keyed "series" and
-// "ledgers" maps — which would decode as a record with no samples and
-// every ledger cause zero, again without an error.
+// retires every existing ledger at once, as the code identity does at
+// every rebuild. Format 2 changed serve's cell payload and format 3
+// explain's attribution record: each older payload would decode without
+// an error into a wrong result (DESIGN.md §11).
 const Format = 3
 
-// ledgerFile is the on-disk schema. Cells map cell keys (the runner's
-// task names, e.g. "table6:su2cor") to their JSON-encoded results; Sum is
+// ledgerFile is the on-disk schema: Config repeats the configuration the
+// file is named by, Code is the codeid of its writer, Cells maps cell
+// keys (e.g. "table7:compress") to their JSON-encoded results, and Sum is
 // the hex SHA-256 of the canonical cells encoding.
 type ledgerFile struct {
-	Format      int                        `json:"format"`
-	Fingerprint string                     `json:"fingerprint"`
-	Cells       map[string]json.RawMessage `json:"cells"`
-	Sum         string                     `json:"sum"`
+	Format int                        `json:"format"`
+	Config string                     `json:"config"`
+	Code   string                     `json:"code"`
+	Cells  map[string]json.RawMessage `json:"cells"`
+	Sum    string                     `json:"sum"`
 }
 
 // cellsSum computes the integrity checksum over the canonical (sorted-key,
@@ -79,13 +77,10 @@ func cellsSum(cells map[string]json.RawMessage) (string, error) {
 type Options struct {
 	// Dir is the checkpoint directory (created on first write).
 	Dir string
-	// Fingerprint is the run's manifest fingerprint; it keys the ledger
-	// file and must match the fingerprint recorded inside it.
+	// Fingerprint names the configuration whose cells the ledger holds
+	// (the file is ledger-<Fingerprint>.json, and the name inside it must
+	// match); every other input of a cell is in the cell's key.
 	Fingerprint string
-	// Resume enables serving completed cells from the ledger. Without it
-	// the ledger only records (a pure journal), so an interrupted run can
-	// be resumed later by rerunning with -resume.
-	Resume bool
 	// FS is the filesystem seam; nil selects the real filesystem. Tests
 	// inject faults by passing an Injector-wrapped FS.
 	FS faultinject.FS
@@ -99,7 +94,7 @@ type counters struct {
 	misses  *telemetry.Counter // checkpoint.misses: lookups that must compute
 	writes  *telemetry.Counter // checkpoint.writes: successful journal rewrites
 	corrupt *telemetry.Counter // checkpoint.corrupt: unreadable/checksum-failing ledgers
-	stale   *telemetry.Counter // checkpoint.stale: fingerprint/format mismatches
+	stale   *telemetry.Counter // checkpoint.stale: format/configuration/code mismatches
 	errors  *telemetry.Counter // checkpoint.errors: journal write failures
 }
 
@@ -114,52 +109,53 @@ func newCounters(r *telemetry.Registry) counters {
 	}
 }
 
-// Ledger is one run's checkpoint journal. It is safe for concurrent use
-// by the runner's workers; a nil *Ledger disables checkpointing (Lookup
-// always misses, Record no-ops), so call sites thread it unconditionally.
+// Ledger is one configuration's journal, safe for concurrent use by the
+// runner's workers; a nil *Ledger disables checkpointing (Lookup always
+// misses, Record no-ops), so call sites thread it unconditionally.
 type Ledger struct {
-	dir         string
-	fingerprint string
-	path        string
-	fsys        faultinject.FS
-	ctr         counters
-	resume      bool
+	config string
+	code   string
+	path   string
+	fsys   faultinject.FS
+	ctr    counters
 
 	mu       sync.Mutex
 	cells    map[string]json.RawMessage
 	disabled bool // journaling stopped after a write failure
 	closed   bool // ledger retired by Close; Lookup misses, Record no-ops
 
-	// corruptions and staleness track detection counts independently of
-	// the (optional) metrics registry, for exit-code reporting.
+	// corruptions counts corrupt states independently of the
+	// (optional) metrics registry, for exit-code reporting.
 	corruptions int64
-	staleHits   int64
 }
 
-// Open loads (or initializes) the ledger for a run fingerprint. A
-// corrupted or stale ledger file is discarded — counted, never fatal —
-// and the run proceeds as a full re-run. The only error returned is a
-// missing fingerprint or directory, which is a caller bug, not a disk
+// Open loads (or initializes) the ledger of a configuration. A corrupted
+// or stale ledger file is discarded — counted, never fatal — and the run
+// proceeds as a full re-run. The only error returned is a missing
+// configuration name or directory, which is a caller bug, not a disk
 // state.
 func Open(opts Options) (*Ledger, error) {
 	if opts.Dir == "" || opts.Fingerprint == "" {
-		return nil, fmt.Errorf("checkpoint: Open needs a directory and a run fingerprint (dir %q, fingerprint %q)", opts.Dir, opts.Fingerprint)
+		return nil, fmt.Errorf("checkpoint: Open needs a directory and a configuration name (dir %q, name %q)", opts.Dir, opts.Fingerprint)
 	}
-	fsys := opts.FS
+	return openLedger(opts.Dir, opts.Fingerprint, opts.FS, opts.Metrics), nil
+}
+
+// openLedger is Open past its argument checks.
+func openLedger(dir, config string, fsys faultinject.FS, metrics *telemetry.Registry) *Ledger {
 	if fsys == nil {
 		fsys = faultinject.OS()
 	}
 	l := &Ledger{
-		dir:         opts.Dir,
-		fingerprint: opts.Fingerprint,
-		path:        filepath.Join(opts.Dir, "run-"+opts.Fingerprint[:min(24, len(opts.Fingerprint))]+".json"),
-		fsys:        fsys,
-		ctr:         newCounters(opts.Metrics),
-		resume:      opts.Resume,
-		cells:       map[string]json.RawMessage{},
+		config: config,
+		code:   codeid.Get(),
+		path:   filepath.Join(dir, "ledger-"+config+".json"),
+		fsys:   fsys,
+		ctr:    newCounters(metrics),
+		cells:  map[string]json.RawMessage{},
 	}
 	l.load()
-	return l, nil
+	return l
 }
 
 // load reads the ledger file, classifying every defect as corrupt or
@@ -180,11 +176,10 @@ func (l *Ledger) load() {
 		l.corruptions++
 		return
 	}
-	if lf.Format != Format || lf.Fingerprint != l.fingerprint {
-		// A hand-copied or out-of-date ledger: structurally fine, wrong
-		// identity. Counted separately from corruption.
+	if lf.Format != Format || lf.Config != l.config || lf.Code != l.code {
+		// Another build's or format's, or a hand-copied ledger: fine but
+		// not ours. Counted apart from corruption; Record overwrites it.
 		l.ctr.stale.Inc()
-		l.staleHits++
 		return
 	}
 	sum, err := cellsSum(lf.Cells)
@@ -199,12 +194,11 @@ func (l *Ledger) load() {
 	}
 }
 
-// Lookup returns the journaled result for a cell key. It only ever hits
-// when the ledger was opened with Resume; a journal-only ledger records
-// without serving, so the flag cleanly separates "protect this run" from
-// "trust a previous one". Nil-safe.
+// Lookup returns the journaled result for a cell key. A cell key names
+// every input the file name and code identity do not, so a hit is
+// always the result this run would compute. Nil-safe.
 func (l *Ledger) Lookup(key string) ([]byte, bool) {
-	if l == nil || !l.resume {
+	if l == nil {
 		return nil, false
 	}
 	l.mu.Lock()
@@ -264,7 +258,7 @@ func (l *Ledger) Record(key string, value []byte) {
 
 // writeLocked rewrites the ledger file under l.mu.
 func (l *Ledger) writeLocked() error {
-	if err := l.fsys.MkdirAll(l.dir, 0o755); err != nil {
+	if err := l.fsys.MkdirAll(filepath.Dir(l.path), 0o755); err != nil {
 		return err
 	}
 	sum, err := cellsSum(l.cells)
@@ -272,8 +266,8 @@ func (l *Ledger) writeLocked() error {
 		return err
 	}
 	// Compact encoding: MarshalIndent would re-indent the RawMessage cell
-	// payloads, breaking the byte-exact round-trip resume depends on.
-	lf := ledgerFile{Format: Format, Fingerprint: l.fingerprint, Cells: l.cells, Sum: sum}
+	// payloads, breaking the byte-exact round-trip a hit depends on.
+	lf := ledgerFile{Format: Format, Config: l.config, Code: l.code, Cells: l.cells, Sum: sum}
 	b, err := json.Marshal(lf)
 	if err != nil {
 		return err
@@ -283,24 +277,6 @@ func (l *Ledger) writeLocked() error {
 		return err
 	})
 	return err
-}
-
-// Len returns the number of journaled cells. Nil-safe.
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.cells)
-}
-
-// Path returns the ledger file path ("" for a nil ledger).
-func (l *Ledger) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
 }
 
 // Corruptions returns how many corrupt ledger states were detected (and
@@ -313,17 +289,6 @@ func (l *Ledger) Corruptions() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.corruptions
-}
-
-// Stale reports whether a structurally-valid ledger with the wrong
-// fingerprint or format was discarded at Open. Nil-safe.
-func (l *Ledger) Stale() bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.staleHits > 0
 }
 
 // WriteFailed reports whether journaling was disabled by a write failure.

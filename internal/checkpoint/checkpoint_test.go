@@ -11,7 +11,7 @@ import (
 	"memwall/internal/telemetry"
 )
 
-const fp = "0123456789abcdef0123456789abcdef0123456789abcdef01234567"
+const fp = "scale1-cachescale16"
 
 func open(t *testing.T, opts Options) *Ledger {
 	t.Helper()
@@ -24,7 +24,7 @@ func open(t *testing.T, opts Options) *Ledger {
 
 func TestOpenValidatesOptions(t *testing.T) {
 	if _, err := Open(Options{Dir: t.TempDir()}); err == nil {
-		t.Error("Open accepted an empty fingerprint")
+		t.Error("Open accepted an empty configuration name")
 	}
 	if _, err := Open(Options{Fingerprint: fp}); err == nil {
 		t.Error("Open accepted an empty directory")
@@ -37,29 +37,25 @@ func TestNilLedgerIsNoop(t *testing.T) {
 		t.Error("nil ledger served a cell")
 	}
 	l.Record("x", []byte(`1`))
-	if l.Len() != 0 || l.Corruptions() != 0 || l.Stale() || l.WriteFailed() || l.Path() != "" {
+	if l.Corruptions() != 0 || l.WriteFailed() {
 		t.Error("nil ledger accessors not zero-valued")
 	}
+	l.Close()
 }
 
 func TestRecordReopenLookup(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	l := open(t, Options{Dir: dir, Fingerprint: fp, Metrics: reg})
-
-	// A journal-only ledger (Resume unset) records but never serves.
 	l.Record("cell-a", []byte(`{"v":1}`))
 	l.Record("cell-b", []byte(`{"v":2}`))
-	if _, ok := l.Lookup("cell-a"); ok {
-		t.Fatal("Lookup hit without Resume")
-	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
+	if len(l.cells) != 2 {
+		t.Fatalf("Len = %d, want 2", len(l.cells))
 	}
 
-	// Reopen with Resume: both cells come back byte-for-byte.
+	// Reopen: both cells come back byte-for-byte.
 	reg2 := telemetry.NewRegistry()
-	r := open(t, Options{Dir: dir, Fingerprint: fp, Resume: true, Metrics: reg2})
+	r := open(t, Options{Dir: dir, Fingerprint: fp, Metrics: reg2})
 	if got, ok := r.Lookup("cell-a"); !ok || string(got) != `{"v":1}` {
 		t.Fatalf("Lookup(cell-a) = %q, %v", got, ok)
 	}
@@ -81,12 +77,12 @@ func TestRecordReopenLookup(t *testing.T) {
 
 func TestColdOpenIsFresh(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	l := open(t, Options{Dir: filepath.Join(t.TempDir(), "nonexistent"), Fingerprint: fp, Resume: true, Metrics: reg})
-	if l.Len() != 0 || l.Corruptions() != 0 || l.Stale() {
+	l := open(t, Options{Dir: filepath.Join(t.TempDir(), "nonexistent"), Fingerprint: fp, Metrics: reg})
+	if len(l.cells) != 0 || l.Corruptions() != 0 {
 		t.Error("cold open not fresh")
 	}
-	if got := reg.Snapshot().Counters["checkpoint.corrupt"]; got != 0 {
-		t.Errorf("cold open counted corruption: %d", got)
+	if c := reg.Snapshot().Counters; c["checkpoint.corrupt"] != 0 || c["checkpoint.stale"] != 0 {
+		t.Errorf("cold open counted corruption %d, staleness %d", c["checkpoint.corrupt"], c["checkpoint.stale"])
 	}
 }
 
@@ -131,10 +127,10 @@ func TestCorruptLedgerDegradesToFresh(t *testing.T) {
 			dir := t.TempDir()
 			l := open(t, Options{Dir: dir, Fingerprint: fp})
 			l.Record("cell-a", []byte(`{"v":1}`))
-			tc.mutate(t, l.Path())
+			tc.mutate(t, l.path)
 
 			reg := telemetry.NewRegistry()
-			r := open(t, Options{Dir: dir, Fingerprint: fp, Resume: true, Metrics: reg})
+			r := open(t, Options{Dir: dir, Fingerprint: fp, Metrics: reg})
 			if _, ok := r.Lookup("cell-a"); ok {
 				t.Fatal("corrupt ledger served a cell")
 			}
@@ -158,21 +154,20 @@ func TestStaleFingerprintDegradesToFresh(t *testing.T) {
 	l := open(t, Options{Dir: dir, Fingerprint: fp})
 	l.Record("cell-a", []byte(`{"v":1}`))
 
-	// Same file, different run identity: rename the ledger to the name the
-	// other fingerprint would use, simulating a hand-copied ledger.
-	other := "ffff" + fp[4:]
-	otherPath := filepath.Join(dir, "run-"+other[:24]+".json")
-	if err := os.Rename(l.Path(), otherPath); err != nil {
+	// Same file, another configuration: rename the ledger to the name the
+	// other configuration uses, simulating a hand-copied ledger.
+	other := "scale2-cachescale16"
+	reg := telemetry.NewRegistry()
+	r := open(t, Options{Dir: dir, Fingerprint: other, Metrics: reg})
+	if err := os.Rename(l.path, r.path); err != nil {
 		t.Fatal(err)
 	}
-
-	reg := telemetry.NewRegistry()
-	r := open(t, Options{Dir: dir, Fingerprint: other, Resume: true, Metrics: reg})
+	r = open(t, Options{Dir: dir, Fingerprint: other, Metrics: reg})
 	if _, ok := r.Lookup("cell-a"); ok {
 		t.Fatal("stale ledger served a cell")
 	}
-	if !r.Stale() || r.Corruptions() != 0 {
-		t.Errorf("Stale = %v, Corruptions = %d; want true, 0", r.Stale(), r.Corruptions())
+	if r.Corruptions() != 0 {
+		t.Errorf("Corruptions = %d, want 0", r.Corruptions())
 	}
 	if got := reg.Snapshot().Counters["checkpoint.stale"]; got != 1 {
 		t.Errorf("checkpoint.stale = %d, want 1", got)
@@ -183,7 +178,7 @@ func TestFormatBumpDegradesToStale(t *testing.T) {
 	dir := t.TempDir()
 	l := open(t, Options{Dir: dir, Fingerprint: fp})
 	l.Record("cell-a", []byte(`{"v":1}`))
-	b, err := os.ReadFile(l.Path())
+	b, err := os.ReadFile(l.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +188,15 @@ func TestFormatBumpDegradesToStale(t *testing.T) {
 	}
 	lf.Format = Format + 1
 	out, _ := json.Marshal(lf)
-	if err := os.WriteFile(l.Path(), out, 0o644); err != nil {
+	if err := os.WriteFile(l.path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, Options{Dir: dir, Fingerprint: fp, Resume: true})
+	reg := telemetry.NewRegistry()
+	r := open(t, Options{Dir: dir, Fingerprint: fp, Metrics: reg})
 	if _, ok := r.Lookup("cell-a"); ok {
 		t.Fatal("future-format ledger served a cell")
 	}
-	if !r.Stale() {
+	if reg.Snapshot().Counters["checkpoint.stale"] != 1 {
 		t.Error("format mismatch not counted as stale")
 	}
 }
@@ -219,8 +215,8 @@ func TestRecordFailureDisablesJournaling(t *testing.T) {
 	if !l.WriteFailed() {
 		t.Fatal("write failure did not disable journaling")
 	}
-	if l.Len() != 0 {
-		t.Errorf("failed cell retained in memory: Len = %d", l.Len())
+	if len(l.cells) != 0 {
+		t.Errorf("failed cell retained in memory: Len = %d", len(l.cells))
 	}
 	l.Record("cell-b", []byte(`{"v":2}`)) // no-op while disabled
 	snap := reg.Snapshot()
@@ -231,7 +227,7 @@ func TestRecordFailureDisablesJournaling(t *testing.T) {
 		t.Errorf("fault.injected.enospc = %d, want 1", snap.Counters["fault.injected.enospc"])
 	}
 	// The failed atomic write left nothing behind.
-	if _, err := os.Stat(l.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(l.path); !os.IsNotExist(err) {
 		t.Errorf("ledger file exists after failed write: %v", err)
 	}
 	left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*"))
@@ -254,7 +250,7 @@ func TestTornRenameDetectedOnReopen(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	r := open(t, Options{Dir: dir, Fingerprint: fp, Resume: true, Metrics: reg})
+	r := open(t, Options{Dir: dir, Fingerprint: fp, Metrics: reg})
 	if _, ok := r.Lookup("cell-a"); ok {
 		t.Fatal("torn ledger served a cell")
 	}
@@ -274,15 +270,15 @@ func TestBitFlipDetectedOnReopen(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	in.Bind(reg)
-	r := open(t, Options{Dir: dir, Fingerprint: fp, Resume: true, FS: in.Wrap(faultinject.OS()), Metrics: reg})
+	r := open(t, Options{Dir: dir, Fingerprint: fp, FS: in.Wrap(faultinject.OS()), Metrics: reg})
 	if _, ok := r.Lookup("cell-a"); ok {
 		t.Fatal("bit-flipped ledger served a cell")
 	}
 	// Depending on which field the deterministic flip lands in, the defect
-	// reads as corruption (payload/checksum) or staleness (fingerprint
-	// byte) — either way it must be detected and degraded.
-	if r.Corruptions() != 1 && !r.Stale() {
-		t.Errorf("flip not detected: Corruptions = %d, Stale = %v", r.Corruptions(), r.Stale())
+	// reads as corruption (payload/checksum) or staleness (configuration
+	// or code byte) — either way it must be detected and degraded.
+	if stale := reg.Snapshot().Counters["checkpoint.stale"]; r.Corruptions() != 1 && stale != 1 {
+		t.Errorf("flip not detected: Corruptions = %d, checkpoint.stale = %d", r.Corruptions(), stale)
 	}
 	if got := reg.Snapshot().Counters["fault.injected.bitflip"]; got != 1 {
 		t.Errorf("fault.injected.bitflip = %d, want 1", got)

@@ -2,10 +2,9 @@
 // tier: concurrent requests for the same cell key coalesce onto one
 // computation (singleflight), backed by an in-memory memo and the
 // on-disk ledger. It is the runner's only cell cache (runner.Config
-// Flight): the CLI wraps its -checkpoint-dir ledger in one Flight per
-// invocation, and the serving layer (internal/serve) keeps one per
-// configuration fingerprint. A bare Lookup/Record pair could not
-// coalesce — two concurrent misses would both compute.
+// Flight). Flights keeps one per configuration for the CLI's grids and
+// the serving layer (internal/serve) alike. A bare Lookup/Record pair
+// could not coalesce — two concurrent misses would both compute.
 package checkpoint
 
 import (
@@ -13,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 
+	"memwall/internal/faultinject"
 	"memwall/internal/telemetry"
 )
 
@@ -194,9 +194,75 @@ func (f *Flight) leave(c *call) {
 	}
 }
 
-// MemoLen returns the number of memoized cells (tests and /metricz).
-func (f *Flight) MemoLen() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.memo)
+// Flights maps a checkpoint directory's configurations to their Flights:
+// one per (scale, cachescale), over that configuration's ledger, opened
+// on first use. The CLI's grids and the serving layer both ask it, so a
+// process holds one Ledger per file and a batch run's cells serve a
+// later server and vice versa. With no directory its Flights are
+// memory-only; a nil *Flights hands out nil Flights (no cell cache).
+// Safe for concurrent use.
+type Flights struct {
+	dir       string
+	fsys      faultinject.FS
+	metrics   *telemetry.Registry
+	coalesced *telemetry.Counter
+
+	mu      sync.Mutex
+	flights map[[2]int]*Flight
+}
+
+// NewFlights returns the Flights of dir ("" for memory-only). Ledger I/O
+// goes through fsys (nil: the real filesystem), ledger counters to
+// metrics, and joined computations count in coalesced (see NewFlight).
+func NewFlights(dir string, fsys faultinject.FS, metrics *telemetry.Registry, coalesced *telemetry.Counter) *Flights {
+	return &Flights{dir: dir, fsys: fsys, metrics: metrics, coalesced: coalesced, flights: map[[2]int]*Flight{}}
+}
+
+// For returns the Flight of the (scale, cacheScale) configuration,
+// opening its ledger, ledger-scale<s>-cachescale<c>.json, on first use.
+// Nil-safe.
+func (s *Flights) For(scale, cacheScale int) *Flight {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := [2]int{scale, cacheScale}
+	if f := s.flights[key]; f != nil {
+		return f
+	}
+	var led *Ledger
+	if s.dir != "" {
+		led = openLedger(s.dir, fmt.Sprintf("scale%d-cachescale%d", scale, cacheScale), s.fsys, s.metrics)
+	}
+	f := NewFlight(led, s.coalesced)
+	s.flights[key] = f
+	return f
+}
+
+// Corruptions sums the corrupt-ledger detections of every ledger opened
+// so far (for the CLI's exit-code taxonomy). Nil-safe.
+func (s *Flights) Corruptions() int64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, f := range s.flights {
+		n += f.ledger.Corruptions()
+	}
+	return n
+}
+
+// Close retires every ledger opened so far (see Ledger.Close). Nil-safe.
+func (s *Flights) Close() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range s.flights {
+		f.ledger.Close()
+	}
 }

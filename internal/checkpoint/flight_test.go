@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,18 +98,18 @@ func TestFlightMemoTier(t *testing.T) {
 	if computes.Load() != 1 {
 		t.Fatalf("compute ran %d times, want 1", computes.Load())
 	}
-	if f.MemoLen() != 1 {
-		t.Fatalf("MemoLen = %d, want 1", f.MemoLen())
+	if len(f.memo) != 1 {
+		t.Fatalf("memo holds %d cells, want 1", len(f.memo))
 	}
 }
 
-// TestFlightLedgerTier: a Flight over a resume-enabled ledger serves a
+// TestFlightLedgerTier: a Flight over a ledger serves a
 // journaled cell without computing, and a computed cell is journaled so
 // a second Flight over the same file serves it cold.
 func TestFlightLedgerTier(t *testing.T) {
 	dir := t.TempDir()
 	open := func(reg *telemetry.Registry) *Ledger {
-		l, err := Open(Options{Dir: dir, Fingerprint: "fp-flight-test", Resume: true, Metrics: reg})
+		l, err := Open(Options{Dir: dir, Fingerprint: "fp-flight-test", Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +126,7 @@ func TestFlightLedgerTier(t *testing.T) {
 		t.Fatalf("first Do: src %v, err %v", src, err)
 	}
 
-	// A fresh Flight over a fresh Ledger on the same dir+fingerprint:
+	// A fresh Flight over a fresh Ledger on the same dir and configuration:
 	// the cell must come from disk, not recomputation.
 	reg := telemetry.NewRegistry()
 	f2 := NewFlight(open(reg), nil)
@@ -266,7 +269,7 @@ func TestFlightSurvivingWaiterKeepsComputeAlive(t *testing.T) {
 // Flight without breaking the memory tier.
 func TestFlightClosedLedger(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Fingerprint: "fp-close-test", Resume: true})
+	l, err := Open(Options{Dir: dir, Fingerprint: "fp-close-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +282,77 @@ func TestFlightClosedLedger(t *testing.T) {
 		t.Fatal("Lookup hit after Close")
 	}
 	l.Record("k2", []byte(`"v2"`))
-	if l.Len() != 1 {
-		t.Fatalf("Record after Close journaled a cell: Len = %d, want 1", l.Len())
+	if len(l.cells) != 1 {
+		t.Fatalf("Record after Close journaled a cell: Len = %d, want 1", len(l.cells))
 	}
 	l.Close() // idempotent
 	var nilLedger *Ledger
 	nilLedger.Close() // nil-safe
+}
+
+// TestFlightsOneLedgerPerConfiguration: Flights hands out one Flight per
+// (scale, cachescale), to concurrent callers too, each over a ledger file
+// named by it, so a second Flights over the same directory is served
+// what the first computed.
+func TestFlightsOneLedgerPerConfiguration(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewFlights(dir, nil, nil, nil)
+	got := make([]*Flight, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fs.For(1, 16)
+		}()
+	}
+	wg.Wait()
+	for _, f := range got {
+		if f != fs.For(1, 16) {
+			t.Fatal("concurrent callers got different Flights for one configuration")
+		}
+	}
+	if fs.For(1, 16) == fs.For(2, 16) || fs.For(1, 16) == fs.For(1, 8) {
+		t.Fatal("two configurations share a Flight")
+	}
+	ctx := context.Background()
+	for _, cfg := range [][2]int{{1, 16}, {2, 16}} {
+		if _, _, err := fs.For(cfg[0], cfg[1]).Do(ctx, "cell", func(context.Context) ([]byte, error) {
+			return []byte(fmt.Sprint(cfg[0])), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.Close()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, "ledger-scale1-cachescale16.json"), filepath.Join(dir, "ledger-scale2-cachescale16.json")}
+	if !slices.Equal(files, want) {
+		t.Fatalf("files %v, want %v", files, want)
+	}
+
+	reg := telemetry.NewRegistry()
+	again := NewFlights(dir, nil, reg, nil)
+	v, src, err := again.For(2, 16).Do(ctx, "cell", func(context.Context) ([]byte, error) {
+		t.Error("recomputed a journaled cell")
+		return nil, nil
+	})
+	if err != nil || src != SourceCached || string(v) != "2" {
+		t.Errorf("Do = %q, %v, %v; want the scale-2 cell from its ledger", v, src, err)
+	}
+	if again.Corruptions() != 0 || reg.Snapshot().Counters["checkpoint.hits"] != 1 {
+		t.Errorf("corruptions %d, hits %d; want 0 and 1", again.Corruptions(), reg.Snapshot().Counters["checkpoint.hits"])
+	}
+
+	// No directory: memory-only Flights. Nil: no cache at all.
+	if f := NewFlights("", nil, nil, nil).For(1, 16); f == nil || f.ledger != nil {
+		t.Error("Flights without a directory is not memory-only")
+	}
+	var none *Flights
+	if none.For(1, 16) != nil || none.Corruptions() != 0 {
+		t.Error("nil Flights handed out a cache")
+	}
+	none.Close()
 }

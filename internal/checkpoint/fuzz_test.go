@@ -7,12 +7,14 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"memwall/internal/codeid"
 )
 
-// FuzzLedgerLoad writes arbitrary bytes as a run's ledger file and
-// resumes from it. Open must never fail, the resumed ledger may serve
-// cells only from a checksum-valid file of this format and fingerprint,
-// and it must still journal new cells.
+// FuzzLedgerLoad writes arbitrary bytes as a configuration's ledger file
+// and opens it. Open must never fail, the ledger may serve cells only
+// from a checksum-valid file of this format, configuration and code
+// identity, and it must still journal new cells.
 func FuzzLedgerLoad(f *testing.F) {
 	seedDir := f.TempDir()
 	l, err := Open(Options{Dir: seedDir, Fingerprint: fp})
@@ -21,7 +23,7 @@ func FuzzLedgerLoad(f *testing.F) {
 	}
 	l.Record("cell-a", []byte(`{"v":1}`))
 	l.Record("cell-b", []byte(`{"v":2}`))
-	valid, err := os.ReadFile(l.Path())
+	valid, err := os.ReadFile(l.path)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -32,7 +34,8 @@ func FuzzLedgerLoad(f *testing.F) {
 		"not a ledger",                          // not JSON
 		strings.Replace(v, `"v":1`, `"v":7`, 1), // checksum mismatch
 		strings.Replace(v, fmt.Sprintf(`"format":%d`, Format), `"format":0`, 1), // stale format
-		strings.Replace(v, fp, strings.Repeat("f", len(fp)), 1),                 // stale fingerprint
+		strings.Replace(v, fp, strings.Repeat("f", len(fp)), 1),                 // another configuration
+		strings.Replace(v, codeid.Get(), strings.Repeat("f", 64), 1),            // another build
 		"",
 	} {
 		f.Add([]byte(seed))
@@ -43,22 +46,22 @@ func FuzzLedgerLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(probe.Path(), file, 0o644); err != nil {
+		if err := os.WriteFile(probe.path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(Options{Dir: dir, Fingerprint: fp, Resume: true})
+		r, err := Open(Options{Dir: dir, Fingerprint: fp})
 		if err != nil {
 			t.Fatalf("Open failed on a damaged ledger: %v", err)
 		}
 
 		var lf ledgerFile
-		ok := json.Unmarshal(file, &lf) == nil && lf.Format == Format && lf.Fingerprint == fp
+		ok := json.Unmarshal(file, &lf) == nil && lf.Format == Format && lf.Config == fp && lf.Code == codeid.Get()
 		if ok {
 			sum, err := cellsSum(lf.Cells)
 			ok = err == nil && sum == lf.Sum
 		}
-		if !ok && r.Len() != 0 {
-			t.Fatalf("resumed %d cells from a file that fails validation", r.Len())
+		if !ok && len(r.cells) != 0 {
+			t.Fatalf("loaded %d cells from a file that fails validation", len(r.cells))
 		}
 		for key, want := range lf.Cells {
 			got, hit := r.Lookup(key)
@@ -71,7 +74,7 @@ func FuzzLedgerLoad(f *testing.F) {
 		if r.WriteFailed() {
 			t.Fatal("journaling disabled after loading the file")
 		}
-		again, err := Open(Options{Dir: dir, Fingerprint: fp, Resume: true})
+		again, err := Open(Options{Dir: dir, Fingerprint: fp})
 		if err != nil {
 			t.Fatal(err)
 		}

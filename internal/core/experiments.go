@@ -196,9 +196,10 @@ type Figure3Cell struct {
 // by Figure3CellKey and with spans named "bench:<program>/<experiment>",
 // so the pool's Flight addresses cells the same way whichever caller
 // asks. A cell whose machine carries attribution options (Machine.Attr)
-// is keyed "explain:<suite>:<program>/<experiment>" instead: its result
-// carries an attribution record, so a Flight never serves one kind of
-// cell in place of the other. Results come back in cell order.
+// is keyed "explain:<suite>:<program>/<experiment>@<interval>/<max
+// samples>" instead: its result carries an attribution record sampled
+// under those options, so a Flight never serves one kind of cell, or one
+// sampling, in place of another. Results come back in cell order.
 //
 // T_P depends only on the core configuration (see PerfectTime), and
 // Table 5 reuses cores across machines — A/B/C share one, D/E another —
@@ -216,8 +217,8 @@ func ResolveFigure3(ctx context.Context, cells []Figure3Cell, pool runner.Config
 	pool.TaskName = func(i int) string { return "bench:" + cells[i].Program.Name + "/" + cells[i].Machine.Name }
 	pool.CellKey = func(i int) string {
 		c := cells[i]
-		if c.Machine.Attr != nil {
-			return "explain:" + c.Suite.String() + ":" + c.Program.Name + "/" + c.Machine.Name
+		if a := c.Machine.Attr; a != nil {
+			return fmt.Sprintf("explain:%s:%s/%s@%d/%d", c.Suite, c.Program.Name, c.Machine.Name, a.Interval, a.MaxSamples)
 		}
 		return Figure3CellKey(c.Suite, c.Program.Name, c.Machine.Name)
 	}

@@ -13,11 +13,11 @@
 //     scale) key. Every caller — across goroutines — shares the same
 //     backing []trace.Ref and replays it by ranging over the slice.
 //  2. On disk (optional, -corpus-dir): materialized traces persist in the
-//     compact delta encoding (internal/trace/compact.go) keyed by the
-//     telemetry fingerprint, so repeated CLI runs skip workload generation
-//     entirely. A JSON sidecar carries the metadata (suite, footprint,
-//     reference count) traffic measurements need, so a warm run never
-//     touches the generator.
+//     compact delta encoding (internal/trace/compact.go) named by
+//     (benchmark, scale), so repeated runs of one build skip workload
+//     generation entirely. A JSON sidecar carries the metadata (suite,
+//     footprint, reference count) traffic measurements need, so a warm
+//     run never touches the generator.
 //  3. Future tables: each entry builds the interned MIN future-knowledge
 //     table (mtc.Future) once per block size and shares it read-only
 //     across every MTC configuration in the grid.

@@ -1,9 +1,9 @@
 // The corpus's on-disk tier: materialized traces in the compact delta
-// encoding plus a JSON metadata sidecar, keyed by the telemetry
-// fingerprint of the (benchmark, scale, seed) that produced them. The
-// fingerprint machinery is the same one `-metrics` reports use, so a trace
-// file is valid exactly as long as a run with the same manifest would
-// reproduce it; bumping diskFormat retires every stale file at once.
+// encoding plus a JSON metadata sidecar, named by the (benchmark, scale)
+// they hold. The sidecar carries the code identity (internal/codeid) of
+// the program that wrote them, so a trace is served only to the build
+// that generated it; any other build regenerates it and overwrites the
+// pair in place. Bumping diskFormat retires every file at once too.
 //
 // The tier is a cache, not a store of record: any unreadable, mismatched,
 // or unwritable file degrades to a miss (counted in corpus.disk.errors,
@@ -25,8 +25,8 @@ import (
 	"path/filepath"
 	"unsafe"
 
+	"memwall/internal/codeid"
 	"memwall/internal/faultinject"
-	"memwall/internal/telemetry"
 	"memwall/internal/trace"
 	"memwall/internal/workload"
 )
@@ -43,13 +43,14 @@ const refSize = unsafe.Sizeof(trace.Ref{})
 const diskFormat = 2
 
 // sidecar is the JSON metadata stored next to each compact trace. The
-// identity fields double-check the fingerprint: a hash collision or a
-// stale hand-copied file is rejected by field comparison, not trusted.
+// identity fields double-check the file name, so a hand-copied file is
+// rejected by field comparison, not trusted, and Code names the build
+// that wrote the pair.
 type sidecar struct {
 	Format       int    `json:"format"`
 	Name         string `json:"name"`
 	Scale        int    `json:"scale"`
-	Seed         uint64 `json:"seed"`
+	Code         string `json:"code"`
 	Suite        string `json:"suite"`
 	DataSetBytes int64  `json:"dataSetBytes"`
 	RefCount     int64  `json:"refCount"`
@@ -57,25 +58,13 @@ type sidecar struct {
 	TraceSum string `json:"traceSum"`
 }
 
-// diskKey returns the fingerprint naming the tier files for key.
-func diskKey(key Key) string {
-	man := telemetry.Manifest{
-		Tool:    "memwall",
-		Command: "corpus-trace",
-		Args:    []string{key.Name, fmt.Sprintf("v%d", diskFormat)},
-		Seed:    workload.BaseSeed,
-		Scale:   key.Scale,
-	}
-	return man.Fingerprint()
-}
-
 // tracePath and metaPath name the two tier files for key.
 func tracePath(dir string, key Key) string {
-	return filepath.Join(dir, "corpus-"+diskKey(key)[:24]+".mwt")
+	return filepath.Join(dir, fmt.Sprintf("corpus-%s-scale%d.mwt", key.Name, key.Scale))
 }
 
 func metaPath(dir string, key Key) string {
-	return filepath.Join(dir, "corpus-"+diskKey(key)[:24]+".json")
+	return filepath.Join(dir, fmt.Sprintf("corpus-%s-scale%d.json", key.Name, key.Scale))
 }
 
 // corruptDisk counts one structurally-damaged tier state: an error AND a
@@ -90,8 +79,8 @@ func (c *Corpus) corruptDisk() {
 // loadDisk attempts to serve key from the tier. ok=false on any miss,
 // mismatch, or corruption. A structurally-damaged file (unparseable
 // sidecar, undecodable or truncated trace, sidecar without its trace)
-// counts as corruption; a well-formed file for the wrong identity counts
-// only as a disk error (stale, not damaged).
+// counts as corruption; a well-formed file for another key or build
+// counts only as a disk error (stale, not damaged).
 func (c *Corpus) loadDisk(key Key) ([]trace.Ref, Meta, bool) {
 	mb, err := c.fsys.ReadFile(metaPath(c.dir, key))
 	if err != nil {
@@ -102,7 +91,7 @@ func (c *Corpus) loadDisk(key Key) ([]trace.Ref, Meta, bool) {
 		c.corruptDisk()
 		return nil, Meta{}, false
 	}
-	if sc.Format != diskFormat || sc.Name != key.Name || sc.Scale != key.Scale || sc.Seed != workload.BaseSeed {
+	if sc.Format != diskFormat || sc.Name != key.Name || sc.Scale != key.Scale || sc.Code != codeid.Get() {
 		c.ctr.diskErrors.Inc()
 		return nil, Meta{}, false
 	}
@@ -156,7 +145,7 @@ func (c *Corpus) storeDisk(key Key, refs []trace.Ref, meta Meta) {
 		Format:       diskFormat,
 		Name:         meta.Name,
 		Scale:        meta.Scale,
-		Seed:         workload.BaseSeed,
+		Code:         codeid.Get(),
 		Suite:        meta.Suite.String(),
 		DataSetBytes: meta.DataSetBytes,
 		RefCount:     meta.RefCount,

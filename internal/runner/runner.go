@@ -27,8 +27,8 @@
 // in-flight computation of the same key, then computing. Completed cells
 // are served without recomputing and fresh results are memoized and
 // journaled. Because results are collected in index order either way, a
-// resumed run's output is byte-identical to an uninterrupted one at any
-// worker count.
+// run finished from a ledger is byte-identical to an uninterrupted one at
+// any worker count.
 //
 // Telemetry: each worker traces on its own Perfetto track
 // (Tracer.WithTID), each task is wrapped in a span named by
@@ -84,16 +84,16 @@ type Config struct {
 	// name their tasks get checkpointing for free.
 	TaskName func(i int) string
 	// CellKey, when non-nil, overrides TaskName as the cell key for task
-	// i. Keys must be unique within the grid and stable across runs of
-	// the same configuration.
+	// i. Keys must be unique within the grid, stable across runs, and
+	// name every input of the cell that the Flight's configuration (scale
+	// and cachescale) does not: a key is served whatever command asks.
 	CellKey func(i int) string
 	// Flight, when non-nil, is the cell cache: each task resolves
 	// through it (memo, ledger, an in-flight computation of the same
 	// key, then compute), so completed cells are served without
 	// recomputing and fresh results are memoized and journaled.
 	// Requires a key function (CellKey or TaskName); results must
-	// round-trip through encoding/json. A record-only ledger underneath
-	// degrades to plain journaling.
+	// round-trip through encoding/json.
 	Flight *checkpoint.Flight
 	// Fault, when non-nil, is invoked at the start of every computed
 	// cell (see Fault); it is the injection point for deterministic

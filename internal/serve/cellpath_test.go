@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,17 +194,23 @@ func cellsJSON(t *testing.T, body []byte) json.RawMessage {
 
 // TestServeFormat1LedgerIsStale: a format-1 serve ledger journaled
 // {"decomposition","counts"} payloads. Read as today's DecomposeResult
-// they would decode to zeros without an error, under the same
-// fingerprint, so the format bump must make such a ledger a counted
-// stale re-run instead.
+// they would decode to zeros without an error, so the format bump must
+// make such a ledger a counted stale re-run instead, even when the
+// program that wrote it is this one.
 func TestServeFormat1LedgerIsStale(t *testing.T) {
 	dir := t.TempDir()
-	led, err := checkpoint.Open(checkpoint.Options{Dir: dir, Fingerprint: fingerprint(1, 16)})
-	if err != nil {
+	flights := checkpoint.NewFlights(dir, nil, nil, nil)
+	if _, _, err := flights.For(1, 16).Do(context.Background(), smallKey, func(context.Context) ([]byte, error) {
+		return []byte(`{"decomposition":{"TP":7,"TI":8,"T":9},"counts":{"Cycles":9}}`), nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	led.Record(smallKey, []byte(`{"decomposition":{"TP":7,"TI":8,"T":9},"counts":{"Cycles":9}}`))
-	raw, err := os.ReadFile(led.Path())
+	flights.Close()
+	ledgers, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(ledgers) != 1 {
+		t.Fatalf("want one ledger in %s, got %v (%v)", dir, ledgers, err)
+	}
+	raw, err := os.ReadFile(ledgers[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +223,7 @@ func TestServeFormat1LedgerIsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(led.Path(), old, 0o644); err != nil {
+	if err := os.WriteFile(ledgers[0], old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -293,10 +293,7 @@ func TestServeCoalescing(t *testing.T) {
 		}(i)
 	}
 	// All N jobs waiting on one computation, then release it.
-	fl, err := s.flightFor(1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := s.flights.For(1, 16)
 	deadline := time.Now().Add(20 * time.Second)
 	for fl.Inflight(smallKey) < n {
 		if time.Now().After(deadline) {

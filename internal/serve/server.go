@@ -72,9 +72,10 @@ type Options struct {
 	RequestTimeout time.Duration
 	// Heartbeat is the SSE progress interval (default 1s).
 	Heartbeat time.Duration
-	// CheckpointDir backs the memoization tier with on-disk ledgers
-	// (one per configuration fingerprint, opened with Resume). Empty
-	// keeps memoization in-memory only.
+	// CheckpointDir backs the memoization tier with on-disk ledgers, one
+	// per (scale, cachescale) configuration and shared with the batch
+	// grids' -checkpoint-dir (see checkpoint.Flights). Empty keeps
+	// memoization in-memory only.
 	CheckpointDir string
 	// FS is the filesystem seam for ledger I/O (nil: the real one).
 	// Passing an injector-wrapped FS threads -fault-schedule through
@@ -150,9 +151,8 @@ type Server struct {
 	activeMu sync.Mutex
 	active   map[*job]context.CancelFunc
 
-	flightsMu sync.Mutex
-	flights   map[string]*checkpoint.Flight
-	ledgers   []*checkpoint.Ledger
+	// flights is the memoization tier, one Flight per configuration.
+	flights *checkpoint.Flights
 
 	// progress accumulates simulated-work totals across every job for
 	// the SSE heartbeat (the writer is discarded; Totals is the API).
@@ -187,14 +187,15 @@ func New(opts Options) *Server {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
+	m := newInstruments(reg)
 	s := &Server{
 		opts:     opts,
 		metrics:  reg,
-		m:        newInstruments(reg),
+		m:        m,
 		bucket:   newBucket(opts.Rate, opts.Burst),
 		queue:    make(chan *job, opts.QueueDepth),
 		active:   map[*job]context.CancelFunc{},
-		flights:  map[string]*checkpoint.Flight{},
+		flights:  checkpoint.NewFlights(opts.CheckpointDir, opts.FS, reg, m.coalesced),
 		progress: telemetry.NewProgress(io.Discard, time.Hour),
 		drained:  make(chan struct{}),
 	}
@@ -469,12 +470,10 @@ func (s *Server) jobObs() telemetry.Observation {
 }
 
 // run executes a plan: its cells resolve through core.ResolveFigure3 on
-// a per-job pool whose cache is the configuration's Flight.
+// a per-job pool whose cache is the configuration's Flight, shared by
+// every request kind, so a table6 cell coalesces with (and is served
+// from) the matching fig3 cell.
 func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
-	fl, err := s.flightFor(p.spec.Scale, p.spec.CacheScale)
-	if err != nil {
-		return nil, err
-	}
 	cells := make([]core.Figure3Cell, len(p.cells))
 	// One Get per benchmark: a nil corpus generates the program anew on
 	// every Get.
@@ -482,6 +481,7 @@ func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 	for i, c := range p.cells {
 		prog := progs[c.bench]
 		if prog == nil {
+			var err error
 			if prog, err = s.opts.Corpus.Get(c.bench, p.spec.Scale).Program(); err != nil {
 				return nil, err
 			}
@@ -496,7 +496,7 @@ func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 	pool := runner.Config{
 		Workers: s.opts.Workers,
 		Obs:     s.jobObs(),
-		Flight:  fl,
+		Flight:  s.flights.For(p.spec.Scale, p.spec.CacheScale),
 		Fault:   s.opts.Fault,
 		Cells:   &runner.CellStats{},
 	}
@@ -533,58 +533,9 @@ func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 	return res, nil
 }
 
-// fingerprint identifies one (scale, cacheScale) configuration: the
-// serve manifest's fingerprint, shared by every request kind, so a
-// table6 cell coalesces with (and resumes from) the matching fig3 cell.
-func fingerprint(scale, cacheScale int) string {
-	man := telemetry.NewManifest("memwall", "serve", nil)
-	man.Seed = workload.BaseSeed
-	man.Scale = scale
-	man.CacheScale = cacheScale
-	return man.Fingerprint()
-}
-
-// flightFor returns the memoization tier for one (scale, cacheScale)
-// configuration, opening its ledger on first use.
-func (s *Server) flightFor(scale, cacheScale int) (*checkpoint.Flight, error) {
-	fp := fingerprint(scale, cacheScale)
-
-	s.flightsMu.Lock()
-	defer s.flightsMu.Unlock()
-	if f, ok := s.flights[fp]; ok {
-		return f, nil
-	}
-	var led *checkpoint.Ledger
-	if s.opts.CheckpointDir != "" {
-		l, err := checkpoint.Open(checkpoint.Options{
-			Dir:         s.opts.CheckpointDir,
-			Fingerprint: fp,
-			Resume:      true, // the ledger IS the memo tier here
-			FS:          s.opts.FS,
-			Metrics:     s.metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		led = l
-		s.ledgers = append(s.ledgers, l)
-	}
-	f := checkpoint.NewFlight(led, s.m.coalesced)
-	s.flights[fp] = f
-	return f, nil
-}
-
 // Corruptions sums corrupt-ledger detections across every ledger the
 // server opened (for the CLI's exit-code taxonomy).
-func (s *Server) Corruptions() int64 {
-	s.flightsMu.Lock()
-	defer s.flightsMu.Unlock()
-	var n int64
-	for _, l := range s.ledgers {
-		n += l.Corruptions()
-	}
-	return n
-}
+func (s *Server) Corruptions() int64 { return s.flights.Corruptions() }
 
 // Drain shuts the server down: stop admitting (new POSTs see 503),
 // close the queue, and wait for in-flight and queued jobs to finish and
@@ -628,11 +579,7 @@ func (s *Server) drain(ctx context.Context) error {
 		<-done
 	}
 
-	s.flightsMu.Lock()
-	for _, l := range s.ledgers {
-		l.Close()
-	}
-	s.flightsMu.Unlock()
+	s.flights.Close()
 	s.m.drainSeconds.Set(time.Since(start).Seconds())
 	close(s.drained)
 	return forced

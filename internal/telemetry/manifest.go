@@ -13,8 +13,8 @@ import (
 )
 
 // Manifest records what a run simulated and where it ran. The
-// configuration fields (Tool, Command, Args, Seed, Scale, CacheScale,
-// Config) feed the fingerprint; the host and timing fields are
+// configuration fields (Tool, Command, Args, Seed, Scale, CacheScale)
+// feed the fingerprint; the host and timing fields are
 // informational and deliberately excluded, so the same configuration
 // fingerprints identically on any machine, any day.
 type Manifest struct {
@@ -27,10 +27,6 @@ type Manifest struct {
 	// Scale and CacheScale mirror the -scale/-cachescale flags.
 	Scale      int `json:"scale"`
 	CacheScale int `json:"cacheScale"`
-	// Config is an optional opaque configuration blob (it must be
-	// JSON-serialisable deterministically, i.e. no maps with pointer
-	// keys); it participates in the fingerprint.
-	Config any `json:"config,omitempty"`
 
 	// Host and build provenance (not fingerprinted).
 	GoVersion string `json:"goVersion"`
@@ -73,17 +69,15 @@ type fingerprintView struct {
 	Seed       uint64   `json:"seed"`
 	Scale      int      `json:"scale"`
 	CacheScale int      `json:"cacheScale"`
-	Config     any      `json:"config"`
 }
 
 // Fingerprint returns a hex SHA-256 over the manifest's configuration
-// fields. Two runs with the same tool, command, args, seed, scales, and
-// config blob fingerprint identically regardless of host or time.
+// fields. Two runs with the same tool, command, args, seed and scales
+// fingerprint identically regardless of host or time.
 func (m Manifest) Fingerprint() string {
 	b := marshalSorted(fingerprintView{
 		Tool: m.Tool, Command: m.Command, Args: m.Args,
 		Seed: m.Seed, Scale: m.Scale, CacheScale: m.CacheScale,
-		Config: m.Config,
 	})
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

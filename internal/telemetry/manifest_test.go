@@ -43,7 +43,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{"cachescale", func(m *Manifest) { m.CacheScale = 1 }},
 		{"command", func(m *Manifest) { m.Command = "table6" }},
 		{"args", func(m *Manifest) { m.Args = []string{"-suite", "95"} }},
-		{"config", func(m *Manifest) { m.Config = map[string]int{"mshrs": 8} }},
 	}
 	for _, p := range perturb {
 		m := testManifest()
