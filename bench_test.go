@@ -262,6 +262,23 @@ func BenchmarkCacheAccess(b *testing.B) { cacheAccessBench(b, 2) }
 // cache, one 2,048-way set, which cache.New indexes instead of scanning.
 func BenchmarkCacheAccessFullyAssoc(b *testing.B) { cacheAccessBench(b, 0) }
 
+// BenchmarkCacheRunRefs replays compress through Table 7's 64 KB/32 B
+// direct-mapped cache with RunRefs, which takes the direct-mapped kernel
+// where BenchmarkCacheAccess takes Access, and reports the cost per
+// replayed reference.
+func BenchmarkCacheRunRefs(b *testing.B) {
+	refs := trace.Collect(mustGen(b, "compress").MemRefs())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := cache.New(cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.RunRefs(refs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(refs)), "ns/ref")
+}
+
 func cacheAccessBench(b *testing.B, assoc int) {
 	c, err := cache.New(cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: assoc})
 	if err != nil {

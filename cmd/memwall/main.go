@@ -123,12 +123,19 @@ func (f intFlag) String() string {
 }
 
 func (f intFlag) Set(s string) error {
-	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	n, err := parseInt(s)
 	if err != nil {
 		return errors.Unwrap(err) // "invalid syntax" or "value out of range"
 	}
-	*f.v = int(n)
+	*f.v = n
 	return nil
+}
+
+// parseInt reads an integer flag value as the flag package does: base
+// prefixes 0x, 0o, 0b and a leading 0 select the base.
+func parseInt(s string) (int, error) {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	return int(n), err
 }
 
 // minIntFlag defines an int flag whose value must be at least min. Below

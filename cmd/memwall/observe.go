@@ -210,19 +210,20 @@ func taskObservation(tracer *telemetry.Tracer) telemetry.Observation {
 }
 
 // scrapeIntFlag finds the value of an integer flag in a raw argument list
-// without consuming it; def is returned when absent or malformed. Used to
-// record -scale/-cachescale in the -metrics manifest before the
-// subcommand's own FlagSet parses them.
+// without consuming it; def is returned when absent or malformed. It
+// parses as intFlag.Set does, so the value recorded is the one the
+// command runs with. Used to record -scale/-cachescale in the -metrics
+// manifest before the subcommand's own FlagSet parses them.
 func scrapeIntFlag(args []string, name string, def int) int {
 	for i := 0; i < len(args); i++ {
 		a := strings.TrimLeft(args[i], "-")
 		if a == name && i+1 < len(args) {
-			if v, err := strconv.Atoi(args[i+1]); err == nil {
+			if v, err := parseInt(args[i+1]); err == nil {
 				return v
 			}
 		}
 		if rest, ok := strings.CutPrefix(a, name+"="); ok {
-			if v, err := strconv.Atoi(rest); err == nil {
+			if v, err := parseInt(rest); err == nil {
 				return v
 			}
 		}
@@ -241,14 +242,14 @@ func stripIntFlag(args []string, name string, def int) (int, []string) {
 	for i := 0; i < len(args); i++ {
 		a := strings.TrimLeft(args[i], "-")
 		if a == name && i+1 < len(args) {
-			if v, err := strconv.Atoi(args[i+1]); err == nil {
+			if v, err := parseInt(args[i+1]); err == nil {
 				val = v
 				i++
 				continue
 			}
 		}
 		if after, ok := strings.CutPrefix(a, name+"="); ok {
-			if v, err := strconv.Atoi(after); err == nil {
+			if v, err := parseInt(after); err == nil {
 				val = v
 				continue
 			}

@@ -135,10 +135,22 @@ func TestRunCommandProfiles(t *testing.T) {
 
 // The trace-driven sweeps publish per-configuration cache counters.
 func TestTable7MetricsReport(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "out.json")
-	capture(t, func() error { return runCommand("table7", []string{"-metrics", metrics}) })
-	raw, err := os.ReadFile(metrics)
+	rep := metricsReport(t, "table7")
+	if rep.Metrics.Counters["cache.compress.64KB.accesses"] <= 0 {
+		t.Error("table7 did not publish per-configuration cache counters")
+	}
+	if rep.Metrics.Gauges["cache.compress.64KB.miss_rate"] <= 0 {
+		t.Error("table7 did not publish cache miss-rate gauges")
+	}
+}
+
+// metricsReport runs command with args and -metrics, and returns the
+// report it wrote.
+func metricsReport(t *testing.T, command string, args ...string) telemetry.Report {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.json")
+	capture(t, func() error { return runCommand(command, append(args, "-metrics", path)) })
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +158,30 @@ func TestTable7MetricsReport(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Metrics.Counters["cache.compress.64KB.accesses"] <= 0 {
-		t.Error("table7 did not publish per-configuration cache counters")
+	return rep
+}
+
+// The manifest records the -scale the command ran at for every spelling
+// the command's FlagSet accepts, a base prefix included.
+func TestManifestScaleParsesLikeTheFlag(t *testing.T) {
+	rep := metricsReport(t, "table3", "-scale", "0x2")
+	if rep.Manifest.Scale != 2 {
+		t.Errorf("table3 -scale 0x2 records scale %d, want 2", rep.Manifest.Scale)
 	}
-	if rep.Metrics.Gauges["cache.compress.64KB.miss_rate"] <= 0 {
-		t.Error("table7 did not publish cache miss-rate gauges")
+}
+
+// -j in any spelling the FlagSet accepts is recorded as workers and kept
+// out of the fingerprinted args, so -j 0x2 fingerprints as -j 2 does.
+func TestManifestWorkersParseLikeTheFlag(t *testing.T) {
+	hex := metricsReport(t, "table7", "-j", "0x2")
+	dec := metricsReport(t, "table7", "-j", "2")
+	if hex.Manifest.Workers != 2 {
+		t.Errorf("table7 -j 0x2 records workers %d, want 2", hex.Manifest.Workers)
+	}
+	if len(hex.Manifest.Args) != 0 {
+		t.Errorf("table7 -j 0x2 fingerprints args %q, want none", hex.Manifest.Args)
+	}
+	if hex.Fingerprint != dec.Fingerprint {
+		t.Errorf("-j 0x2 fingerprint %s differs from -j 2's %s", hex.Fingerprint, dec.Fingerprint)
 	}
 }

@@ -31,7 +31,7 @@ func faTrace(seed uint64, n, span int) []trace.Ref {
 // present way must be found under its tag, and the table must hold
 // nothing else.
 func checkIndex(c *Cache) error {
-	set := c.sets[0]
+	set := c.lines
 	present := 0
 	for w := range set {
 		if !set[w].present() {

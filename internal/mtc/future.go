@@ -32,6 +32,10 @@ type Future struct {
 	// next[t] is the position of the next reference (after t) to the same
 	// block, or never: the MIN simulator's next-use key, read as is.
 	next []int32
+	// writes counts the trace's stores, readFirsts the blocks whose first
+	// reference is a load, and writtenBlocks the blocks stored to at least
+	// once: the counts MTC.addUnbounded turns into statistics.
+	writes, readFirsts, writtenBlocks int64
 }
 
 // BlockSize returns the block granularity the table was built for.
@@ -81,7 +85,7 @@ func FutureOfRefs(refs []trace.Ref, blockSize int) (*Future, error) {
 	for t, r := range refs {
 		f.blockOf[t] = internBlock(ids, r.Addr>>f.shift)
 	}
-	f.finish(len(ids))
+	f.finish(refs, len(ids))
 	return f, nil
 }
 
@@ -137,17 +141,32 @@ func internBlock(ids map[uint64]int32, b uint64) int32 {
 
 // finish computes the dense next-use array from blockOf in one backward
 // pass: walking t from the end, the last-seen position of each block is
-// exactly the next use of the current occurrence.
-func (f *Future) finish(numBlocks int) {
+// exactly the next use of the current occurrence, and once the walk ends
+// it is the block's first reference. The same pass counts the stores and
+// the blocks they touch.
+func (f *Future) finish(refs []trace.Ref, numBlocks int) {
 	f.numBlocks = numBlocks
 	f.next = make([]int32, len(f.blockOf))
 	last := make([]int32, numBlocks)
 	for i := range last {
 		last[i] = never
 	}
+	written := make([]bool, numBlocks)
 	for t := len(f.blockOf) - 1; t >= 0; t-- {
 		id := f.blockOf[t]
 		f.next[t] = last[id]
 		last[id] = int32(t)
+		if refs[t].Kind == trace.Write {
+			f.writes++
+			written[id] = true
+		}
+	}
+	for id, first := range last {
+		if refs[first].Kind != trace.Write {
+			f.readFirsts++
+		}
+		if written[id] {
+			f.writtenBlocks++
+		}
 	}
 }

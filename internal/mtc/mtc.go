@@ -134,26 +134,17 @@ func (s Stats) TrafficBytes() units.Bytes {
 	return s.FetchBytes + s.BypassBytes + s.WriteBackBytes
 }
 
-// Per-block residency state is one packed uint32 word per interned block
-// ID: pos<<1 | dirty, where pos is the block's max-heap position plus one.
-// The zero word (obtained for free from make's memclr) means "not
-// resident". Packing halves the table against the padded struct it
-// replaced — the table is touched once per reference, and traces intern
-// millions of blocks — and mirrors the packed line-frame words of
-// internal/mem. Heap positions are bounded by the interned-block count,
-// which fits int32, so pos<<1 cannot overflow the word.
-const entryDirty = 1
-
-func entryPos(e uint32) int { return int(e >> 1) }
-
-func packEntry(pos int, dirty uint32) uint32 { return uint32(pos)<<1 | dirty }
+// dirtyBit marks a resident block dirty in the top bit of its heap
+// element's id. Interned block IDs lie below math.MaxInt32, so the bit is
+// free, and a sift that moves a block moves its dirty bit with it.
+const dirtyBit = 1 << 31
 
 // heapElem is one resident block in the eviction heap: 8 bytes, with the
 // next-use key inline so a comparison reads one contiguous array — no
 // pointer chase, no write barriers, no per-miss allocation.
 type heapElem struct {
-	next int32 // position of the block's next reference, or never
-	id   int32
+	next int32  // position of the block's next reference, or never
+	id   uint32 // interned block ID, with dirtyBit set while the block is dirty
 }
 
 // MTC is the minimal-traffic cache simulator. Because MIN requires future
@@ -163,17 +154,13 @@ type heapElem struct {
 type MTC struct {
 	cfg      Config
 	capacity int
-	// ordered is false when every block the trace touches fits at once:
-	// nothing is ever evicted or bypassed, so no decision reads the heap
-	// order and replay skips maintaining it.
-	ordered bool
 
 	// fut is the trace's future-knowledge table, shared read-only with any
 	// other MTC built over the same trace at the same block size.
 	fut *Future
 
-	// entries is indexed by interned block ID; a block is resident iff its
-	// packed position field is non-zero.
+	// entries is indexed by interned block ID and holds the block's heap
+	// position plus one; zero (make's memclr) means not resident.
 	entries []uint32
 	heap    []heapElem // max-heap on next
 
@@ -205,7 +192,6 @@ func NewWithFuture(cfg Config, f *Future) (*MTC, error) {
 	return &MTC{
 		cfg:      cfg,
 		capacity: capacity,
-		ordered:  f.numBlocks > capacity,
 		fut:      f,
 		entries:  make([]uint32, f.numBlocks),
 		heap:     make([]heapElem, 0, min(capacity, f.numBlocks)),
@@ -228,7 +214,7 @@ func (m *MTC) Resident() int { return len(m.heap) }
 // --- indexed max-heap on next ---
 //
 // The sifts move a hole: each block that moves is written to its new
-// slot, and its entries position updated, once. The heap's layout is
+// slot, and its entries position stored, once. The heap's layout is
 // observable, so it must stay that of a binary heap that evicts by
 // removing the top and then pushes the new block. Blocks never referenced
 // again all hold the key never; the one on top is evicted first, and
@@ -240,7 +226,7 @@ func (m *MTC) Resident() int { return len(m.heap) }
 // place writes x into slot i and records i in x's entry.
 func (m *MTC) place(i int, x heapElem) {
 	m.heap[i] = x
-	m.entries[x.id] = packEntry(i+1, m.entries[x.id]&entryDirty)
+	m.entries[x.id&^dirtyBit] = uint32(i + 1)
 }
 
 // heapUp sifts x up from the hole at slot i.
@@ -280,29 +266,25 @@ func (m *MTC) heapDown(i int, x heapElem) {
 	m.place(i, x)
 }
 
-// push adds block id, whose entry already holds its dirty bit.
-func (m *MTC) push(id, next int32) {
+// push adds x, a block that is not resident.
+func (m *MTC) push(x heapElem) {
 	// Extend within the preallocated backing array instead of append:
 	// NewWithFuture sizes cap(m.heap) to min(capacity, numBlocks), and
 	// residency never exceeds either bound, so this is allocation-free on
 	// the replay hot path.
 	i := len(m.heap)
 	m.heap = m.heap[: i+1 : cap(m.heap)]
-	if m.ordered {
-		m.heapUp(i, heapElem{next: next, id: id})
-	} else {
-		m.place(i, heapElem{next: next, id: id})
-	}
+	m.heapUp(i, x)
 }
 
 // evictTop removes the block with the furthest next use, writing it back
 // if dirty.
 func (m *MTC) evictTop() {
 	top := m.heap[0].id
-	if m.entries[top]&entryDirty != 0 {
+	if top&dirtyBit != 0 {
 		m.stats.WriteBackBytes += units.Bytes(m.cfg.BlockSize)
 	}
-	m.entries[top] = 0
+	m.entries[top&^dirtyBit] = 0
 	last := len(m.heap) - 1
 	x := m.heap[last]
 	m.heap = m.heap[:last]
@@ -321,20 +303,18 @@ func (m *MTC) access(isWrite bool, t int) {
 	} else {
 		m.stats.Reads++
 	}
-	id := m.fut.blockOf[t]
-	next := m.fut.next[t]
+	x := heapElem{next: m.fut.next[t], id: uint32(m.fut.blockOf[t])}
+	if isWrite {
+		x.id |= dirtyBit
+	}
 
-	if e := m.entries[id]; e>>1 != 0 {
+	if pos := m.entries[x.id&^dirtyBit]; pos != 0 {
 		m.stats.Hits++
-		if isWrite {
-			m.entries[id] = e | entryDirty
-		}
 		// The block's key was t, below every other resident's, so it sits
-		// in a leaf; its new key is larger, so it can only rise. Without
-		// ordering the key is left stale: nothing reads it.
-		if m.ordered {
-			m.heapUp(entryPos(e)-1, heapElem{next: next, id: id})
-		}
+		// in a leaf; its new key is larger, so it can only rise.
+		i := int(pos) - 1
+		x.id |= m.heap[i].id & dirtyBit
+		m.heapUp(i, x)
 		return
 	}
 
@@ -345,7 +325,7 @@ func (m *MTC) access(isWrite bool, t int) {
 	// the cache", Section 5.2); stores always allocate, which is what
 	// makes the write-validate-vs-write-allocate factor visible.
 	if len(m.heap) >= m.capacity {
-		if !m.cfg.NoBypass && !isWrite && next >= m.heap[0].next {
+		if !m.cfg.NoBypass && !isWrite && x.next >= m.heap[0].next {
 			// The incoming block is (re)used no sooner than everything
 			// resident: bypass. The requested word still crosses the
 			// boundary to the processor.
@@ -358,14 +338,11 @@ func (m *MTC) access(isWrite bool, t int) {
 
 	// Loads and write-allocate stores fetch the block; write-validate
 	// stores allocate by overwriting it with the store data.
-	if isWrite {
-		m.entries[id] = entryDirty
-	}
 	if !isWrite || m.cfg.Alloc != WriteValidate {
 		m.stats.Fetches++
 		m.stats.FetchBytes += units.Bytes(m.cfg.BlockSize)
 	}
-	m.push(id, next)
+	m.push(x)
 }
 
 // checkLen panics when the replayed trace is longer than the one the future
@@ -392,8 +369,8 @@ func panicLenMismatch(t, n int) {
 func (m *MTC) Flush() {
 	var dirty int64
 	for _, x := range m.heap {
-		dirty += int64(m.entries[x.id] & entryDirty)
-		m.entries[x.id] = 0
+		dirty += int64(x.id >> 31)
+		m.entries[x.id&^dirtyBit] = 0
 	}
 	m.heap = m.heap[:0]
 	m.stats.FlushWriteBacks += dirty
@@ -401,16 +378,47 @@ func (m *MTC) Flush() {
 }
 
 // RunRefs replays a materialized trace (the same one the future table was
-// built over), flushes, and returns the statistics.
+// built over), flushes, and returns the statistics. When the whole trace
+// replays and every block it touches fits at once, the statistics follow
+// from the table's counts without a replay (addUnbounded).
 func (m *MTC) RunRefs(refs []trace.Ref) Stats {
 	if len(refs) > 0 {
 		m.checkLen(len(refs) - 1)
+	}
+	if len(refs) == m.fut.Len() && m.fut.numBlocks <= m.capacity {
+		m.addUnbounded()
+		return m.stats
 	}
 	for t := range refs {
 		m.access(refs[t].Kind == trace.Write, t)
 	}
 	m.Flush()
 	return m.stats
+}
+
+// addUnbounded adds the statistics of a whole-trace replay in which every
+// block fits: nothing is evicted or bypassed, so each block misses once,
+// on its first reference, and the final Flush writes back each block the
+// trace ever stores to. Loads and write-allocate stores fetch on that
+// miss; write-validate stores do not.
+func (m *MTC) addUnbounded() {
+	f := m.fut
+	n, blocks := int64(f.Len()), int64(f.numBlocks)
+	fetches := blocks
+	if m.cfg.Alloc == WriteValidate {
+		fetches = f.readFirsts
+	}
+	bs := int64(m.cfg.BlockSize)
+	s := &m.stats
+	s.Accesses += n
+	s.Reads += n - f.writes
+	s.Writes += f.writes
+	s.Hits += n - blocks
+	s.Misses += blocks
+	s.Fetches += fetches
+	s.FetchBytes += units.Bytes(fetches * bs)
+	s.FlushWriteBacks += f.writtenBlocks
+	s.WriteBackBytes += units.Bytes(f.writtenBlocks * bs)
 }
 
 // SimulateRefs runs cfg over a materialized trace using a future table

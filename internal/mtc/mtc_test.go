@@ -386,7 +386,7 @@ func TestReplayAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{1024, 1 << 20} { // heap ordered, then not
+	for _, size := range []int{1024, 1 << 20} { // replayed, then in closed form
 		m, err := NewWithFuture(Config{Size: size, BlockSize: 4, Alloc: WriteValidate}, fut)
 		if err != nil {
 			t.Fatal(err)

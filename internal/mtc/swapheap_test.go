@@ -29,6 +29,15 @@ type swapElem struct {
 	id      int32
 }
 
+// The reference keeps its per-block state as the replay once did: one
+// packed word per interned block, pos<<1 | dirty, where pos is the
+// block's heap position plus one and the zero word means not resident.
+const entryDirty = 1
+
+func entryPos(e uint32) int { return int(e >> 1) }
+
+func packEntry(pos int, dirty uint32) uint32 { return uint32(pos)<<1 | dirty }
+
 func newSwapMTC(cfg Config, f *Future) *swapMTC {
 	return &swapMTC{cfg: cfg, capacity: cfg.Size / cfg.BlockSize, fut: f, entries: make([]uint32, f.numBlocks)}
 }
@@ -188,7 +197,7 @@ func (m *MTC) arrangement() string {
 		if x.next == never {
 			key = math.MaxInt64
 		}
-		out[i] = fmt.Sprint(key, x.id)
+		out[i] = fmt.Sprint(key, x.id&^dirtyBit)
 	}
 	return fmt.Sprint(out)
 }
