@@ -358,7 +358,7 @@ func BenchmarkOutOfOrderCore(b *testing.B) { coreBench(b, true) }
 
 // BenchmarkWorkloadGeneration generates the 13 Figure 3 programs at
 // scale 1, the set-up of every Figure 3 run, and reports the bytes it
-// allocates per instruction kept: 24 (one isa.Inst) when generation
+// allocates per instruction kept: 16 (one isa.Inst) when generation
 // allocates only what it keeps.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	b.ReportAllocs()

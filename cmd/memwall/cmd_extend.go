@@ -47,9 +47,12 @@ func runCMP(args []string) error {
 	var baseCycles int64
 	for n := 1; n <= *maxCores; n *= 2 {
 		progs := make([][]isa.Inst, n)
-		for i := 0; i < n; i++ {
-			// Each core gets a private copy of the kernel shifted to a
-			// disjoint address region: pure bandwidth/capacity
+		// Core 0 replays the program in place: RunMulti only reads its
+		// slices, and core 0's region is the program's own.
+		progs[0] = p.Insts
+		for i := 1; i < n; i++ {
+			// Each other core gets a private copy of the kernel shifted
+			// to a disjoint address region: pure bandwidth/capacity
 			// interference, no sharing.
 			insts := make([]isa.Inst, len(p.Insts))
 			copy(insts, p.Insts)

@@ -215,14 +215,15 @@ func TestGoldenProgramDigests(t *testing.T) {
 
 // programDigest is the SHA-256 of every field of every instruction
 // (Addr, PC, Op, Dst, Src1, Src2, Taken), then DataSetBytes, then each
-// region's name, base and size, all little-endian.
+// region's name, base and size, all little-endian. The PC is written as
+// 32 bits, the width it had when the digests were pinned.
 func programDigest(p *workload.Program) string {
 	h := sha256.New()
 	const instBytes = 17
 	buf := make([]byte, 0, 4096*instBytes)
 	for _, in := range p.Insts {
 		buf = binary.LittleEndian.AppendUint64(buf, in.Addr)
-		buf = binary.LittleEndian.AppendUint32(buf, in.PC)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(in.PC))
 		taken := byte(0)
 		if in.Taken {
 			taken = 1

@@ -52,7 +52,7 @@ func TestLedgerIdentityBothCores(t *testing.T) {
 			isa.Inst{Op: isa.IALU, Dst: 2, Src1: 1},
 			isa.Inst{Op: isa.Load, Dst: 3, Addr: addr + 8192, Src1: 2},
 			isa.Inst{Op: isa.FMul, Dst: 4, Src1: 3, Src2: 2},
-			isa.Inst{Op: isa.Branch, PC: uint32(i), Taken: i%3 == 0},
+			isa.Inst{Op: isa.Branch, PC: uint16(i), Taken: i%3 == 0},
 		)
 	}
 	for _, tc := range []struct {

@@ -119,7 +119,7 @@ func (p *inOrder) step(in *isa.Inst, res *Result) {
 	case isa.Branch:
 		res.Branches++
 		resolve := p.cycle + Latency(isa.Branch)
-		if p.pred.PredictUpdate(in.PC, in.Taken) != in.Taken {
+		if p.pred.PredictUpdate(uint32(in.PC), in.Taken) != in.Taken {
 			res.Mispredicts++
 			p.fetchReady = resolve + p.cfg.MispredictPenalty
 		}
@@ -204,7 +204,7 @@ func (p *inOrder) drain(insts []isa.Inst, res *Result) {
 		case isa.Branch:
 			res.Branches++
 			resolve := cycle + Latency(isa.Branch)
-			if pred.PredictUpdate(in.PC, in.Taken) != in.Taken {
+			if pred.PredictUpdate(uint32(in.PC), in.Taken) != in.Taken {
 				res.Mispredicts++
 				fetchReady = resolve + p.cfg.MispredictPenalty
 			}

@@ -168,12 +168,8 @@ func (s *slotSched) slide(t int64) {
 	shift := idx - slideKeep
 	if shift >= int64(len(s.count)) {
 		// The jump clears the whole window.
-		for i := range s.count {
-			s.count[i] = 0
-		}
-		for i := range s.skip {
-			s.skip[i] = 0
-		}
+		clear(s.count)
+		clear(s.skip)
 		b := t - slideKeep
 		if b < 0 {
 			b = 0
@@ -182,16 +178,12 @@ func (s *slotSched) slide(t int64) {
 		return
 	}
 	n := copy(s.count, s.count[shift:])
-	for i := n; i < len(s.count); i++ {
-		s.count[i] = 0
-	}
+	clear(s.count[n:])
 	// Relative distances survive the shift unchanged, and none reaches
 	// past one-past-the-old-window-end, so no entry can claim fullness
 	// inside the freshly cleared tail.
 	copy(s.skip, s.skip[shift:])
-	for i := n; i < len(s.skip); i++ {
-		s.skip[i] = 0
-	}
+	clear(s.skip[n:])
 	s.base += shift
 }
 
@@ -306,7 +298,7 @@ func (p *outOfOrder) step(in *isa.Inst, res *Result) {
 	case isa.Branch:
 		res.Branches++
 		complete = exec + Latency(isa.Branch)
-		if p.pred.PredictUpdate(in.PC, in.Taken) != in.Taken {
+		if p.pred.PredictUpdate(uint32(in.PC), in.Taken) != in.Taken {
 			res.Mispredicts++
 			// Fetch redirects after the branch resolves.
 			if nf := complete + p.cfg.MispredictPenalty; nf > p.fetchReady {
@@ -414,7 +406,7 @@ func (p *outOfOrder) drain(insts []isa.Inst, res *Result) {
 		case isa.Branch:
 			res.Branches++
 			complete = exec + Latency(isa.Branch)
-			if pred.PredictUpdate(in.PC, in.Taken) != in.Taken {
+			if pred.PredictUpdate(uint32(in.PC), in.Taken) != in.Taken {
 				res.Mispredicts++
 				if nf := complete + p.cfg.MispredictPenalty; nf > fetchReady {
 					fetchReady = nf

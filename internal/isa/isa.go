@@ -65,13 +65,15 @@ func (o Op) String() string {
 // IsMem reports whether the op accesses data memory.
 func (o Op) IsMem() bool { return o == Load || o == Store }
 
-// Inst is one dynamic (already-resolved) instruction.
+// Inst is one dynamic (already-resolved) instruction. Its fields pack
+// into 16 bytes, so a program of n instructions keeps 16n bytes.
 type Inst struct {
 	// Addr is the data address for Load/Store (word-aligned by builders).
 	Addr uint64
 	// PC identifies the static instruction site; branch predictors index
-	// on it. Builders assign a distinct PC per static site.
-	PC uint32
+	// on it. Builders assign a distinct PC per static site, so a program
+	// has at most MaxSites of them.
+	PC uint16
 	// Op is the operation class.
 	Op Op
 	// Dst is the destination register (0 = none).
@@ -114,11 +116,20 @@ func (m *MemRefs) Reset() { m.pos = 0 }
 
 var _ trace.Stream = (*MemRefs)(nil)
 
+// firstPC is the PC of a program's first site; each later site's PC is
+// 4 above the one before it.
+const firstPC = 0x1000
+
+// MaxSites is the number of distinct static sites one program can hold:
+// the PCs from firstPC up to the largest a 16-bit PC represents.
+const MaxSites = (1<<16 - firstPC) / 4
+
 // Builder helps workload generators construct instruction slices with
 // automatically assigned static PCs. Each distinct call site in generator
 // code should use a distinct site label so branch-predictor indexing sees
 // stable static branches. A site gets its PC when it is first emitted, so
-// PCs follow the order in which sites first appear.
+// PCs follow the order in which sites first appear. A site beyond
+// MaxSites gets a wrapped PC, and Err reports it.
 //
 // A Builder from NewCountBuilder is in count mode: it only counts what is
 // emitted, with no site lookup and no storage. Running a deterministic
@@ -126,8 +137,8 @@ var _ trace.Stream = (*MemRefs)(nil)
 // Builder, which then never grows its slice.
 type Builder struct {
 	insts    []Inst
-	pcs      map[string]uint32
-	next     uint32
+	pcs      map[string]uint16
+	next     uint16
 	counting bool
 	n        int // instructions emitted in count mode
 }
@@ -139,8 +150,8 @@ type Builder struct {
 func NewBuilder(capHint int) *Builder {
 	return &Builder{
 		insts: make([]Inst, 0, capHint),
-		pcs:   make(map[string]uint32),
-		next:  0x1000,
+		pcs:   make(map[string]uint16),
+		next:  firstPC,
 	}
 }
 
@@ -149,7 +160,7 @@ func NewBuilder(capHint int) *Builder {
 func NewCountBuilder() *Builder { return &Builder{counting: true} }
 
 // site returns a stable PC for the named static site.
-func (b *Builder) site(name string) uint32 {
+func (b *Builder) site(name string) uint16 {
 	if pc, ok := b.pcs[name]; ok {
 		return pc
 	}
@@ -190,6 +201,16 @@ func (b *Builder) OpRRR(site string, op Op, dst, src1, src2 Reg) {
 // direction taken.
 func (b *Builder) Branch(site string, src1 Reg, taken bool) {
 	b.Emit(site, Inst{Op: Branch, Src1: src1, Taken: taken})
+}
+
+// Err reports an error when more than MaxSites distinct sites were
+// emitted, so that some site's PC wrapped. It is always nil in count
+// mode, which looks up no sites.
+func (b *Builder) Err() error {
+	if sites := len(b.pcs); sites > MaxSites {
+		return fmt.Errorf("isa: %d distinct sites, more than the %d a 16-bit PC holds", sites, MaxSites)
+	}
+	return nil
 }
 
 // Insts returns the built instruction slice (nil in count mode).

@@ -2,9 +2,18 @@ package isa
 
 import (
 	"testing"
+	"unsafe"
 
 	"memwall/internal/trace"
 )
+
+// A program keeps 16 bytes per instruction: the fields pack without a
+// padding word, which a 32-bit PC would add.
+func TestInstIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 16 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 16", n)
+	}
+}
 
 func TestOpString(t *testing.T) {
 	want := map[Op]string{
@@ -125,7 +134,7 @@ func TestCountBuilderCountsOnly(t *testing.T) {
 	}
 	// Sites get PCs in the order they are first emitted.
 	for i, in := range insts[:5] {
-		if want := uint32(0x1000 + 4*i); in.PC != want {
+		if want := uint16(0x1000 + 4*i); in.PC != want {
 			t.Errorf("inst %d: PC %#x, want %#x", i, in.PC, want)
 		}
 	}

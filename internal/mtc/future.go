@@ -34,7 +34,7 @@ type Future struct {
 	next []int32
 	// writes counts the trace's stores, readFirsts the blocks whose first
 	// reference is a load, and writtenBlocks the blocks stored to at least
-	// once: the counts MTC.addUnbounded turns into statistics.
+	// once: the counts unbounded turns into statistics.
 	writes, readFirsts, writtenBlocks int64
 }
 

@@ -172,30 +172,49 @@ type MTC struct {
 // will later be replayed through RunRefs. The table is only read, so
 // the same Future may back any number of MTCs, concurrently.
 //
-// Construction runs once per simulated configuration, not once per
-// reference, so it is excluded from SimulateRefs' hot set: its
-// allocations and validation errors are setup cost, amortized over the
-// whole replay.
+// Construction (capacityOver, then newMTC) runs once per simulated
+// configuration, not once per reference, so it is excluded from
+// SimulateRefs' hot set: its allocations and validation errors are setup
+// cost, amortized over the whole replay.
 //
 //memwall:cold
 func NewWithFuture(cfg Config, f *Future) (*MTC, error) {
-	if err := cfg.Validate(); err != nil {
+	capacity, err := capacityOver(cfg, f)
+	if err != nil {
 		return nil, err
 	}
+	return newMTC(cfg, f, capacity), nil
+}
+
+// capacityOver checks that cfg can replay against f and returns cfg's
+// capacity in blocks.
+//
+//memwall:cold
+func capacityOver(cfg Config, f *Future) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
 	if f == nil {
-		return nil, fmt.Errorf("mtc: nil future table")
+		return 0, fmt.Errorf("mtc: nil future table")
 	}
 	if f.blockSize != cfg.BlockSize {
-		return nil, fmt.Errorf("mtc: future table built for %dB blocks, config wants %dB", f.blockSize, cfg.BlockSize)
+		return 0, fmt.Errorf("mtc: future table built for %dB blocks, config wants %dB", f.blockSize, cfg.BlockSize)
 	}
-	capacity := cfg.Size / max(1, cfg.BlockSize) // Validate rejected nonpositive block sizes above
+	return cfg.Size / max(1, cfg.BlockSize), nil // Validate rejected nonpositive block sizes above
+}
+
+// newMTC allocates the replay's per-block tables: entries and the heap,
+// 12 bytes per interned block at most.
+//
+//memwall:cold
+func newMTC(cfg Config, f *Future, capacity int) *MTC {
 	return &MTC{
 		cfg:      cfg,
 		capacity: capacity,
 		fut:      f,
 		entries:  make([]uint32, f.numBlocks),
 		heap:     make([]heapElem, 0, min(capacity, f.numBlocks)),
-	}, nil
+	}
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -378,16 +397,10 @@ func (m *MTC) Flush() {
 }
 
 // RunRefs replays a materialized trace (the same one the future table was
-// built over), flushes, and returns the statistics. When the whole trace
-// replays and every block it touches fits at once, the statistics follow
-// from the table's counts without a replay (addUnbounded).
+// built over), flushes, and returns the statistics.
 func (m *MTC) RunRefs(refs []trace.Ref) Stats {
 	if len(refs) > 0 {
 		m.checkLen(len(refs) - 1)
-	}
-	if len(refs) == m.fut.Len() && m.fut.numBlocks <= m.capacity {
-		m.addUnbounded()
-		return m.stats
 	}
 	for t := range refs {
 		m.access(refs[t].Kind == trace.Write, t)
@@ -396,35 +409,37 @@ func (m *MTC) RunRefs(refs []trace.Ref) Stats {
 	return m.stats
 }
 
-// addUnbounded adds the statistics of a whole-trace replay in which every
+// unbounded returns the statistics of a whole-trace replay in which every
 // block fits: nothing is evicted or bypassed, so each block misses once,
 // on its first reference, and the final Flush writes back each block the
 // trace ever stores to. Loads and write-allocate stores fetch on that
 // miss; write-validate stores do not.
-func (m *MTC) addUnbounded() {
-	f := m.fut
+func unbounded(cfg Config, f *Future) Stats {
 	n, blocks := int64(f.Len()), int64(f.numBlocks)
 	fetches := blocks
-	if m.cfg.Alloc == WriteValidate {
+	if cfg.Alloc == WriteValidate {
 		fetches = f.readFirsts
 	}
-	bs := int64(m.cfg.BlockSize)
-	s := &m.stats
-	s.Accesses += n
-	s.Reads += n - f.writes
-	s.Writes += f.writes
-	s.Hits += n - blocks
-	s.Misses += blocks
-	s.Fetches += fetches
-	s.FetchBytes += units.Bytes(fetches * bs)
-	s.FlushWriteBacks += f.writtenBlocks
-	s.WriteBackBytes += units.Bytes(f.writtenBlocks * bs)
+	bs := int64(cfg.BlockSize)
+	return Stats{
+		Accesses:        n,
+		Reads:           n - f.writes,
+		Writes:          f.writes,
+		Hits:            n - blocks,
+		Misses:          blocks,
+		Fetches:         fetches,
+		FetchBytes:      units.Bytes(fetches * bs),
+		FlushWriteBacks: f.writtenBlocks,
+		WriteBackBytes:  units.Bytes(f.writtenBlocks * bs),
+	}
 }
 
 // SimulateRefs runs cfg over a materialized trace using a future table
 // built by FutureOfRefs at cfg.BlockSize over exactly refs. One table
 // may back any number of configurations: a grid sweep builds it once and
-// every configuration replays against it.
+// every configuration replays against it. When refs is the whole trace
+// and every block it touches fits at once, the statistics follow from
+// the table's counts (unbounded), with no replay and no per-block tables.
 //
 //memwall:hot
 func SimulateRefs(cfg Config, f *Future, refs []trace.Ref) (Stats, error) {
@@ -435,11 +450,14 @@ func SimulateRefs(cfg Config, f *Future, refs []trace.Ref) (Stats, error) {
 	if f != nil && len(refs) > f.Len() {
 		return Stats{}, errFutureMismatch(len(refs), f.Len())
 	}
-	m, err := NewWithFuture(cfg, f)
+	capacity, err := capacityOver(cfg, f)
 	if err != nil {
 		return Stats{}, err
 	}
-	return m.RunRefs(refs), nil
+	if len(refs) == f.Len() && f.numBlocks <= capacity {
+		return unbounded(cfg, f), nil
+	}
+	return newMTC(cfg, f, capacity).RunRefs(refs), nil
 }
 
 // errFutureMismatch formats SimulateRefs' input-validation error on a

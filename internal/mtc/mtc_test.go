@@ -369,6 +369,43 @@ func TestConfigString(t *testing.T) {
 	}
 }
 
+// TestFittingRunBuildsNoTables: when every block of the whole trace fits,
+// SimulateRefs answers from the future table's counts before it builds
+// the replay's per-block tables, so it allocates nothing, and its answer
+// is a replay's.
+func TestFittingRunBuildsNoTables(t *testing.T) {
+	rng := stats.NewRNG(11)
+	refs := make([]trace.Ref, 20000)
+	for i := range refs {
+		k := trace.Read
+		if rng.Intn(3) == 0 {
+			k = trace.Write
+		}
+		refs[i] = trace.Ref{Kind: k, Addr: uint64(rng.Intn(4096)) * 4}
+	}
+	fut, err := FutureOfRefs(refs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alloc := range []AllocPolicy{WriteAllocate, WriteValidate} {
+		cfg := Config{Size: fut.Blocks() * 4, BlockSize: 4, Alloc: alloc}
+		var got Stats
+		if n := testing.AllocsPerRun(3, func() { got, err = SimulateRefs(cfg, fut, refs) }); n != 0 {
+			t.Errorf("%v: SimulateRefs allocated %.1f times per fitting run, want 0", cfg, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewWithFuture(cfg, fut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := m.RunRefs(refs); got != want {
+			t.Errorf("%v: fitting run\n got %+v\nwant %+v (replayed)", cfg, got, want)
+		}
+	}
+}
+
 // TestReplayAllocatesNothing pins the replay loop allocation-free: every
 // array it touches is sized by NewWithFuture. Each RunRefs ends in a
 // Flush that empties the MTC, so it can replay the trace again.
@@ -386,7 +423,7 @@ func TestReplayAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{1024, 1 << 20} { // replayed, then in closed form
+	for _, size := range []int{1024, 1 << 20} { // evicting, then with every block resident
 		m, err := NewWithFuture(Config{Size: size, BlockSize: 4, Alloc: WriteValidate}, fut)
 		if err != nil {
 			t.Fatal(err)

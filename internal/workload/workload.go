@@ -177,7 +177,8 @@ func SuiteNames(s Suite) []string {
 // Builder sized to exactly that count. So Program.Insts is allocated once
 // with cap == len, and no per-generator size formula is needed (several
 // generators emit RNG-dependent counts). A generator whose two runs emit
-// different counts is not deterministic, and Generate returns an error.
+// different counts is not deterministic, and Generate returns an error;
+// so does one that emits more than isa.MaxSites distinct sites.
 func Generate(name string, scale int) (*Program, error) {
 	g, ok := registry[name]
 	if !ok {
@@ -193,6 +194,9 @@ func Generate(name string, scale int) (*Program, error) {
 	g.gen(k)
 	if k.b.Len() != n {
 		return nil, fmt.Errorf("workload: %s at scale %d emitted %d instructions after a count of %d", name, scale, k.b.Len(), n)
+	}
+	if err := k.b.Err(); err != nil {
+		return nil, fmt.Errorf("workload: %s at scale %d: %w", name, scale, err)
 	}
 	return &Program{
 		Name:         name,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -195,6 +196,36 @@ func TestGenerateRejectsCountMismatch(t *testing.T) {
 	}
 	if runs != 2 {
 		t.Errorf("generator ran %d times, want 2", runs)
+	}
+}
+
+// A program keeps one 16-bit PC per static site, so Generate accepts
+// isa.MaxSites distinct sites, the last at PC 0xFFFC, and rejects one
+// more, whose PC would wrap.
+func TestGenerateRejectsSiteOverflow(t *testing.T) {
+	sprawl := func(sites int) (*Program, error) {
+		registry["sprawling"] = generator{SPEC92, func(k *kernel) {
+			k.alloc("scratch", 64, 0)
+			for i := range sites {
+				k.b.OpRRR(fmt.Sprintf("sprawling.op%d", i), isa.IALU, rTmp1, rTmp1, rZero)
+			}
+		}}
+		defer delete(registry, "sprawling")
+		return Generate("sprawling", 1)
+	}
+	p, err := sprawl(isa.MaxSites)
+	if err != nil {
+		t.Fatalf("%d sites: %v", isa.MaxSites, err)
+	}
+	if last := p.Insts[len(p.Insts)-1].PC; last != 0xFFFC {
+		t.Errorf("%d sites: last PC %#x, want 0xfffc", isa.MaxSites, last)
+	}
+	p, err = sprawl(isa.MaxSites + 1)
+	if err == nil {
+		t.Fatalf("Generate returned a program with %d distinct sites, more than the %d a 16-bit PC holds", len(p.Insts), isa.MaxSites)
+	}
+	if want := "15361 distinct sites"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q, want it to contain %q", err, want)
 	}
 }
 
